@@ -20,7 +20,7 @@ from .graphs import (
     graph6_encode,
     pattern_orbit_table,
 )
-from .oracle import TAG_VERIFY, EdgeOracle, stream_values
+from .oracle import TAG_VERIFY, EdgeOracle, adjacency_rows, stream_values
 from .sets import VertexSet
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -41,7 +41,7 @@ class SearchResult:
     def to_json(self) -> dict:
         return {
             "status": self.status,
-            "witness": list(self.witness.elements) if self.witness else None,
+            "witness": self.witness.as_array.tolist() if self.witness else None,
             "nodes": self.nodes,
         }
 
@@ -78,10 +78,7 @@ def contains_induced(
     def adj_row(pos: int) -> int:
         row = adj_rows.get(pos)
         if row is None:
-            bits = oracle.edge_many(int(host_arr[pos]), host_arr)
-            bits[pos] = False
-            row = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-            adj_rows[pos] = row
+            row = adj_rows[pos] = adjacency_rows(oracle, host_arr, [pos])[0]
         return row
 
     images = [-1] * r  # pattern vertex -> host position
@@ -153,20 +150,6 @@ def weak_universality(
     else:
         verdict = "inconclusive"
     return {"k_max": k_max, "patterns": patterns, "verdict": verdict}
-
-
-def _window_graph_rows(oracle: EdgeOracle, vertices: np.ndarray) -> list[int]:
-    """Bitset adjacency rows among the window vertices."""
-    n = len(vertices)
-    rows = [0] * n
-    if n >= 2:
-        iu, iv = np.triu_indices(n, k=1)
-        bits = oracle.edge_pairs(vertices[iu], vertices[iv])
-        for i, j, b in zip(iu, iv, bits):
-            if b:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
 
 
 def _bad_subsets(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
@@ -317,10 +300,10 @@ def max_gfree_subset(
     if mode == "exact" and n > EXACT_WINDOW_CAP:
         raise ValueError("exact mode capped at window length %d" % EXACT_WINDOW_CAP)
     vertices = np.arange(lo, hi + 1, dtype=np.int64)
-    rows = _window_graph_rows(oracle, vertices)
+    rows = adjacency_rows(oracle, vertices)
     chosen = _exact_gfree(rows, n, pattern) if mode == "exact" else _greedy_gfree(rows, n, pattern)
     _verify_gfree(rows, chosen, pattern, oracle.seed)
-    return VertexSet(tuple(int(vertices[v]) for v in chosen), hi)
+    return VertexSet(vertices[chosen], hi)
 
 
 def reciprocal_tail_majorant(m: int, n_param: int) -> dict:

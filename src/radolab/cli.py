@@ -173,6 +173,12 @@ def _oracle(args) -> EdgeOracle:
     return EdgeOracle(args.seed, getattr(args, "probability", Fraction(1, 2)))
 
 
+def _prefix_bound(args) -> int:
+    if args.prefix_bound is None:
+        raise ValueError("%s needs --prefix-bound" % args.command)
+    return args.prefix_bound
+
+
 # --- handlers ---------------------------------------------------------------
 
 def cmd_edge(args) -> int:
@@ -191,7 +197,7 @@ def cmd_adj(args) -> int:
 def cmd_type(args) -> int:
     base = parse_host(args.base, args.prefix_bound, args.seed)
     t = type_of(_oracle(args), args.m, base)
-    emit(args, {**_header(args), "base": list(base.elements), "mask": t.bits})
+    emit(args, {**_header(args), "base": base.as_array.tolist(), "mask": t.bits})
     return EXIT_OK
 
 
@@ -254,7 +260,7 @@ def cmd_gfree_max(args) -> int:
             "window": [lo, hi],
             "mode": args.mode,
             "size": len(subset),
-            "elements": list(subset.elements),
+            "elements": subset.as_array.tolist(),
         },
     )
     return EXIT_OK
@@ -309,7 +315,7 @@ def cmd_ap(args) -> int:
 
 def cmd_construct_thick(args) -> int:
     try:
-        result = construct_thick_edgeless(_oracle(args), args.blocks, args.prefix_bound)
+        result = construct_thick_edgeless(_oracle(args), args.blocks, _prefix_bound(args))
     except PrefixExhausted as exc:
         emit(args, {**_header(args), "error": str(exc), "block": exc.block})
         return EXIT_EXHAUSTED
@@ -320,7 +326,7 @@ def cmd_construct_thick(args) -> int:
 def cmd_construct_thick_copy(args) -> int:
     target = parse_pattern(args.target)
     try:
-        result = construct_thick_copy(_oracle(args), target, args.blocks, args.prefix_bound)
+        result = construct_thick_copy(_oracle(args), target, args.blocks, _prefix_bound(args))
     except PrefixExhausted as exc:
         emit(args, {**_header(args), "error": str(exc), "block": exc.block})
         return EXIT_EXHAUSTED
@@ -340,7 +346,7 @@ def _family(text: str):
 def cmd_construct_pi02(args) -> int:
     try:
         result = construct_pi02_member(
-            _oracle(args), _family(args.family), args.levels, args.prefix_bound
+            _oracle(args), _family(args.family), args.levels, _prefix_bound(args)
         )
     except (TypeClassEmpty, ForcingFailed) as exc:
         emit(args, {**_header(args), "error": str(exc), "level": exc.level})
@@ -410,7 +416,7 @@ def cmd_mc_fn(args) -> int:
 
 
 def cmd_sample_mup(args) -> int:
-    vs = sample_mu_p(Fraction(args.p), args.prefix_bound, args.seed)
+    vs = sample_mu_p(Fraction(args.p), _prefix_bound(args), args.seed)
     emit(args, {**_header(args), "count": len(vs), "elements": format_runs(vs)})
     return EXIT_OK
 

@@ -22,9 +22,10 @@ _SCAN_CHUNK = 1 << 16
 
 
 class PrefixExhausted(RuntimeError):
-    """The materialized prefix ran out before a block could be placed."""
+    """The materialized prefix ran out before a block could be placed;
+    ``union`` holds the vertices of the blocks placed before it."""
 
-    def __init__(self, block: int, scanned_to: int, per_candidate_probability: float):
+    def __init__(self, block: int, scanned_to: int, per_candidate_probability: float, union: VertexSet):
         super().__init__(
             "prefix exhausted at block %d (scanned to %d; per-candidate success "
             "probability %.3g)" % (block, scanned_to, per_candidate_probability)
@@ -32,10 +33,12 @@ class PrefixExhausted(RuntimeError):
         self.block = block
         self.scanned_to = scanned_to
         self.per_candidate_probability = per_candidate_probability
+        self.union = union
 
 
 class TypeClassEmpty(RuntimeError):
-    """No vertex of the required isolation type remains in the prefix."""
+    """No vertex of the required isolation type over [1, base_size] remains
+    in the prefix."""
 
     def __init__(self, level: int, base_size: int, expected: float):
         super().__init__(
@@ -43,16 +46,21 @@ class TypeClassEmpty(RuntimeError):
             "about %.3g candidates were expected in the prefix)" % (level, base_size, expected)
         )
         self.level = level
+        self.base_size = base_size
         self.expected = expected
 
 
 class ForcingFailed(RuntimeError):
-    """The forcing oracle found no sufficient horizon within the prefix."""
+    """The forcing oracle found no sufficient horizon within the prefix;
+    ``base_size`` is k_{n-1} and ``union`` holds the blocks of the earlier
+    levels."""
 
-    def __init__(self, level: int, horizon: int):
+    def __init__(self, level: int, horizon: int, base_size: int, union: VertexSet):
         super().__init__("forcing failed at level %d within prefix bound %d" % (level, horizon))
         self.level = level
         self.horizon = horizon
+        self.base_size = base_size
+        self.union = union
 
 
 def _scan_block(
@@ -71,20 +79,12 @@ def _scan_block(
     while lo <= last_start:
         hi = min(lo + _SCAN_CHUNK - 1, last_start)
         ks = np.arange(lo, hi + 1, dtype=np.int64)
-        ok = np.ones(len(ks), dtype=bool)
         for d1, d2, want in internal_want:
-            ok &= oracle.edge_pairs(ks + d1, ks + d2) == want
-            if not ok.any():
-                break
-        surv = ks[ok]
-        if len(surv):
-            for u, d, want in cross_want:
-                keep = oracle.edge_many(u, surv + d) == want
-                surv = surv[keep]
-                if len(surv) == 0:
-                    break
-        if len(surv):
-            return int(surv[0])
+            ks = ks[oracle.edge_pairs(ks + d1, ks + d2) == want]
+        for u, d, want in cross_want:
+            ks = ks[oracle.edge_many(u, ks + d) == want]
+        if len(ks):
+            return int(ks[0])
         lo = hi + 1
     return None
 
@@ -98,7 +98,7 @@ class ThickResult:
     def to_json(self) -> dict:
         return {
             "intervals": [[s, l] for s, l in self.intervals],
-            "union": list(self.union.elements),
+            "union": self.union.as_array.tolist(),
             "verified": self.verified,
         }
 
@@ -130,13 +130,13 @@ def construct_thick_edgeless(oracle: EdgeOracle, blocks: int, prefix_bound: int)
         k = _scan_block(oracle, scan_from, j, prefix_bound, internal, cross)
         if k is None:
             prob = (1 - p) ** (j * (j - 1) // 2 + j * len(union))
-            raise PrefixExhausted(j, prefix_bound, prob)
+            raise PrefixExhausted(j, prefix_bound, prob, VertexSet(union, prefix_bound))
         intervals.append((k, j))
         union.extend(range(k, k + j))
         scan_from = k + j
     verts = np.asarray(union, dtype=np.int64)
     _assert_edgeless(oracle, verts)
-    return ThickResult(tuple(intervals), VertexSet(tuple(union), prefix_bound), True)
+    return ThickResult(tuple(intervals), VertexSet(verts, prefix_bound), True)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def construct_thick_copy(
         if k is None:
             # every required bit is an independent p-or-(1-p) event
             prob = min(p, 1 - p) ** (j * (j - 1) // 2 + j * len(images))
-            raise PrefixExhausted(j, prefix_bound, prob)
+            raise PrefixExhausted(j, prefix_bound, prob, VertexSet(images, prefix_bound))
         intervals.append((k, j))
         images.extend(range(k, k + j))
         scan_from = k + j
@@ -215,7 +215,7 @@ class Pi02Result:
         return {
             "ks": list(self.ks),
             "blocks": [list(b) for b in self.blocks],
-            "union": list(self.union.elements),
+            "union": self.union.as_array.tolist(),
             "certificates": self.certificates,
             "verified": self.verified,
         }
@@ -241,7 +241,7 @@ def construct_pi02_member(
     k_prev = 0
     ks: list[int] = []
     fs: list[tuple[int, ...]] = []
-    earlier: list[int] = []
+    earlier = np.zeros(0, dtype=np.int64)
     p = float(oracle.edge_probability)
     for n in range(1, levels + 1):
         cands = np.arange(k_prev + 1, prefix_bound + 1, dtype=np.int64)
@@ -251,17 +251,17 @@ def construct_pi02_member(
             cands = cands[~oracle.edge_many(b, cands)]
         if len(cands) == 0:
             raise TypeClassEmpty(n, k_prev, (prefix_bound - k_prev) * (1 - p) ** k_prev)
-        t_prime = VertexSet(tuple(earlier) + tuple(int(v) for v in cands), prefix_bound)
+        t_prime = VertexSet(np.concatenate([earlier, cands]), prefix_bound)
         k_forced = pi02_force(family, n, t_prime, prefix_bound)
         if k_forced is None:
-            raise ForcingFailed(n, prefix_bound)
+            raise ForcingFailed(n, prefix_bound, k_prev, VertexSet(earlier, prefix_bound))
         k_n = max(k_forced, k_prev + 1)
-        f_n = tuple(v for v in t_prime.elements if k_prev < v <= k_n)
+        f_n = t_prime.restrict(k_prev + 1, k_n).as_array
         ks.append(k_n)
-        fs.append(f_n)
-        earlier.extend(f_n)
+        fs.append(tuple(f_n.tolist()))
+        earlier = np.concatenate([earlier, f_n])
         k_prev = k_n
-    union = VertexSet(tuple(earlier), prefix_bound)
+    union = VertexSet(earlier, prefix_bound)
 
     # certificates recomputed from scratch: each prefix forces its level
     certificates = {}

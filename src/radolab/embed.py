@@ -88,31 +88,6 @@ def required_type(target: FiniteGraph, placed: tuple[int, ...], next_index: int)
     return TypeSpec(placed, mask)
 
 
-def score_candidate(
-    oracle: EdgeOracle,
-    host: VertexSet,
-    placed: tuple[int, ...],
-    m: int,
-    score_horizon: int | None = None,
-) -> int:
-    """Minimum type-class count over the 2^(|placed|+1) types over placed+m.
-
-    A score of zero means placing m starves some type class within the
-    scoring pool; such candidates stay legal but rank last.
-    """
-    pool = [v for v in host.elements if v != m and v not in placed]
-    if score_horizon is not None:
-        pool = pool[:score_horizon]
-    n = len(placed) + 1
-    if (1 << n) > len(pool):
-        return 0
-    arr = np.asarray(pool, dtype=np.int64)
-    keys = np.zeros(len(arr), dtype=np.int64)
-    for i, b in enumerate((*placed, m)):
-        keys |= oracle.edge_many(b, arr).astype(np.int64) << i
-    return int(np.bincount(keys, minlength=1 << n).min())
-
-
 def verify_embedding(oracle: EdgeOracle, target: FiniteGraph, images: tuple[int, ...]) -> None:
     """Hard re-verification of an embedding from raw oracle queries."""
     for i in range(len(images)):

@@ -106,17 +106,11 @@ def weighted_sum(a: VertexSet, f: WeightFunction | None = None) -> float:
 
 def thickness(a: VertexSet) -> tuple[int, int]:
     """Leftmost maximal run of consecutive elements, as (start, length)."""
-    best = (0, 0)
-    elems = a.elements
-    i = 0
-    while i < len(elems):
-        j = i
-        while j + 1 < len(elems) and elems[j + 1] == elems[j] + 1:
-            j += 1
-        if j - i + 1 > best[1]:
-            best = (elems[i], j - i + 1)
-        i = j + 1
-    return best
+    starts, ends = a.runs()
+    if len(starts) == 0:
+        return (0, 0)
+    best = int(np.argmax(ends - starts))  # argmax picks the leftmost longest
+    return (int(starts[best]), int(ends[best] - starts[best]) + 1)
 
 
 def longest_ap(a: VertexSet) -> tuple[int, int, int]:
@@ -131,7 +125,7 @@ def longest_ap(a: VertexSet) -> tuple[int, int, int]:
     if m == 0:
         return (0, 0, 0)
     if m == 1:
-        return (a.elements[0], 0, 1)
+        return (int(a.as_array[0]), 0, 1)
     vals = a.as_array
     index_of = np.full(int(vals[-1]) + 2, -1, dtype=np.int64)
     index_of[vals] = np.arange(m)

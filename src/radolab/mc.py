@@ -26,6 +26,7 @@ from .oracle import (
     probability_threshold,
     stream_matrix,
     stream_values,
+    type_keys,
 )
 from .sets import VertexSet
 
@@ -55,14 +56,9 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
     fractions = []
     for t in range(trials):
         oracle = EdgeOracle((seed + t) & MASK64)
-        p = float(oracle.edge_probability)
         avoid = np.ones(pool_size, dtype=bool)
         for i in range(n):
-            base = range(i * k + 1, (i + 1) * k + 1)
-            hit = np.ones(pool_size, dtype=bool)
-            for b in base:
-                hit &= oracle.edge_many(b, pool)
-            avoid &= ~hit
+            avoid &= type_keys(oracle, np.arange(i * k + 1, (i + 1) * k + 1), pool) != (1 << k) - 1
         fractions.append(float(avoid.mean()))
     arr = np.asarray(fractions)
     target = (1 - 0.5**k) ** n
@@ -249,8 +245,7 @@ def sample_mu_p(p, bound: int, seed: int) -> VertexSet:
         raise ValueError("p must lie strictly between 0 and 1")
     thresh = np.uint64(probability_threshold(frac))
     vals = stream_values(seed, TAG_MU_P, bound)
-    elems = np.arange(1, bound + 1, dtype=np.int64)[vals < thresh]
-    return VertexSet(tuple(int(v) for v in elems), bound)
+    return VertexSet(np.flatnonzero(vals < thresh) + 1, bound)
 
 
 def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: int) -> dict:
@@ -258,15 +253,12 @@ def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: i
     3-sigma binomial band around p^{|F|} and a runs-test for independence."""
     if tuple(t.base) != tuple(f.elements):
         raise ValueError("type must be over the given base set")
-    start = (f.elements[-1] if len(f) else 0) + 1
+    start = (int(f.as_array[-1]) if len(f) else 0) + 1
     pool = np.arange(start, bound + 1, dtype=np.int64)
     total = len(pool)
     if total == 0:
         raise ValueError("no vertices beyond the base within the bound")
-    keys = np.zeros(total, dtype=np.int64)
-    for i, b in enumerate(f.elements):
-        keys |= oracle.edge_many(b, pool).astype(np.int64) << i
-    indicator = keys == t.mask
+    indicator = type_keys(oracle, f.as_array, pool) == t.mask
     count = int(indicator.sum())
     freq = count / total
     # class probability is a product over mask bits (2^-|F| at p = 1/2)
@@ -283,7 +275,7 @@ def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: i
     runs_var = (runs_expected - 1) * (runs_expected - 2) / (total - 1) if total > 1 else 0.0
     runs_z = (runs - runs_expected) / math.sqrt(runs_var) if runs_var > 0 else 0.0
     return {
-        "f": list(f.elements),
+        "f": f.as_array.tolist(),
         "mask": t.bits,
         "bound": bound,
         "total": total,

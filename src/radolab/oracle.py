@@ -49,13 +49,18 @@ def rotl64(x: int, k: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_MUL_1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_MUL_2)
-    z ^= z >> np.uint64(31)
+    """SplitMix64 finalizer over a uint64 array, in place; returns z."""
+    tmp = np.empty_like(z)
+    for shift, mul in ((30, _MIX_MUL_1), (27, _MIX_MUL_2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        if mul is not None:
+            z *= np.uint64(mul)
     return z
+
+
+# Pair keys per kernel pass: a pass's scratch arrays stay in a 4 MiB L2.
+_CHUNK = 1 << 15
 
 
 def probability_threshold(p: Fraction) -> int:
@@ -101,36 +106,49 @@ class EdgeOracle:
     def edge_many(self, u: int, vs: np.ndarray) -> np.ndarray:
         """Vectorized ``edge(u, v)`` for every v in vs.  Positions where
         v == u yield an unspecified bit; callers must mask them out."""
-        return self.edge_pairs(np.full(len(vs), u, dtype=np.int64), vs)
+        return self.edge_pairs(u, vs)
+
+    def _edge_bits(self, key: np.ndarray, out: np.ndarray) -> None:
+        """Finish the recipe on canonical pair keys (overwritten) into out."""
+        _mix64_np(key)
+        key ^= np.uint64(self.seed)
+        _mix64_np(key)
+        key >>= np.uint64(11)
+        np.less(key, np.uint64(self._threshold), out=out)
 
     def edge_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Elementwise edges for paired vertex arrays; exact match of edge()."""
-        us = np.asarray(us, dtype=np.uint64)
-        vs = np.asarray(vs, dtype=np.uint64)
-        a = np.minimum(us, vs)
-        b = np.maximum(us, vs)
-        key = (a * np.uint64(GOLDEN)) ^ ((b << np.uint64(32)) | (b >> np.uint64(32)))
-        h = _mix64_np(np.uint64(self.seed) ^ _mix64_np(key))
-        return (h >> np.uint64(11)) < np.uint64(self._threshold)
+        """Elementwise edges for paired (broadcast) vertex arrays; exact
+        match of edge()."""
+        us, vs = np.broadcast_arrays(np.asarray(us, dtype=np.uint64), np.asarray(vs, dtype=np.uint64))
+        out = np.empty(us.shape, dtype=bool)
+        for lo in range(0, len(us), _CHUNK):
+            u, v = us[lo : lo + _CHUNK], vs[lo : lo + _CHUNK]
+            key, b = np.minimum(u, v), np.maximum(u, v)
+            key *= np.uint64(GOLDEN)
+            key ^= (b << np.uint64(32)) | (b >> np.uint64(32))
+            self._edge_bits(key, out[lo : lo + _CHUNK])
+        return out
 
     def edge_grid(self, us, pool_sorted: np.ndarray) -> np.ndarray:
         """Edges of every u against a sorted pool, as a (len(us), len(pool))
         matrix.  Bit-identical to edge_pairs; the sortedness lets the pair
-        canonicalization be precomputed once for the whole grid."""
-        pool_u = np.asarray(pool_sorted, dtype=np.uint64)
-        pool_g = pool_u * np.uint64(GOLDEN)
-        pool_rot = (pool_u << np.uint64(32)) | (pool_u >> np.uint64(32))
-        seed_u = np.uint64(self.seed)
-        thresh = np.uint64(self._threshold)
-        out = np.empty((len(us), len(pool_u)), dtype=bool)
-        key = np.empty(len(pool_u), dtype=np.uint64)
-        for row, c in enumerate(us):
-            c = int(c)
-            i = int(np.searchsorted(pool_sorted, c))
-            key[:i] = pool_g[:i] ^ np.uint64(rotl64(c, 32))
-            key[i:] = np.uint64((c * GOLDEN) & MASK64) ^ pool_rot[i:]
-            h = _mix64_np(seed_u ^ _mix64_np(key))
-            out[row] = (h >> np.uint64(11)) < thresh
+        canonicalization be precomputed once per pool chunk."""
+        pool = np.asarray(pool_sorted, dtype=np.uint64)
+        rows = [
+            (np.uint64(rotl64(c, 32)), np.uint64((c * GOLDEN) & MASK64), int(np.searchsorted(pool_sorted, c)))
+            for c in map(int, us)
+        ]
+        out = np.empty((len(rows), len(pool)), dtype=bool)
+        for lo in range(0, len(pool), _CHUNK):
+            part = pool[lo : lo + _CHUNK]
+            part_g = part * np.uint64(GOLDEN)
+            part_rot = (part << np.uint64(32)) | (part >> np.uint64(32))
+            key = np.empty_like(part)
+            for row, (c_rot, c_g, split) in enumerate(rows):
+                i = min(max(split - lo, 0), len(part))  # pool[:split] < c
+                np.bitwise_xor(part_g[:i], c_rot, out=key[:i])
+                np.bitwise_xor(part_rot[i:], c_g, out=key[i:])
+                self._edge_bits(key, out[row, lo : lo + len(part)])
         return out
 
 
@@ -173,51 +191,62 @@ class TypeSpec:
     @property
     def bits(self) -> str:
         """Mask rendered with bit 0 (first base vertex) leftmost."""
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(len(self.base)))
+        return _bits(self.mask, len(self.base))
 
     @classmethod
     def from_bits(cls, base: Sequence[int], bits: str) -> "TypeSpec":
-        mask = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << i
-        return cls(tuple(base), mask)
+        if len(bits) != len(base) or set(bits) - {"0", "1"}:
+            raise ValueError("type bits %r must be %d characters of 0 and 1" % (bits, len(base)))
+        return cls(tuple(base), int(bits[::-1] or "0", 2))
 
-    @classmethod
-    def nonadjacent(cls, base: Sequence[int]) -> "TypeSpec":
-        """The type stating that a vertex connects to nothing in base."""
-        return cls(tuple(base), 0)
+
+def _bits(mask: int, k: int) -> str:
+    """The k-bit mask as text, bit 0 leftmost."""
+    return format(mask, "0%db" % k)[::-1] if k else ""
+
+
+TYPE_KEY_BITS = 62
+
+
+def type_keys(oracle: EdgeOracle, base: Sequence[int], pool: np.ndarray) -> np.ndarray:
+    """Type masks over ``base`` of every vertex of the sorted ``pool``, as
+    int64 keys: bit i of a key is the edge to base[i].  One ``edge_grid``
+    evaluation; a pool vertex that lies in base gets an unspecified key."""
+    if len(base) > TYPE_KEY_BITS:
+        raise ValueError("type keys hold at most %d base vertices" % TYPE_KEY_BITS)
+    keys = np.zeros(len(pool), dtype=np.int64)
+    for i, row in enumerate(oracle.edge_grid(base, pool)):
+        keys |= row.astype(np.int64) << i
+    return keys
+
+
+def _bitset(bits: np.ndarray) -> int:
+    """A boolean vector as a Python-int bitset: bit i is bits[i]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def adjacency_rows(oracle: EdgeOracle, vertices: np.ndarray, which: Sequence[int] | None = None) -> list[int]:
+    """Bitset adjacency rows among the sorted vertices: bit j of row i is
+    the edge {vertices[i], vertices[j]}.  ``which`` lists the rows to build
+    (all by default)."""
+    which = np.arange(len(vertices)) if which is None else np.asarray(which, dtype=np.int64)
+    grid = oracle.edge_grid(vertices[which], vertices)
+    grid[np.arange(len(which)), which] = False
+    return [_bitset(row) for row in grid]
 
 
 def type_of(oracle: EdgeOracle, m: int, base: VertexSet) -> TypeSpec:
     """The type of vertex m over the base set (ascending base order)."""
     if m in base:
         raise ValueError("vertex %d lies inside the base set" % m)
-    mask = 0
-    if len(base):
-        bits = oracle.edge_many(m, base.as_array)
-        for i in range(len(base)):
-            if bits[i]:
-                mask |= 1 << i
-    return TypeSpec(tuple(base.elements), mask)
-
-
-def _type_keys(oracle: EdgeOracle, base: Sequence[int], pool: np.ndarray) -> np.ndarray:
-    """Type masks over `base` for every pool vertex, as integer keys."""
-    keys = np.zeros(len(pool), dtype=np.int64)
-    for i, b in enumerate(base):
-        keys |= oracle.edge_many(b, pool).astype(np.int64) << i
-    return keys
+    return TypeSpec(base.elements, _bitset(oracle.edge_grid([m], base.as_array)[0]))
 
 
 def vertices_of_type(oracle: EdgeOracle, t: TypeSpec, pool: VertexSet) -> VertexSet:
     """The subset of pool whose type over t.base equals t (base removed first)."""
     pool = pool.minus(t.base)
-    if len(pool) == 0:
-        return pool
-    keys = _type_keys(oracle, t.base, pool.as_array)
-    elems = tuple(int(v) for v in pool.as_array[keys == t.mask])
-    return VertexSet(elems, pool.prefix_bound)
+    keys = type_keys(oracle, t.base, pool.as_array)
+    return VertexSet(pool.as_array[keys == t.mask], pool.prefix_bound)
 
 
 def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
@@ -226,24 +255,19 @@ def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
     Passes iff every type is witnessed; absence of witnesses is data,
     not an error.
     """
-    if len(f) and f.elements[-1] > bound:
+    if len(f) and f.as_array[-1] > bound:
         raise ValueError("base set must lie within [1, bound]")
     candidates = np.setdiff1d(np.arange(1, bound + 1, dtype=np.int64), f.as_array, assume_unique=True)
     k = len(f)
-    witnesses: list[int | None] = [None] * (1 << k)
-    if len(candidates):
-        keys = _type_keys(oracle, f.elements, candidates)
-        order = np.argsort(candidates, kind="stable")
-        for pos in order:
-            key = int(keys[pos])
-            if witnesses[key] is None:
-                witnesses[key] = int(candidates[pos])
+    # candidates ascend, so the first position of each key is its least witness
+    first = np.full(1 << k, len(candidates))
+    np.minimum.at(first, type_keys(oracle, f.as_array, candidates), np.arange(len(candidates)))
     types = [
-        {"mask": TypeSpec(f.elements, m).bits, "witness": witnesses[m]}
-        for m in range(1 << k)
+        {"mask": _bits(m, k), "witness": int(candidates[i]) if i < len(candidates) else None}
+        for m, i in enumerate(first.tolist())
     ]
     return {
-        "f": list(f.elements),
+        "f": f.as_array.tolist(),
         "bound": bound,
         "types": types,
         "pass": all(w["witness"] is not None for w in types),
@@ -252,13 +276,4 @@ def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
 
 def induced_subgraph(oracle: EdgeOracle, a: VertexSet) -> FiniteGraph:
     """The induced subgraph on A; vertex i is the i-th smallest element."""
-    n = len(a)
-    rows = [0] * n
-    if n >= 2:
-        iu, iv = np.triu_indices(n, k=1)
-        bits = oracle.edge_pairs(a.as_array[iu], a.as_array[iv])
-        for i, j, b in zip(iu, iv, bits):
-            if b:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return FiniteGraph(n, tuple(rows))
+    return FiniteGraph(len(a), tuple(adjacency_rows(oracle, a.as_array)))

@@ -4,105 +4,136 @@ from __future__ import annotations
 
 import os
 import re
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+def _int64_array(values) -> np.ndarray:
+    """A fresh int64 array of the given integers."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("vertices must fit in a signed 64-bit integer") from None
+
+
 class VertexSet:
     """A finite set A of positive integers, materialized up to ``prefix_bound``.
 
     Elements are strictly increasing, all >= 1 and <= prefix_bound.  The
     prefix bound records how much of the ambient graph was inspected, which
     matters for density and sampling semantics.
+
+    The elements live in a read-only sorted int64 array, ``as_array``; the
+    tuple of Python ints, ``elements``, is built on first access only.
+    Instances are immutable.
     """
 
-    elements: tuple[int, ...]
-    prefix_bound: int
-
-    def __post_init__(self):
-        prev = 0
-        for e in self.elements:
-            if e <= prev:
-                raise ValueError("elements must be strictly increasing and >= 1")
-            prev = e
-        if self.elements and self.elements[-1] > self.prefix_bound:
-            raise ValueError("element %d exceeds prefix bound %d" % (self.elements[-1], self.prefix_bound))
-        if self.prefix_bound < 0:
+    def __init__(self, elements, prefix_bound: int):
+        arr = _int64_array(elements)
+        if arr.ndim != 1:
+            raise ValueError("elements must form a flat sequence")
+        # neighbours are compared directly: np.diff can wrap on int64 input
+        if len(arr) and (arr[0] < 1 or not (arr[1:] > arr[:-1]).all()):
+            raise ValueError("elements must be strictly increasing and >= 1")
+        if len(arr) and int(arr[-1]) > prefix_bound:
+            raise ValueError("element %d exceeds prefix bound %d" % (arr[-1], prefix_bound))
+        if prefix_bound < 0:
             raise ValueError("prefix bound must be non-negative")
+        arr.flags.writeable = False
+        object.__setattr__(self, "as_array", arr)
+        object.__setattr__(self, "prefix_bound", prefix_bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VertexSet is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_iterable(cls, it: Iterable[int], prefix_bound: int | None = None) -> "VertexSet":
-        elems = tuple(sorted(set(int(x) for x in it)))
+        arr = np.unique(_int64_array(it))
         if prefix_bound is None:
-            prefix_bound = elems[-1] if elems else 0
-        return cls(elems, prefix_bound)
+            prefix_bound = int(arr[-1]) if len(arr) else 0
+        return cls(arr, prefix_bound)
 
     @classmethod
     def interval(cls, lo: int, hi: int, prefix_bound: int | None = None) -> "VertexSet":
         """The inclusive interval [lo, hi]."""
         if hi < lo:
             return cls((), prefix_bound if prefix_bound is not None else 0)
-        return cls(tuple(range(lo, hi + 1)), prefix_bound if prefix_bound is not None else hi)
+        return cls(np.arange(lo, hi + 1, dtype=np.int64), prefix_bound if prefix_bound is not None else hi)
 
     @classmethod
     def empty(cls) -> "VertexSet":
         return cls((), 0)
 
     @cached_property
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.elements, dtype=np.int64)
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self.as_array.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VertexSet):
+            return NotImplemented
+        return self.prefix_bound == other.prefix_bound and np.array_equal(self.as_array, other.as_array)
+
+    def __hash__(self) -> int:
+        return hash((self.as_array.tobytes(), self.prefix_bound))
+
+    def __repr__(self) -> str:
+        return "VertexSet(elements=%r, prefix_bound=%r)" % (self.elements, self.prefix_bound)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.as_array)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
     def __contains__(self, v: int) -> bool:
-        i = bisect_left(self.elements, v)
-        return i < len(self.elements) and self.elements[i] == v
+        i = self.as_array.searchsorted(v)
+        return bool(i < len(self.as_array) and self.as_array[i] == v)
 
     def count_upto(self, n: int) -> int:
         """|A ∩ [1, n]|."""
-        return bisect_right(self.elements, n)
+        return int(self.as_array.searchsorted(n, side="right"))
 
     def minus(self, other: Iterable[int]) -> "VertexSet":
-        drop = set(other)
-        return VertexSet(tuple(e for e in self.elements if e not in drop), self.prefix_bound)
+        drop = other.as_array if isinstance(other, VertexSet) else _int64_array(other)
+        return VertexSet(self.as_array[~np.isin(self.as_array, drop)], self.prefix_bound)
 
     def union(self, other: "VertexSet") -> "VertexSet":
         bound = max(self.prefix_bound, other.prefix_bound)
-        return VertexSet.from_iterable(set(self.elements) | set(other.elements), bound)
+        return VertexSet(np.union1d(self.as_array, other.as_array), bound)
 
     def restrict(self, lo: int, hi: int) -> "VertexSet":
         """Elements within the inclusive interval [lo, hi]."""
-        i = bisect_left(self.elements, lo)
-        j = bisect_right(self.elements, hi)
-        return VertexSet(self.elements[i:j], self.prefix_bound)
+        i = self.as_array.searchsorted(lo)
+        j = self.as_array.searchsorted(hi, side="right")
+        return VertexSet(self.as_array[i:j], self.prefix_bound)
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and last element of every maximal run of consecutive
+        elements, in ascending order."""
+        arr = self.as_array
+        if len(arr) == 0:
+            return arr, arr
+        breaks = np.flatnonzero(np.diff(arr) != 1)
+        return arr[np.append(0, breaks + 1)], arr[np.append(breaks, len(arr) - 1)]
 
 
 def format_runs(vs: VertexSet) -> str:
     """Compact run-length notation: "1-4,7,9-12"."""
-    parts = []
-    elems = vs.elements
-    i = 0
-    while i < len(elems):
-        j = i
-        while j + 1 < len(elems) and elems[j + 1] == elems[j] + 1:
-            j += 1
-        parts.append(str(elems[i]) if i == j else "%d-%d" % (elems[i], elems[j]))
-        i = j + 1
-    return ",".join(parts)
+    starts, ends = vs.runs()
+    return ",".join(
+        str(a) if a == b else "%d-%d" % (a, b) for a, b in zip(starts.tolist(), ends.tolist())
+    )
 
 
 def parse_runs(text: str, prefix_bound: int | None = None) -> VertexSet:
     """Parse run-length notation "a-b,c,d-e" into a VertexSet."""
-    elems: list[int] = []
+    parts = []
     text = text.strip()
     if text:
         for part in text.split(","):
@@ -112,12 +143,13 @@ def parse_runs(text: str, prefix_bound: int | None = None) -> VertexSet:
                 a, b = int(m.group(1)), int(m.group(2))
                 if b < a:
                     raise ValueError("descending interval %r" % part)
-                elems.extend(range(a, b + 1))
             elif re.fullmatch(r"\d+", part):
-                elems.append(int(part))
+                a = b = int(part)
             else:
                 raise ValueError("bad vertex-set token %r" % part)
-    return VertexSet.from_iterable(elems, prefix_bound)
+            a, b = _int64_array((a, b))
+            parts.append(np.append(np.arange(a, b), b))
+    return VertexSet.from_iterable(np.concatenate(parts) if parts else (), prefix_bound)
 
 
 def load_vertex_set(path: str) -> VertexSet:
@@ -149,14 +181,14 @@ def parse_notation(text: str, prefix_bound: int | None = None) -> VertexSet:
         if text == "all":
             return VertexSet.interval(1, prefix_bound)
         if text == "even":
-            return VertexSet(tuple(range(2, prefix_bound + 1, 2)), prefix_bound)
+            return VertexSet(np.arange(2, prefix_bound + 1, 2), prefix_bound)
         if text == "odd":
-            return VertexSet(tuple(range(1, prefix_bound + 1, 2)), prefix_bound)
+            return VertexSet(np.arange(1, prefix_bound + 1, 2), prefix_bound)
         m = re.fullmatch(r"ap:(\d+),(\d+)", text)
         if not m:
             raise ValueError("bad arithmetic-progression notation %r" % text)
         a, d = int(m.group(1)), int(m.group(2))
         if a < 1 or d < 1:
             raise ValueError("ap start and difference must be >= 1")
-        return VertexSet(tuple(range(a, prefix_bound + 1, d)), prefix_bound)
+        return VertexSet(np.arange(a, prefix_bound + 1, d), prefix_bound)
     return parse_runs(text, prefix_bound)

@@ -220,3 +220,13 @@ def test_majorant_closed_form_vs_direct_summation():
 
 def test_majorant_m1_tail_is_2n():
     assert reciprocal_tail_majorant(1, 5)["tail"] == 10.0
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_greedy_window_beyond_64_vertices_matches_scalar_greedy(seed):
+    o = EdgeOracle(seed)
+    want = []  # greedy K3-free subset in window order, from scalar edges
+    for v in range(1000, 1080):
+        if not any(o.edge(a, b) and o.edge(a, v) and o.edge(b, v) for a, b in combinations(want, 2)):
+            want.append(v)
+    assert max_gfree_subset(o, (1000, 1079), complete(3), "greedy").elements == tuple(want)

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 
+from radolab.graphs import graph6_decode
+from radolab.oracle import EdgeOracle
+
 BASE = [sys.executable, "-m", "radolab"]
 
 
@@ -180,3 +183,32 @@ def test_floats_printed_with_12_significant_digits():
     out = run("sum", "--host", "1-3")
     rep = json.loads(out.stdout)
     assert rep["sum"] == float("%.12g" % (1 + 0.5 + 1 / 3))
+
+
+def test_adj_beyond_64_vertices_matches_scalar_edges():
+    out = run("adj", "--seed", "1", "--host", "1-80")
+    assert out.returncode == 0 and "Traceback" not in out.stderr
+    rep = json.loads(out.stdout)
+    g = graph6_decode(rep["graph6"])
+    o = EdgeOracle(1)
+    assert g.order == rep["order"] == 80
+    assert all(g.has_edge(i, j) == o.edge(i + 1, j + 1) for i in range(80) for j in range(i + 1, 80))
+
+
+def test_typefreq_rejects_bad_masks():
+    for mask in ("10", "1010", "1x1", ""):
+        out = run("typefreq", "--seed", "1", "--f", "1-3", "--mask", mask, "--bound", "1000")
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: type bits") and "Traceback" not in out.stderr
+
+
+def test_missing_prefix_bound_is_a_usage_error():
+    for argv in (
+        ["construct-thick", "--blocks", "3"],
+        ["construct-thick-copy", "--target", "k:3", "--blocks", "2"],
+        ["construct-pi02", "--levels", "2"],
+        ["sample-mup", "--p", "1/2"],
+    ):
+        out = run(*argv)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr == "error: %s needs --prefix-bound\n" % argv[0]

@@ -206,3 +206,38 @@ def test_level_three_success_verified_by_requery():
             isolated &= ~o.edge_pairs(np.full(len(window), b), window)
         assert tuple(int(v) for v in window[isolated]) == block
         k_prev = k
+
+
+# --- give-up context -------------------------------------------------------------
+
+def test_give_ups_carry_base_size_and_union_so_far():
+    o, fam = EdgeOracle(1), substantial_family()
+    with pytest.raises(TypeClassEmpty) as empty:
+        construct_pi02_member(o, fam, 3, 1000)
+    two = construct_pi02_member(o, fam, 2, 1000)
+    assert empty.value.level == 3 and empty.value.base_size == two.ks[-1] == 68
+    assert str(empty.value) == (
+        "type class empty before forcing at level 3 (base [1,68]; "
+        "about 3.16e-18 candidates were expected in the prefix)"
+    )
+    with pytest.raises(ForcingFailed) as forcing:
+        construct_pi02_member(o, fam, 2, 30)
+    one = construct_pi02_member(o, fam, 1, 30)
+    assert forcing.value.base_size == one.ks[-1] == 2 and forcing.value.union == one.union
+    assert str(forcing.value) == "forcing failed at level 2 within prefix bound 30"
+    with pytest.raises(ForcingFailed) as first:
+        construct_pi02_member(o, fam, 1, 1)
+    assert first.value.base_size == 0 and len(first.value.union) == 0
+
+
+def test_prefix_exhausted_carries_union_of_placed_blocks():
+    o = EdgeOracle(1)
+    with pytest.raises(PrefixExhausted) as thick:
+        construct_thick_edgeless(o, 4, 5000)
+    assert thick.value.block == 4 and thick.value.union == construct_thick_edgeless(o, 3, 5000).union
+    assert str(thick.value) == (
+        "prefix exhausted at block 4 (scanned to 5000; per-candidate success probability 9.31e-10)"
+    )
+    with pytest.raises(PrefixExhausted) as copy:
+        construct_thick_copy(o, empty_graph(10), 4, 5000)
+    assert copy.value.union.elements == (1, 10, 11, 3042, 3043, 3044)

@@ -2,10 +2,26 @@ import math
 
 import pytest
 
-from radolab.embed import DeadEnd, EmbedConfig, embed_target, required_type, score_candidate, verify_embedding
+from radolab.embed import DeadEnd, EmbedConfig, embed_target, required_type, verify_embedding
 from radolab.graphs import complete, cycle, empty_graph, path, petersen
 from radolab.oracle import EdgeOracle
 from radolab.sets import VertexSet
+
+
+def score_candidate(oracle, host, placed, m, score_horizon=None):
+    """Brute-force reference for the embedder's candidate score: the minimum
+    type-class count over the 2^(|placed|+1) types over placed+m, from
+    scalar edge queries.  Zero means placing m starves some class."""
+    pool = [v for v in host.elements if v != m and v not in placed]
+    if score_horizon is not None:
+        pool = pool[:score_horizon]
+    base = (*placed, m)
+    if (1 << len(base)) > len(pool):
+        return 0
+    counts = [0] * (1 << len(base))
+    for v in pool:
+        counts[sum(oracle.edge(b, v) << i for i, b in enumerate(base))] += 1
+    return min(counts)
 
 
 def test_required_type_first_step_is_empty():

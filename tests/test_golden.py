@@ -1,0 +1,76 @@
+"""Golden corpus: stdout and exit code of fixed CLI invocations, byte for byte.
+
+The corpus in ``golden.json`` was frozen before the array-native
+``VertexSet`` refactor; every later change must reproduce it exactly.
+Regenerate it only for a deliberate output change, and name that change
+in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from radolab.cli import main
+
+CORPUS = pathlib.Path(__file__).with_name("golden.json")
+
+INVOCATIONS = [
+    "construct-pi02 --seed {s} --family substantial --levels 2 --prefix-bound 1000000",
+    "construct-thick --seed {s} --blocks 3 --prefix-bound 200000",
+    "construct-thick --seed {s} --blocks 4 --prefix-bound 1000000",
+    "sample-mup --seed {s} --p 1/2 --prefix-bound 20000",
+    "density --seed {s} --host mup:1/2 --prefix-bound 1000000",
+    "typefreq --seed {s} --f 1-4 --bound 100000",
+    "extension --seed {s} --f 1-8 --bound 4096",
+    "type --seed {s} --m 100 --base 1-10",
+    "gfree-max --seed {s} --window 1-16 --pattern k:3",
+    "dyadic-audit --seed {s} --pattern k:2 --n-param 3 --k-from 2 --k-to 6",
+]
+EXTRA = [
+    "construct-pi02 --seed 7 --family substantial --levels 3 --prefix-bound 1000000",
+    "sample-mup --seed 3 --p 1/3 --prefix-bound 5000",
+    "typefreq --seed 1 --f 2,5,9 --mask 101 --bound 50000",
+    "type --seed 3 --m 500 --base 1-100",
+    "thick --seed 7 --host mup:1/2 --prefix-bound 100000",
+    "sum --seed 7 --host mup:1/2 --prefix-bound 100000",
+    "adj --seed 7 --host 1-40",
+]
+CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
+
+
+def run_cli(line: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(line.split())
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return json.loads(CORPUS.read_text(encoding="ascii"))
+
+
+def test_corpus_covers_every_case(corpus):
+    assert sorted(corpus) == sorted(CASES)
+
+
+@pytest.mark.parametrize("line", CASES)
+def test_golden(corpus, line):
+    code, stdout = run_cli(line)
+    assert code == corpus[line]["exit"]
+    assert stdout == corpus[line]["stdout"]
+
+
+if __name__ == "__main__":
+    frozen = {}
+    for line in CASES:
+        code, stdout = run_cli(line)
+        frozen[line] = {"exit": code, "stdout": stdout}
+        print(code, len(stdout), line, file=sys.stderr)
+    CORPUS.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n", encoding="ascii")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from radolab.oracle import (
     EdgeOracle,
     TypeSpec,
+    adjacency_rows,
     extension_check,
     induced_subgraph,
     mix64,
@@ -249,3 +250,31 @@ def test_edge_grid_matches_edge_pairs():
         ref = o.edge_pairs(np.full(len(pool), u), pool)
         same = pool != u
         assert (grid[r][same] == ref[same]).all()
+
+
+@pytest.mark.parametrize("vertices", [range(1, 66), range(1000, 1080), range(3, 3 + 7 * 80, 7)])
+def test_adjacency_rows_beyond_64_vertices_match_scalar_edges(vertices):
+    o = EdgeOracle(1)
+    verts = np.array(vertices, dtype=np.int64)
+    rows = adjacency_rows(o, verts)
+    want = [sum(o.edge(u, v) << j for j, v in enumerate(vertices) if v != u) for u in vertices]
+    assert rows == want
+    assert adjacency_rows(o, verts, [5, 70 % len(verts)]) == [want[5], want[70 % len(verts)]]
+    g = induced_subgraph(o, VertexSet.from_iterable(vertices))
+    assert list(g.rows) == want
+
+
+def test_type_bits_validated():
+    assert TypeSpec.from_bits((4, 7, 9), "100").mask == 1
+    assert TypeSpec.from_bits((4, 7, 9), "011").mask == 6
+    assert TypeSpec.from_bits((), "").mask == 0
+    for bits in ("10", "1000", "1x1", "12 "):
+        with pytest.raises(ValueError):
+            TypeSpec.from_bits((4, 7, 9), bits)
+
+
+def test_type_of_base_beyond_64_vertices():
+    o = EdgeOracle(3)
+    base = VertexSet.interval(1, 100)
+    t = type_of(o, 500, base)
+    assert t.mask == sum(o.edge(b, 500) << i for i, b in enumerate(range(1, 101)))

@@ -1,0 +1,181 @@
+"""Property tests of the array-native fast paths against pure-Python
+references written here: VertexSet against a tuple-backed set, thickness
+and run notation against element loops, type keys against scalar edges.
+Also pins the names the benchmark tracer wraps by name."""
+
+import importlib.util
+import inspect
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import radolab.cli  # noqa: F401  (the tracer wraps every layer, cli included)
+from radolab.largeness import thickness
+from radolab.oracle import EdgeOracle, type_keys
+from radolab.sets import VertexSet, format_runs, parse_runs
+
+
+class TupleSet:
+    """Reference: the tuple-backed set, validated element by element."""
+
+    def __init__(self, elements, prefix_bound):
+        prev = 0
+        for e in elements:
+            if e <= prev:
+                raise ValueError("elements must be strictly increasing and >= 1")
+            prev = e
+        if elements and elements[-1] > prefix_bound:
+            raise ValueError("element %d exceeds prefix bound %d" % (elements[-1], prefix_bound))
+        if prefix_bound < 0:
+            raise ValueError("prefix bound must be non-negative")
+        self.elements = tuple(elements)
+        self.prefix_bound = prefix_bound
+
+
+def ref_runs(elems):
+    runs = []
+    for e in elems:
+        if runs and runs[-1][1] + 1 == e:
+            runs[-1][1] = e
+        else:
+            runs.append([e, e])
+    return runs
+
+
+def outcome(make):
+    try:
+        return make().elements
+    except ValueError as exc:
+        return str(exc)
+
+
+raw_lists = st.lists(st.integers(-3, 60), max_size=12)
+bounds = st.integers(-2, 70)
+sets_ = st.builds(lambda xs, extra: VertexSet.from_iterable(xs, max(xs, default=0) + extra),
+                  st.sets(st.integers(1, 80), max_size=30), st.integers(0, 5))
+
+
+@given(raw_lists, bounds)
+def test_construction_matches_reference(xs, bound):
+    assert outcome(lambda: VertexSet(tuple(xs), bound)) == outcome(lambda: TupleSet(tuple(xs), bound))
+    assert outcome(lambda: VertexSet(np.array(xs, dtype=np.int64), bound)) == outcome(lambda: TupleSet(tuple(xs), bound))
+
+
+def test_construction_rejects_out_of_range_and_nested_input():
+    with pytest.raises(ValueError):
+        VertexSet((1, 2**70), 2**71)
+    with pytest.raises(ValueError):
+        VertexSet(((1, 2), (3, 4)), 5)
+    with pytest.raises(ValueError):
+        parse_runs("1-99999999999999999999")
+
+
+@given(sets_, sets_)
+def test_union_matches_reference(a, b):
+    got = a.union(b)
+    assert got.elements == tuple(sorted(set(a.elements) | set(b.elements)))
+    assert got.prefix_bound == max(a.prefix_bound, b.prefix_bound)
+
+
+@given(sets_, st.lists(st.integers(-5, 90), max_size=20))
+def test_minus_matches_reference(a, drop):
+    want = tuple(e for e in a.elements if e not in set(drop))
+    assert a.minus(drop).elements == want
+    assert a.minus(VertexSet.from_iterable([d for d in drop if d >= 1])).elements == want
+    assert a.minus(drop).prefix_bound == a.prefix_bound
+
+
+@given(sets_, st.integers(-5, 90), st.integers(-5, 90))
+def test_restrict_and_count_match_reference(a, lo, hi):
+    assert a.restrict(lo, hi).elements == tuple(e for e in a.elements if lo <= e <= hi)
+    assert a.count_upto(hi) == sum(e <= hi for e in a.elements)
+
+
+@given(sets_, st.integers(-5, 90))
+def test_membership_matches_reference(a, v):
+    assert (v in a) == (v in a.elements)
+    assert (2**70 in a) is False
+
+
+@given(sets_, sets_)
+def test_equality_and_hash_match_reference(a, b):
+    same = (a.elements, a.prefix_bound) == (b.elements, b.prefix_bound)
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b)
+    copy = VertexSet(a.elements, a.prefix_bound)
+    assert copy == a and hash(copy) == hash(a) and len({a, copy}) == 1
+
+
+def test_immutable():
+    vs = VertexSet((1, 3), 5)
+    with pytest.raises(AttributeError):
+        vs.prefix_bound = 9
+    with pytest.raises(ValueError):
+        vs.as_array[0] = 2
+    assert vs.elements == (1, 3) and all(type(e) is int for e in vs.elements)
+
+
+@given(sets_)
+def test_thickness_matches_reference(a):
+    runs = ref_runs(a.elements)
+    want = (0, 0)
+    for lo, hi in runs:  # strict > keeps the leftmost longest run
+        if hi - lo + 1 > want[1]:
+            want = (lo, hi - lo + 1)
+    got = thickness(a)
+    assert got == want and all(type(x) is int for x in got)
+
+
+@given(sets_)
+def test_format_and_parse_runs_match_reference(a):
+    text = ",".join(str(lo) if lo == hi else "%d-%d" % (lo, hi) for lo, hi in ref_runs(a.elements))
+    assert format_runs(a) == text
+    assert parse_runs(text, a.prefix_bound) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from(["1/2", "1/3", "3/4"]),
+       st.lists(st.integers(1, 200), min_size=0, max_size=9, unique=True),
+       st.sets(st.integers(1, 300), max_size=40))
+def test_type_keys_match_scalar_edges(seed, p, base, pool):
+    o = EdgeOracle(seed, p)
+    pool = np.array(sorted(set(pool) - set(base)), dtype=np.int64)
+    keys = type_keys(o, base, pool)
+    assert keys.dtype == np.int64 and len(keys) == len(pool)
+    for key, v in zip(keys.tolist(), pool.tolist()):
+        assert key == sum(o.edge(b, v) << i for i, b in enumerate(base))
+
+
+def test_type_keys_cap_base_size():
+    with pytest.raises(ValueError):
+        type_keys(EdgeOracle(1), range(1, 64), np.arange(100, 110))
+
+
+def _tracing_module():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_names_the_tracer_wraps_still_exist():
+    tracing = _tracing_module()
+    for name in tracing._EDGE_METHODS:
+        assert callable(vars(EdgeOracle)[name])
+    for name in tracing._SET_METHODS:
+        assert name in vars(VertexSet)
+    for name in ("from_iterable", "interval", "empty"):
+        assert isinstance(vars(VertexSet)[name], classmethod)
+    assert list(inspect.signature(VertexSet.__init__).parameters)[1] == "elements"
+    tracer, original = tracing.Tracer(), vars(VertexSet)["__init__"]
+    with tracer:
+        VertexSet.interval(1, 10).restrict(3, 7)
+        EdgeOracle(1).edge_many(1, np.arange(2, 12))
+    snap = tracer.snapshot()
+    assert snap["sets.elements_built"] == 15 and snap["oracle.edge_evals"] == 10
+    assert vars(VertexSet)["__init__"] is original
