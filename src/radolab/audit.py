@@ -17,10 +17,12 @@ from .graphs import (
     FiniteGraph,
     canonical_form,
     enumerate_unlabeled,
+    find_induced,
     graph6_encode,
     pattern_orbit_table,
+    subset_code,
 )
-from .oracle import TAG_VERIFY, EdgeOracle, adjacency_rows, stream_values
+from .oracle import TAG_VERIFY, EdgeOracle, VerificationError, adjacency_rows, stream_values
 from .sets import VertexSet
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -52,12 +54,10 @@ def contains_induced(
     pattern: FiniteGraph,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
-    """Search the host for an induced copy of the pattern.
-
-    Backtracking over pattern vertices in descending-degree order; host
-    candidates are pruned by adjacency consistency with the vertices
-    already mapped.  A found witness is re-verified from raw oracle
-    queries before it is returned.
+    """Search the host for an induced copy of the pattern with
+    ``find_induced``, building each host adjacency row on first use.  A
+    found witness is re-verified from raw oracle queries before it is
+    returned.
     """
     if pattern.order > CONTAINS_ORDER_CAP:
         raise ValueError("pattern order capped at %d" % CONTAINS_ORDER_CAP)
@@ -66,59 +66,28 @@ def contains_induced(
     r = pattern.order
     if r == 0:
         return SearchResult(FOUND, VertexSet.empty(), 0)
-    n = len(host)
-    if r > n:
-        return SearchResult(ABSENT, None, 0)
+    images, nodes = find_induced(_LazyRows(oracle, host.as_array), len(host), pattern, node_budget)
+    if images is None:
+        return SearchResult(BUDGET if nodes > node_budget else ABSENT, None, nodes)
+    mapped = host.as_array[images].tolist()
+    for i in range(r):
+        for j in range(i + 1, r):
+            if oracle.edge(mapped[i], mapped[j]) != pattern.has_edge(i, j):
+                raise VerificationError("witness failed re-verification")
+    return SearchResult(FOUND, VertexSet.from_iterable(mapped, host.prefix_bound), nodes)
 
-    porder = sorted(range(r), key=lambda v: (-pattern.degree(v), v))
-    host_arr = host.as_array
-    full = (1 << n) - 1
-    adj_rows: dict[int, int] = {}
 
-    def adj_row(pos: int) -> int:
-        row = adj_rows.get(pos)
-        if row is None:
-            row = adj_rows[pos] = adjacency_rows(oracle, host_arr, [pos])[0]
+class _LazyRows(dict):
+    """Adjacency rows among the host vertices, each built on first use."""
+
+    def __init__(self, oracle: EdgeOracle, vertices: np.ndarray):
+        super().__init__()
+        self.oracle = oracle
+        self.vertices = vertices
+
+    def __missing__(self, pos: int) -> int:
+        row = self[pos] = adjacency_rows(self.oracle, self.vertices, [pos])[0]
         return row
-
-    images = [-1] * r  # pattern vertex -> host position
-    nodes = 0
-
-    def dfs(depth: int, used: int) -> tuple[bool, bool]:
-        """Returns (found, budget_ok)."""
-        nonlocal nodes
-        if depth == r:
-            return True, True
-        p = porder[depth]
-        cand = full & ~used
-        for q_at, q in enumerate(porder[:depth]):
-            if pattern.has_edge(p, q):
-                cand &= adj_row(images[q])
-            else:
-                cand &= ~adj_row(images[q])
-        while cand:
-            low = cand & -cand
-            pos = low.bit_length() - 1
-            cand ^= low
-            nodes += 1
-            if nodes > node_budget:
-                return False, False
-            images[p] = pos
-            found, ok = dfs(depth + 1, used | (1 << pos))
-            if found or not ok:
-                return found, ok
-        images[porder[depth]] = -1
-        return False, True
-
-    found, ok = dfs(0, 0)
-    if found:
-        mapped = [int(host_arr[images[v]]) for v in range(r)]
-        for i in range(r):
-            for j in range(i + 1, r):
-                if oracle.edge(mapped[i], mapped[j]) != pattern.has_edge(i, j):
-                    raise AssertionError("witness failed re-verification")
-        return SearchResult(FOUND, VertexSet.from_iterable(mapped, host.prefix_bound), nodes)
-    return SearchResult(ABSENT if ok else BUDGET, None, nodes)
 
 
 def weak_universality(
@@ -154,49 +123,22 @@ def weak_universality(
 
 def _bad_subsets(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
     """Bitmasks of the index subsets that induce the pattern."""
-    r = pattern.order
-    if r > n:
-        return []
     table = pattern_orbit_table(pattern)
-    bads = []
-    for sub in combinations(range(n), r):
-        m = 0
-        for b, j in enumerate(sub):
-            for a_pos in range(b):
-                i = sub[a_pos]
-                if rows[i] >> j & 1:
-                    m |= 1 << (b * (b - 1) // 2 + a_pos)
-        if table[m]:
-            mask = 0
-            for j in sub:
-                mask |= 1 << j
-            bads.append(mask)
-    return bads
-
-
-def _creates_pattern(rows: list[int], chosen: list[int], v: int, pattern: FiniteGraph, table: list[bool]) -> bool:
-    """Whether adding index v to chosen completes an induced pattern copy."""
-    r = pattern.order
-    if len(chosen) + 1 < r:
-        return False
-    for rest in combinations(chosen, r - 1):
-        sub = sorted((*rest, v))
-        m = 0
-        for b, j in enumerate(sub):
-            for a_pos in range(b):
-                i = sub[a_pos]
-                if rows[i] >> j & 1:
-                    m |= 1 << (b * (b - 1) // 2 + a_pos)
-        if table[m]:
-            return True
-    return False
+    return [
+        sum(1 << j for j in sub)
+        for sub in combinations(range(n), pattern.order)
+        if table[subset_code(rows, sub)]
+    ]
 
 
 def _greedy_gfree(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
+    """Take each index in turn unless it completes a pattern copy with r - 1
+    indices already taken (all lower, so the subset stays in order)."""
+    r = pattern.order
     table = pattern_orbit_table(pattern)
     chosen: list[int] = []
     for v in range(n):
-        if not _creates_pattern(rows, chosen, v, pattern, table):
+        if not any(table[subset_code(rows, (*rest, v))] for rest in combinations(chosen, r - 1)):
             chosen.append(v)
     return chosen
 
@@ -261,26 +203,17 @@ def _verify_gfree(
     if r > len(chosen):
         return
     table = pattern_orbit_table(pattern)
-
-    def induces(sub: tuple[int, ...]) -> bool:
-        m = 0
-        for b, j in enumerate(sub):
-            for a_pos in range(b):
-                if rows[sub[a_pos]] >> j & 1:
-                    m |= 1 << (b * (b - 1) // 2 + a_pos)
-        return table[m]
-
     if len(chosen) <= 20:
         for sub in combinations(chosen, r):
-            if induces(sub):
-                raise AssertionError("pattern-free verification failed")
+            if table[subset_code(rows, sub)]:
+                raise VerificationError("pattern-free verification failed")
         return
     vals = stream_values(sample_seed, TAG_VERIFY, sample_count * r)
     k = len(chosen)
     for s in range(sample_count):
         picks = sorted({chosen[int(vals[s * r + t] % k)] for t in range(r)})
-        if len(picks) == r and induces(tuple(picks)):
-            raise AssertionError("pattern-free verification failed (sampled)")
+        if len(picks) == r and table[subset_code(rows, picks)]:
+            raise VerificationError("pattern-free verification failed (sampled)")
 
 
 def max_gfree_subset(

@@ -3,8 +3,10 @@ JSON/CSV reports, and a fixed exit-code taxonomy.
 
 Exit codes: 0 verified success, 1 usage error, 2 certified negative
 finding (a completed search or check that failed), 3 budget or prefix
-exhaustion (inconclusive).  Identical invocations produce byte-identical
-output; floats are printed with 12 significant digits.
+exhaustion (inconclusive), 4 internal verification failure (a result that
+did not re-verify from raw oracle queries: a defect, not a finding).
+Identical invocations produce byte-identical output; floats are printed
+with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ from .mc import (
     sample_mu_p,
     type_frequency_check,
 )
-from .oracle import EdgeOracle, TypeSpec, extension_check, induced_subgraph, type_of
+from .oracle import EdgeOracle, TypeSpec, VerificationError, extension_check, induced_subgraph, type_of
 from .sets import format_runs, parse_notation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_EXHAUSTED = 3
+EXIT_VERIFICATION = 4
 
 
 def parse_seed(text: str) -> int:
@@ -169,6 +172,12 @@ def _header(args) -> dict:
     return {"seed": args.seed, "version": __version__, "config": cfg}
 
 
+def _fair_coin(args) -> None:
+    """The mc trial streams draw every edge at p = 1/2; refuse another p."""
+    if args.probability != Fraction(1, 2):
+        raise ValueError("%s samples at probability 1/2 only, not %s" % (args.command, args.probability))
+
+
 def _oracle(args) -> EdgeOracle:
     return EdgeOracle(args.seed, getattr(args, "probability", Fraction(1, 2)))
 
@@ -250,7 +259,10 @@ def cmd_contains(args) -> int:
 
 
 def cmd_gfree_max(args) -> int:
-    lo, hi = (int(x) for x in args.window.split("-"))
+    m = re.fullmatch(r"(\d+)-(\d+)", args.window)
+    if not m:
+        raise ValueError("--window must be an inclusive interval a-b, not %r" % args.window)
+    lo, hi = int(m.group(1)), int(m.group(2))
     pattern = parse_pattern(args.pattern)
     subset = max_gfree_subset(_oracle(args), (lo, hi), pattern, args.mode)
     emit(
@@ -356,6 +368,7 @@ def cmd_construct_pi02(args) -> int:
 
 
 def cmd_mc_density(args) -> int:
+    _fair_coin(args)
     report = mc_density_star(args.seed, args.k, args.n, args.pool, args.trials)
     payload = {**_header(args), **report}
     emit(
@@ -375,6 +388,7 @@ def cmd_mc_density(args) -> int:
 
 
 def cmd_mc_gfree(args) -> int:
+    _fair_coin(args)
     pattern = parse_pattern(args.pattern)
     report = mc_gfree_probability(pattern, args.n, args.trials, args.seed, args.c)
     payload = {**_header(args), **report}
@@ -396,6 +410,7 @@ def cmd_mc_gfree(args) -> int:
 
 
 def cmd_mc_fn(args) -> int:
+    _fair_coin(args)
     pattern = parse_pattern(args.pattern)
     rows = mc_fn_bound(pattern, [int(x) for x in args.n_list.split(",")], args.n_param, args.trials, args.seed)
     emit(
@@ -567,6 +582,12 @@ def main(argv: "list[str] | None" = None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print("error: input too large: %s" % (str(exc) or "out of memory"), file=sys.stderr)
+        return EXIT_USAGE
+    except VerificationError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

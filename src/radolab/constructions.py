@@ -15,7 +15,7 @@ import numpy as np
 from .embed import Embedding, StepRecord, verify_embedding
 from .graphs import FiniteGraph
 from .largeness import FamilyDescriptor, pi02_force
-from .oracle import EdgeOracle
+from .oracle import EdgeOracle, VerificationError
 from .sets import VertexSet
 
 _SCAN_CHUNK = 1 << 16
@@ -107,7 +107,7 @@ def _assert_edgeless(oracle: EdgeOracle, vertices: np.ndarray) -> None:
     if len(vertices) >= 2:
         iu, iv = np.triu_indices(len(vertices), k=1)
         if oracle.edge_pairs(vertices[iu], vertices[iv]).any():
-            raise AssertionError("edgeless verification failed")
+            raise VerificationError("edgeless verification failed")
 
 
 def construct_thick_edgeless(oracle: EdgeOracle, blocks: int, prefix_bound: int) -> ThickResult:
@@ -269,7 +269,7 @@ def construct_pi02_member(
         prefix = union.restrict(1, ks[n - 1])
         reforced = pi02_force(family, n, prefix, ks[n - 1])
         if reforced is None:
-            raise AssertionError("level %d certificate failed re-validation" % n)
+            raise VerificationError("level %d certificate failed re-validation" % n)
         certificates[str(n)] = {"k": ks[n - 1], "forced_at": reforced}
 
     # zero cross-block edges, re-queried: block n lies in (k_{n-1}, k_n] and
@@ -279,11 +279,11 @@ def construct_pi02_member(
     for k_n, f_n in zip(ks, fs):
         block = np.asarray(f_n, dtype=np.int64)
         if len(block) and (block[0] <= k_prev or block[-1] > k_n):
-            raise AssertionError("block outside (%d, %d]" % (k_prev, k_n))
+            raise VerificationError("block outside (%d, %d]" % (k_prev, k_n))
         if len(block) and k_prev:
             hits = np.nonzero(oracle.edge_grid(np.arange(1, k_prev + 1), block))
             if len(hits[0]):
-                raise AssertionError(
+                raise VerificationError(
                     "block vertex %d has an edge to %d <= %d"
                     % (block[hits[1][0]], hits[0][0] + 1, k_prev)
                 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import FiniteGraph
-from .oracle import EdgeOracle, TypeSpec
+from .oracle import EdgeOracle, TypeSpec, VerificationError
 from .sets import VertexSet
 
 
@@ -93,7 +93,7 @@ def verify_embedding(oracle: EdgeOracle, target: FiniteGraph, images: tuple[int,
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
             if oracle.edge(images[i], images[j]) != target.has_edge(i, j):
-                raise AssertionError(
+                raise VerificationError(
                     "embedding verification failed on pair (%d, %d)" % (images[i], images[j])
                 )
 

@@ -78,24 +78,43 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
+def subset_code(rows: Sequence[int], sub: Sequence[int]) -> int:
+    """Upper-triangle code of the subgraph induced on the ordered positions
+    ``sub`` of the bitset ``rows``: the pair (a, b), a < b, of ``sub`` is
+    bit b(b-1)/2 + a, set when rows[sub[a]] and rows[sub[b]] are adjacent."""
+    code = 0
+    bit = 1
+    for b, j in enumerate(sub):
+        row = rows[j]
+        for a in range(b):
+            if row >> sub[a] & 1:
+                code |= bit
+            bit <<= 1
+    return code
+
+
+def rows_from_upper_bits(bits: Sequence[int], n: int) -> list[int]:
+    """Bitset rows of the n-vertex graph whose column-major upper-triangle
+    pairs are the truthy entries of ``bits``."""
+    rows = [0] * n
+    p = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[p]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            p += 1
+    return rows
+
+
 def upper_mask(g: FiniteGraph) -> int:
     """The upper triangle packed into an integer, column-major bit order."""
-    m = 0
-    for j in range(1, g.order):
-        for i in range(j):
-            if g.has_edge(i, j):
-                m |= 1 << pair_index(i, j)
-    return m
+    return subset_code(g.rows, range(g.order))
 
 
 def from_upper_mask(n: int, mask: int) -> FiniteGraph:
-    rows = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> pair_index(i, j) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return FiniteGraph(n, tuple(rows))
+    bits = [mask >> p & 1 for p in range(n * (n - 1) // 2)]
+    return FiniteGraph(n, tuple(rows_from_upper_bits(bits, n)))
 
 
 def relabel(g: FiniteGraph, order: Sequence[int]) -> FiniteGraph:
@@ -205,15 +224,7 @@ def graph6_decode(text: str) -> FiniteGraph:
     for extra in range(npairs, len(bits)):
         if bits[extra]:
             raise Graph6Error("nonzero padding bit", pos + extra // 6)
-    rows = [0] * n
-    p = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[p]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            p += 1
-    return FiniteGraph(n, tuple(rows))
+    return FiniteGraph(n, tuple(rows_from_upper_bits(bits, n)))
 
 
 # --- canonical form ---------------------------------------------------------
@@ -310,17 +321,66 @@ def enumerate_unlabeled(k: int) -> tuple[FiniteGraph, ...]:
     return tuple(seen[f] for f in sorted(seen))
 
 
-def pattern_orbit_table(pattern: FiniteGraph) -> "list[bool]":
+@lru_cache(maxsize=None)
+def pattern_orbit_table(pattern: FiniteGraph) -> tuple[bool, ...]:
     """Boolean table over all upper-triangle masks of the pattern's order:
     True where the mask is a labeled copy of the pattern.  Capped at order
-    7 to keep the table (2^C(r,2) entries) desk-sized."""
+    7 to keep the table (2^C(r,2) entries) desk-sized; built once per
+    pattern and shared, hence immutable."""
     r = pattern.order
     if r > 7:
         raise ValueError("orbit table supported up to order 7")
-    table = [False] * (1 << (r * (r - 1) // 2))
-    for perm in permutations(range(r)):
-        table[upper_mask(relabel(pattern, perm))] = True
-    return table
+    codes = {subset_code(pattern.rows, perm) for perm in permutations(range(r))}
+    return tuple(code in codes for code in range(1 << (r * (r - 1) // 2)))
+
+
+def find_induced(
+    rows: Sequence[int], n: int, pattern: FiniteGraph, node_budget: int | None = None
+) -> tuple[list[int] | None, int]:
+    """Search positions 0..n-1 of the bitset ``rows`` for an induced copy
+    of the pattern.  Returns (images, nodes): images[v] is the position of
+    pattern vertex v, or None when no copy was found, and nodes counts the
+    candidates tried.
+
+    Backtracking over pattern vertices in descending-degree order, lowest
+    free position first; candidates are cut to the positions consistent
+    with every vertex already mapped.  A node is counted before the budget
+    test, so a search that ran out reports node_budget + 1 nodes.
+    """
+    r = pattern.order
+    if r > n:
+        return None, 0
+    porder = sorted(range(r), key=lambda v: (-pattern.degree(v), v))
+    # per depth: (earlier pattern vertex, adjacent to this depth's vertex?)
+    constraints = [[(q, pattern.has_edge(p, q)) for q in porder[:d]] for d, p in enumerate(porder)]
+    limit = float("inf") if node_budget is None else node_budget
+    full = (1 << n) - 1
+    images = [-1] * r
+    nodes = 0
+
+    def dfs(depth: int, used: int) -> bool:
+        """True once a copy is complete or the budget is spent."""
+        nonlocal nodes
+        if depth == r:
+            return True
+        cand = full & ~used
+        for q, adjacent in constraints[depth]:
+            row = rows[images[q]]
+            cand = cand & row if adjacent else cand & ~row
+        p = porder[depth]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            nodes += 1
+            if nodes > limit:
+                return True
+            images[p] = low.bit_length() - 1
+            if dfs(depth + 1, used | low):
+                return True
+        return False
+
+    found = dfs(0, 0) and nodes <= limit
+    return (images if found else None), nodes
 
 
 def contains_induced_copy(g: FiniteGraph, pattern: FiniteGraph) -> bool:
@@ -329,7 +389,4 @@ def contains_induced_copy(g: FiniteGraph, pattern: FiniteGraph) -> bool:
     if r > g.order:
         return False
     table = pattern_orbit_table(pattern)
-    for sub in combinations(range(g.order), r):
-        if table[upper_mask(g.induced(sub))]:
-            return True
-    return False
+    return any(table[subset_code(g.rows, sub)] for sub in combinations(range(g.order), r))

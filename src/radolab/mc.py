@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .audit import _exact_gfree, _greedy_gfree
-from .graphs import FiniteGraph, pair_index, pattern_orbit_table
+from .graphs import FiniteGraph, find_induced, pair_index, pattern_orbit_table, rows_from_upper_bits
 from .oracle import (
     MASK64,
     TAG_MU_P,
@@ -111,45 +111,6 @@ def _trial_graph_bits(seed: int, first_trial: int, trials: int, npairs: int) -> 
     return stream_matrix(seed, tags, npairs) < _FAIR_BIT_THRESHOLD
 
 
-def _rows_from_bits(bits: np.ndarray, n: int) -> list[int]:
-    rows = [0] * n
-    p = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[p]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            p += 1
-    return rows
-
-
-def _has_induced_copy(rows: list[int], n: int, pattern: FiniteGraph) -> bool:
-    """Bitset backtracking over pattern vertices in descending-degree order."""
-    r = pattern.order
-    if r > n:
-        return False
-    porder = sorted(range(r), key=lambda v: (-pattern.degree(v), v))
-    full = (1 << n) - 1
-    images = [0] * r
-
-    def dfs(depth: int, used: int) -> bool:
-        if depth == r:
-            return True
-        p = porder[depth]
-        cand = full & ~used
-        for q in porder[:depth]:
-            cand = cand & rows[images[q]] if pattern.has_edge(p, q) else cand & ~rows[images[q]]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            images[p] = low.bit_length() - 1
-            if dfs(depth + 1, used | low):
-                return True
-        return False
-
-    return dfs(0, 0)
-
-
 def mc_gfree_probability(
     pattern: FiniteGraph,
     n: int,
@@ -172,9 +133,7 @@ def mc_gfree_probability(
         masks = bits @ (1 << np.arange(npairs, dtype=np.int64))
         hits = flags[masks]
     else:
-        hits = np.array(
-            [not _has_induced_copy(_rows_from_bits(bits[t], n), n, pattern) for t in range(trials)]
-        )
+        hits = np.array([find_induced(rows_from_upper_bits(row, n), n, pattern)[0] is None for row in bits])
     est = float(hits.mean())
     out = {
         "n": n,
@@ -222,7 +181,7 @@ def mc_fn_bound(
             bits = _trial_graph_bits(seed, 0, trials, npairs)
             wins = 0
             for t in range(trials):
-                g_rows = _rows_from_bits(bits[t], n)
+                g_rows = rows_from_upper_bits(bits[t], n)
                 if n <= FN_EXACT_CAP:
                     ok = len(_exact_gfree(g_rows, n, pattern, stop_at=f)) >= f
                 else:

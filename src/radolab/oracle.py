@@ -35,6 +35,11 @@ TAG_MU_P = 2 << 40
 TAG_VERIFY = 3 << 40
 
 
+class VerificationError(RuntimeError):
+    """A result failed its re-verification from raw oracle queries: a
+    defect in the program, never a property of the input."""
+
+
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: xor-shift/multiply avalanche of a 64-bit word."""
     z &= MASK64

@@ -212,3 +212,38 @@ def test_missing_prefix_bound_is_a_usage_error():
         out = run(*argv)
         assert out.returncode == 1 and out.stdout == ""
         assert out.stderr == "error: %s needs --prefix-bound\n" % argv[0]
+
+
+def test_failed_reverification_exits_four(monkeypatch, capsys):
+    from radolab.cli import main
+
+    edge = EdgeOracle.edge
+    monkeypatch.setattr(EdgeOracle, "edge", lambda self, u, v: not edge(self, u, v))
+    assert main(["contains", "--seed", "1", "--host", "1-64", "--pattern", "k:3"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: witness failed re-verification\n"
+
+
+def test_malformed_window_is_a_usage_error():
+    for window in ("5", "1-", "a-b", "1-2-3"):
+        out = run("gfree-max", "--window", window, "--pattern", "k:3")
+        assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: --window must be an inclusive interval a-b")
+
+
+def test_oversized_input_is_a_usage_error():
+    out = run("extension", "--seed", "1", "--f", "1-45", "--bound", "100")
+    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: input too large") and "TiB" in out.stderr
+
+
+def test_mc_commands_refuse_other_probabilities():
+    for argv in (
+        ["mc-density", "--k", "2", "--n", "2", "--pool", "100", "--trials", "2"],
+        ["mc-gfree", "--pattern", "k:3", "--n", "5", "--trials", "100"],
+        ["mc-fn", "--pattern", "k:3", "--n-list", "8", "--n-param", "1", "--trials", "5"],
+    ):
+        out = run(*argv, "--seed", "1", "--probability", "1/4")
+        assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+        assert out.stderr == "error: %s samples at probability 1/2 only, not 1/4\n" % argv[0]
+        assert run(*argv, "--seed", "1", "--probability", "0.5").returncode == 0

@@ -9,9 +9,9 @@ from radolab.constructions import (
     construct_thick_copy,
     construct_thick_edgeless,
 )
-from radolab.graphs import FiniteGraph, complete, empty_graph
+from radolab.graphs import FiniteGraph, complete, empty_graph, rows_from_upper_bits
 from radolab.largeness import pi02_force, power_family, substantial_family, thickness, weighted_sum
-from radolab.mc import _rows_from_bits, _trial_graph_bits
+from radolab.mc import _trial_graph_bits
 from radolab.oracle import EdgeOracle
 
 
@@ -100,7 +100,7 @@ def test_triangle_across_two_blocks():
 
 def test_random_six_vertex_target_twenty_seeds():
     bits = _trial_graph_bits(99, 0, 1, 15)[0]
-    target = FiniteGraph(6, tuple(_rows_from_bits(bits, 6)))
+    target = FiniteGraph(6, tuple(rows_from_upper_bits(bits, 6)))
     ok = 0
     for seed in range(1, 21):
         o = EdgeOracle(seed)

@@ -1,9 +1,10 @@
 """Golden corpus: stdout and exit code of fixed CLI invocations, byte for byte.
 
-The corpus in ``golden.json`` was frozen before the array-native
-``VertexSet`` refactor; every later change must reproduce it exactly.
-Regenerate it only for a deliberate output change, and name that change
-in CHANGES.md:
+Each entry of ``golden.json`` was frozen before the refactor it guards;
+every later change must reproduce it exactly.  The regenerator writes only
+the cases missing from the corpus, so a refactor cannot re-freeze output.
+For a deliberate output change, delete that entry, regenerate, and name
+the change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -40,6 +41,14 @@ EXTRA = [
     "thick --seed 7 --host mup:1/2 --prefix-bound 100000",
     "sum --seed 7 --host mup:1/2 --prefix-bound 100000",
     "adj --seed 7 --host 1-40",
+    "contains --seed 1 --host 1-64 --pattern petersen",
+    "contains --seed 1 --host 1-10 --pattern k:5",
+    "contains --seed 1 --host 1-64 --pattern k:5 --budget 3",
+    "audit-weak --seed 1 --host 1-512 --kmax 5",
+    "mc-gfree --seed 1 --pattern k:3 --n 8 --trials 2000",
+    "mc-fn --seed 1 --pattern k:3 --n-list 8,12,20 --n-param 1 --trials 50",
+    "gfree-max --seed 1 --window 1-60 --pattern c:4 --mode greedy",
+    "dyadic-audit --seed 1 --pattern k:3 --n-param 2 --k-from 2 --k-to 8",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
@@ -68,8 +77,10 @@ def test_golden(corpus, line):
 
 
 if __name__ == "__main__":
-    frozen = {}
+    frozen = json.loads(CORPUS.read_text(encoding="ascii")) if CORPUS.exists() else {}
     for line in CASES:
+        if line in frozen:
+            continue
         code, stdout = run_cli(line)
         frozen[line] = {"exit": code, "stdout": stdout}
         print(code, len(stdout), line, file=sys.stderr)

@@ -225,6 +225,12 @@ def test_orbit_table_counts_labeled_copies():
     assert sum(pattern_orbit_table(complete(3))) == 1
 
 
+def test_orbit_table_built_once_and_immutable():
+    table = pattern_orbit_table(path(4))
+    assert isinstance(table, tuple) and pattern_orbit_table(path(4)) is table
+    assert sum(table) == 12  # 4!/2 labeled paths on four vertices
+
+
 def test_contains_induced_copy_small_cases():
     assert contains_induced_copy(complete(4), complete(3))
     assert not contains_induced_copy(complete(3), path(3))

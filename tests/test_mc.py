@@ -5,9 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from radolab.graphs import complete, empty_graph, enumerate_unlabeled, path
+from radolab.graphs import complete, empty_graph, enumerate_unlabeled, path, rows_from_upper_bits
 from radolab.mc import (
-    _rows_from_bits,
     _trial_graph_bits,
     exact_gfree_count,
     fn_size,
@@ -169,7 +168,7 @@ def test_fn_k2_matches_subset_scan_oracle():
     bits = _trial_graph_bits(7, 0, trials, 28)
     wins = 0
     for t in range(trials):
-        g = _rows_from_bits(bits[t], 8)
+        g = rows_from_upper_bits(bits[t], 8)
         has = any(
             not (g[a] >> b & 1) and not (g[a] >> c & 1) and not (g[b] >> c & 1)
             for a, b, c in combinations(range(8), 3)

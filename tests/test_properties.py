@@ -1,6 +1,8 @@
 """Property tests of the array-native fast paths against pure-Python
 references written here: VertexSet against a tuple-backed set, thickness
 and run notation against element loops, type keys against scalar edges.
+The induced-pattern matcher (subset codes, the induced-copy search and the
+Monte Carlo estimate built on it) is checked against exhaustive search.
 Also pins the names the benchmark tracer wraps by name."""
 
 import importlib.util
@@ -13,7 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radolab.cli  # noqa: F401  (the tracer wraps every layer, cli included)
+from radolab.graphs import (
+    FiniteGraph,
+    contains_induced_copy,
+    enumerate_unlabeled,
+    find_induced,
+    from_upper_mask,
+    subset_code,
+)
 from radolab.largeness import thickness
+from radolab.mc import _trial_graph_bits, mc_gfree_probability
 from radolab.oracle import EdgeOracle, type_keys
 from radolab.sets import VertexSet, format_runs, parse_runs
 
@@ -153,6 +164,52 @@ def test_type_keys_match_scalar_edges(seed, p, base, pool):
 def test_type_keys_cap_base_size():
     with pytest.raises(ValueError):
         type_keys(EdgeOracle(1), range(1, 64), np.arange(100, 110))
+
+
+def graphs_on(n_min, n_max):
+    return st.integers(n_min, n_max).flatmap(
+        lambda n: st.integers(0, 2 ** (n * (n - 1) // 2) - 1).map(lambda m: from_upper_mask(n, m))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_on(0, 9), graphs_on(1, 4))
+def test_find_induced_matches_exhaustive_search(g, pattern):
+    images, nodes = find_induced(g.rows, g.order, pattern)
+    assert (images is not None) == contains_induced_copy(g, pattern)
+    if images is not None:
+        assert len(set(images)) == pattern.order
+        assert g.induced(images) == pattern
+        # a budget one short of the nodes used stops the search at budget + 1
+        if nodes > 1:
+            assert find_induced(g.rows, g.order, pattern, nodes - 1) == (None, nodes)
+    else:
+        assert find_induced(g.rows, g.order, pattern, max(nodes, 1)) == (None, nodes)
+
+
+@given(graphs_on(1, 9), st.data())
+def test_subset_code_matches_induced_subgraph(g, data):
+    sub = data.draw(st.lists(st.integers(0, g.order - 1), unique=True))
+    h = g.induced(sub)
+    want = 0
+    for b in range(len(sub)):
+        for a in range(b):
+            if h.has_edge(a, b):
+                want |= 1 << (b * (b - 1) // 2 + a)
+    assert subset_code(g.rows, sub) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.sampled_from(enumerate_unlabeled(k))),
+       st.integers(0, 2**64 - 1))
+def test_mc_gfree_matches_brute_force_at_n7(pattern, seed):
+    n, trials = 7, 40
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    free = 0
+    for bits in _trial_graph_bits(seed, 0, trials, len(pairs)):
+        g = FiniteGraph.from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
+        free += not contains_induced_copy(g, pattern)
+    assert mc_gfree_probability(pattern, n, trials, seed)["estimate"] == free / trials
 
 
 def _tracing_module():
