@@ -49,6 +49,19 @@ EXTRA = [
     "mc-fn --seed 1 --pattern k:3 --n-list 8,12,20 --n-param 1 --trials 50",
     "gfree-max --seed 1 --window 1-60 --pattern c:4 --mode greedy",
     "dyadic-audit --seed 1 --pattern k:3 --n-param 2 --k-from 2 --k-to 8",
+    "embed --seed 1 --target petersen --host 1-2000",
+    "embed --seed 1 --target e:50 --host 1-300",
+    "embed --seed 1 --target e:12 --host 1-300 --backtrack --candidate-cap 4",
+    "construct-thick-copy --seed 1 --target petersen --blocks 3 --prefix-bound 100000",
+    "construct-thick-copy --seed 1 --target k:10 --blocks 4 --prefix-bound 1000",
+    "construct-thick --seed 1 --blocks 5 --prefix-bound 10000",
+    "mc-density --seed 1 --k 2 --n 3 --pool 500 --trials 5",
+    "mc-density --seed 1 --k 2 --n 3 --pool 500 --trials 5 --format csv",
+    "mc-gfree --seed 1 --pattern k:3 --n 5 --trials 300 --c 0.1 --format csv",
+    "mc-fn --seed 1 --pattern k:3 --n-list 1,8,12 --n-param 1 --trials 20 --format csv",
+    "ap --seed 1 --host mup:1/2 --prefix-bound 2000",
+    "edge --seed 5 -u 3 -v 9 --probability 1/3",
+    "extension --seed 1 --f 1-8 --bound 300",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
