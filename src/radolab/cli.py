@@ -1,6 +1,11 @@
 """Command-line surface: every operation behind one dispatcher, with seeds,
 JSON/CSV reports, and a fixed exit-code taxonomy.
 
+Each ``cmd_*`` handler only computes and returns ``(fields, code)``: the
+report fields and the exit code.  ``main`` is the one report path: it adds
+the run header, emits the report, and maps exceptions to exit codes, each
+give-up to its exit-3 record through ``GIVE_UPS``.
+
 Exit codes: 0 verified success, 1 usage error, 2 certified negative
 finding (a completed search or check that failed), 3 budget or prefix
 exhaustion (inconclusive), 4 internal verification failure (a result that
@@ -65,7 +70,7 @@ from .mc import (
     type_frequency_check,
 )
 from .oracle import EdgeOracle, TypeSpec, VerificationError, extension_check, induced_subgraph, type_of
-from .sets import format_runs, parse_notation
+from .sets import VertexSet, format_runs, parse_notation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,8 +86,15 @@ def parse_seed(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def parse_probability(text: str) -> Fraction:
-    frac = Fraction(text)
+    frac = _fraction(text)
     if not 0 < frac <= 1:
         raise argparse.ArgumentTypeError("probability must lie in (0, 1]")
     return frac
@@ -119,12 +131,13 @@ def load_graph_file(path_: str) -> FiniteGraph:
     return FiniteGraph.from_edges(top + 1, edges)
 
 
-def parse_host(text: str, prefix_bound: int | None, seed: int) -> VertexSet:
+def _host(args, text: str) -> VertexSet:
+    """A host set from notation; ``mup:p`` samples the prefix with the run seed."""
     if text.startswith("mup:"):
-        if prefix_bound is None:
+        if args.prefix_bound is None:
             raise ValueError("mup: notation needs --prefix-bound")
-        return sample_mu_p(Fraction(text[4:]), prefix_bound, seed)
-    return parse_notation(text, prefix_bound)
+        return sample_mu_p(_fraction(text[4:]), args.prefix_bound, args.seed)
+    return parse_notation(text, args.prefix_bound)
 
 
 def _rounded(obj):
@@ -143,19 +156,23 @@ def _rounded(obj):
     return obj
 
 
-def emit(args, payload: dict, csv_rows: "list[dict] | None" = None) -> None:
-    if getattr(args, "format", "json") == "csv":
-        cols = ["n", "estimate", "stderr", "exact_if_available", "envelope"]
-        lines = [",".join(cols)]
-        for row in csv_rows or []:
-            cells = []
-            for col in cols:
-                v = row.get(col)
-                cells.append("" if v is None else ("%.12g" % v if isinstance(v, float) else str(v)))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(_rounded(payload), sort_keys=True) + "\n"
+def _cell(v) -> str:
+    return "" if v is None else "%.12g" % v if isinstance(v, (float, Fraction)) else str(v)
+
+
+def _csv(fields: dict) -> str:
+    """The mc report, or each of its ``rows``, as one CSV row; the exact
+    value is the report's ``exact`` or analytic ``target``."""
+    lines = ["n,estimate,stderr,exact_if_available,envelope"]
+    for row in fields.get("rows", [fields]):
+        cells = (row["n"], row["estimate"], row["stderr"], row.get("exact", row.get("target")), row.get("envelope"))
+        lines.append(",".join(map(_cell, cells)))
+    return "\n".join(lines) + "\n"
+
+
+def emit(args, payload: dict) -> None:
+    csv = getattr(args, "format", "json") == "csv"
+    text = _csv(payload) if csv else json.dumps(_rounded(payload), sort_keys=True) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -188,261 +205,131 @@ def _prefix_bound(args) -> int:
     return args.prefix_bound
 
 
-# --- handlers ---------------------------------------------------------------
+# --- handlers: each returns (report fields, exit code) ----------------------
 
-def cmd_edge(args) -> int:
-    value = _oracle(args).edge(args.u, args.v)
-    emit(args, {**_header(args), "edge": bool(value)})
-    return EXIT_OK
+def cmd_edge(args):
+    return {"edge": bool(_oracle(args).edge(args.u, args.v))}, EXIT_OK
 
 
-def cmd_adj(args) -> int:
-    host = parse_host(args.host, args.prefix_bound, args.seed)
-    g = induced_subgraph(_oracle(args), host)
-    emit(args, {**_header(args), "order": g.order, "edges": g.edge_count, "graph6": graph6_encode(g)})
-    return EXIT_OK
+def cmd_adj(args):
+    g = induced_subgraph(_oracle(args), _host(args, args.host))
+    return {"order": g.order, "edges": g.edge_count, "graph6": graph6_encode(g)}, EXIT_OK
 
 
-def cmd_type(args) -> int:
-    base = parse_host(args.base, args.prefix_bound, args.seed)
-    t = type_of(_oracle(args), args.m, base)
-    emit(args, {**_header(args), "base": base.as_array.tolist(), "mask": t.bits})
-    return EXIT_OK
+def cmd_type(args):
+    base = _host(args, args.base)
+    return {"base": base.as_array.tolist(), "mask": type_of(_oracle(args), args.m, base).bits}, EXIT_OK
 
 
-def cmd_extension(args) -> int:
-    f = parse_host(args.f, args.prefix_bound, args.seed)
-    report = extension_check(_oracle(args), f, args.bound)
-    emit(args, {**_header(args), **report})
-    return EXIT_OK if report["pass"] else EXIT_NEGATIVE
+def cmd_extension(args):
+    report = extension_check(_oracle(args), _host(args, args.f), args.bound)
+    return report, EXIT_OK if report["pass"] else EXIT_NEGATIVE
 
 
-def cmd_embed(args) -> int:
-    host = parse_host(args.host, args.prefix_bound, args.seed)
-    target = parse_pattern(args.target)
-    cfg = EmbedConfig(
-        candidate_cap=args.candidate_cap,
-        score_horizon=args.score_horizon,
-        fail_fast=not args.backtrack,
-    )
-    try:
-        emb = embed_target(_oracle(args), target, host, cfg)
-    except DeadEnd as dead:
-        emit(
-            args,
-            {
-                **_header(args),
-                "error": "dead end",
-                "step": dead.step,
-                "required_type": dead.required.bits,
-                "pool_remaining": dead.pool_remaining,
-            },
-        )
-        return EXIT_EXHAUSTED
-    emit(args, {**_header(args), **emb.to_json()})
-    return EXIT_OK
+def cmd_embed(args):
+    host, target = _host(args, args.host), parse_pattern(args.target)
+    cfg = EmbedConfig(candidate_cap=args.candidate_cap, score_horizon=args.score_horizon, fail_fast=not args.backtrack)
+    return embed_target(_oracle(args), target, host, cfg).to_json(), EXIT_OK
 
 
-def cmd_audit_weak(args) -> int:
-    host = parse_host(args.host, args.prefix_bound, args.seed)
-    report = weak_universality(_oracle(args), host, args.kmax, args.budget)
-    emit(args, {**_header(args), **report})
-    return {"pass": EXIT_OK, "fail": EXIT_NEGATIVE}.get(report["verdict"], EXIT_EXHAUSTED)
+def cmd_audit_weak(args):
+    report = weak_universality(_oracle(args), _host(args, args.host), args.kmax, args.budget)
+    return report, {"pass": EXIT_OK, "fail": EXIT_NEGATIVE}.get(report["verdict"], EXIT_EXHAUSTED)
 
 
-def cmd_contains(args) -> int:
-    host = parse_host(args.host, args.prefix_bound, args.seed)
-    pattern = parse_pattern(args.pattern)
+def cmd_contains(args):
+    host, pattern = _host(args, args.host), parse_pattern(args.pattern)
     result = contains_induced(_oracle(args), host, pattern, args.budget)
-    emit(args, {**_header(args), **result.to_json()})
-    return {FOUND: EXIT_OK, ABSENT: EXIT_NEGATIVE, BUDGET: EXIT_EXHAUSTED}[result.status]
+    return result.to_json(), {FOUND: EXIT_OK, ABSENT: EXIT_NEGATIVE, BUDGET: EXIT_EXHAUSTED}[result.status]
 
 
-def cmd_gfree_max(args) -> int:
+def cmd_gfree_max(args):
     m = re.fullmatch(r"(\d+)-(\d+)", args.window)
     if not m:
         raise ValueError("--window must be an inclusive interval a-b, not %r" % args.window)
     lo, hi = int(m.group(1)), int(m.group(2))
-    pattern = parse_pattern(args.pattern)
-    subset = max_gfree_subset(_oracle(args), (lo, hi), pattern, args.mode)
-    emit(
-        args,
-        {
-            **_header(args),
-            "window": [lo, hi],
-            "mode": args.mode,
-            "size": len(subset),
-            "elements": subset.as_array.tolist(),
-        },
-    )
-    return EXIT_OK
+    subset = max_gfree_subset(_oracle(args), (lo, hi), parse_pattern(args.pattern), args.mode)
+    return {"window": [lo, hi], "mode": args.mode, "size": len(subset), "elements": subset.as_array.tolist()}, EXIT_OK
 
 
-def cmd_dyadic_audit(args) -> int:
+def cmd_dyadic_audit(args):
     pattern = parse_pattern(args.pattern)
     report = dyadic_audit(_oracle(args), pattern, args.n_param, range(args.k_from, args.k_to + 1))
-    emit(args, {**_header(args), **report})
-    return EXIT_NEGATIVE if report["violations"] else EXIT_OK
+    return report, EXIT_NEGATIVE if report["violations"] else EXIT_OK
 
 
-def cmd_density(args) -> int:
-    host = parse_host(args.host, args.prefix_bound, args.seed)
-    if args.checkpoints == "dyadic":
-        points = dyadic_checkpoints(host.prefix_bound)
-    else:
-        points = [int(x) for x in args.checkpoints.split(",")]
-    report = density_profile(host, points)
-    emit(args, {**_header(args), **report.to_json()})
-    return EXIT_OK
+def cmd_density(args):
+    host, dyadic = _host(args, args.host), args.checkpoints == "dyadic"
+    points = dyadic_checkpoints(host.prefix_bound) if dyadic else [int(x) for x in args.checkpoints.split(",")]
+    return density_profile(host, points).to_json(), EXIT_OK
 
 
-def _weight(text: str) -> WeightFunction:
-    if text == "reciprocal":
-        return WeightFunction.reciprocal()
+def _power_eps(text: str, name: str, default: str) -> "float | None":
+    """None for the default name, else EPS of 'power:EPS'."""
+    if text == default:
+        return None
     m = re.fullmatch(r"power:([0-9.]+)", text)
     if not m:
-        raise ValueError("weight must be 'reciprocal' or 'power:EPS'")
-    return WeightFunction.power(float(m.group(1)))
+        raise ValueError("%s must be '%s' or 'power:EPS'" % (name, default))
+    return float(m.group(1))
 
 
-def cmd_sum(args) -> int:
-    host = parse_host(args.host, args.prefix_bound, args.seed)
-    emit(args, {**_header(args), "sum": weighted_sum(host, _weight(args.weight))})
-    return EXIT_OK
+def cmd_sum(args):
+    host, eps = _host(args, args.host), _power_eps(args.weight, "weight", "reciprocal")
+    weight = WeightFunction.reciprocal() if eps is None else WeightFunction.power(eps)
+    return {"sum": weighted_sum(host, weight)}, EXIT_OK
 
 
-def cmd_thick(args) -> int:
-    host = parse_host(args.host, args.prefix_bound, args.seed)
-    start, length = thickness(host)
-    emit(args, {**_header(args), "interval": [start, length]})
-    return EXIT_OK
+def cmd_thick(args):
+    return {"interval": list(thickness(_host(args, args.host)))}, EXIT_OK
 
 
-def cmd_ap(args) -> int:
-    host = parse_host(args.host, args.prefix_bound, args.seed)
-    start, diff, length = longest_ap(host)
-    emit(args, {**_header(args), "ap": [start, diff, length]})
-    return EXIT_OK
+def cmd_ap(args):
+    return {"ap": list(longest_ap(_host(args, args.host)))}, EXIT_OK
 
 
-def cmd_construct_thick(args) -> int:
-    try:
-        result = construct_thick_edgeless(_oracle(args), args.blocks, _prefix_bound(args))
-    except PrefixExhausted as exc:
-        emit(args, {**_header(args), "error": str(exc), "block": exc.block})
-        return EXIT_EXHAUSTED
-    emit(args, {**_header(args), **result.to_json()})
-    return EXIT_OK
+def cmd_construct_thick(args):
+    return construct_thick_edgeless(_oracle(args), args.blocks, _prefix_bound(args)).to_json(), EXIT_OK
 
 
-def cmd_construct_thick_copy(args) -> int:
+def cmd_construct_thick_copy(args):
     target = parse_pattern(args.target)
-    try:
-        result = construct_thick_copy(_oracle(args), target, args.blocks, _prefix_bound(args))
-    except PrefixExhausted as exc:
-        emit(args, {**_header(args), "error": str(exc), "block": exc.block})
-        return EXIT_EXHAUSTED
-    emit(args, {**_header(args), **result.to_json()})
-    return EXIT_OK
+    return construct_thick_copy(_oracle(args), target, args.blocks, _prefix_bound(args)).to_json(), EXIT_OK
 
 
-def _family(text: str):
-    if text == "substantial":
-        return substantial_family()
-    m = re.fullmatch(r"power:([0-9.]+)", text)
-    if not m:
-        raise ValueError("family must be 'substantial' or 'power:EPS'")
-    return power_family(float(m.group(1)))
+def cmd_construct_pi02(args):
+    eps = _power_eps(args.family, "family", "substantial")
+    family = substantial_family() if eps is None else power_family(eps)
+    return construct_pi02_member(_oracle(args), family, args.levels, _prefix_bound(args)).to_json(), EXIT_OK
 
 
-def cmd_construct_pi02(args) -> int:
-    try:
-        result = construct_pi02_member(
-            _oracle(args), _family(args.family), args.levels, _prefix_bound(args)
-        )
-    except (TypeClassEmpty, ForcingFailed) as exc:
-        emit(args, {**_header(args), "error": str(exc), "level": exc.level})
-        return EXIT_EXHAUSTED
-    emit(args, {**_header(args), **result.to_json()})
-    return EXIT_OK
-
-
-def cmd_mc_density(args) -> int:
+def cmd_mc_density(args):
     _fair_coin(args)
-    report = mc_density_star(args.seed, args.k, args.n, args.pool, args.trials)
-    payload = {**_header(args), **report}
-    emit(
-        args,
-        payload,
-        csv_rows=[
-            {
-                "n": report["n"],
-                "estimate": report["estimate"],
-                "stderr": report["stderr"],
-                "exact_if_available": report["target"],
-                "envelope": None,
-            }
-        ],
-    )
-    return EXIT_OK
+    return mc_density_star(args.seed, args.k, args.n, args.pool, args.trials), EXIT_OK
 
 
-def cmd_mc_gfree(args) -> int:
+def cmd_mc_gfree(args):
+    _fair_coin(args)
+    return mc_gfree_probability(parse_pattern(args.pattern), args.n, args.trials, args.seed, args.c), EXIT_OK
+
+
+def cmd_mc_fn(args):
     _fair_coin(args)
     pattern = parse_pattern(args.pattern)
-    report = mc_gfree_probability(pattern, args.n, args.trials, args.seed, args.c)
-    payload = {**_header(args), **report}
-    exact = report.get("exact")
-    emit(
-        args,
-        payload,
-        csv_rows=[
-            {
-                "n": report["n"],
-                "estimate": report["estimate"],
-                "stderr": report["stderr"],
-                "exact_if_available": float(exact) if exact is not None else None,
-                "envelope": report.get("envelope"),
-            }
-        ],
-    )
-    return EXIT_OK
+    n_list = [int(x) for x in args.n_list.split(",")]
+    return {"rows": mc_fn_bound(pattern, n_list, args.n_param, args.trials, args.seed)}, EXIT_OK
 
 
-def cmd_mc_fn(args) -> int:
-    _fair_coin(args)
-    pattern = parse_pattern(args.pattern)
-    rows = mc_fn_bound(pattern, [int(x) for x in args.n_list.split(",")], args.n_param, args.trials, args.seed)
-    emit(
-        args,
-        {**_header(args), "rows": rows},
-        csv_rows=[
-            {
-                "n": r["n"],
-                "estimate": r["estimate"],
-                "stderr": r["stderr"],
-                "exact_if_available": None,
-                "envelope": r["envelope"],
-            }
-            for r in rows
-        ],
-    )
-    return EXIT_OK
+def cmd_sample_mup(args):
+    vs = sample_mu_p(_fraction(args.p), _prefix_bound(args), args.seed)
+    return {"count": len(vs), "elements": format_runs(vs)}, EXIT_OK
 
 
-def cmd_sample_mup(args) -> int:
-    vs = sample_mu_p(Fraction(args.p), _prefix_bound(args), args.seed)
-    emit(args, {**_header(args), "count": len(vs), "elements": format_runs(vs)})
-    return EXIT_OK
-
-
-def cmd_typefreq(args) -> int:
-    f = parse_host(args.f, args.prefix_bound, args.seed)
-    mask = args.mask if args.mask is not None else "1" * len(f)
-    t = TypeSpec.from_bits(f.elements, mask)
+def cmd_typefreq(args):
+    f = _host(args, args.f)
+    t = TypeSpec.from_bits(f.elements, args.mask if args.mask is not None else "1" * len(f))
     report = type_frequency_check(_oracle(args), f, t, args.bound)
-    emit(args, {**_header(args), **report})
-    return EXIT_OK if report["band_ok"] else EXIT_NEGATIVE
+    return report, EXIT_OK if report["band_ok"] else EXIT_NEGATIVE
 
 
 # --- parser -----------------------------------------------------------------
@@ -564,6 +451,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Give-ups (inconclusive outcomes) -> the fields of their exit-3 record.
+GIVE_UPS = {
+    DeadEnd: lambda e: {
+        "error": "dead end", "step": e.step, "required_type": e.required.bits, "pool_remaining": e.pool_remaining
+    },
+    PrefixExhausted: lambda e: {"error": str(e), "block": e.block},
+    TypeClassEmpty: lambda e: {"error": str(e), "level": e.level},
+    ForcingFailed: lambda e: {"error": str(e), "level": e.level},
+}
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     try:
@@ -574,12 +472,17 @@ def main(argv: "list[str] | None" = None) -> int:
         env = os.environ.get("RADO_SEED")
         try:
             args.seed = parse_seed(env) if env is not None else 0
-        except argparse.ArgumentTypeError:
+        except (argparse.ArgumentTypeError, ValueError):
             print("bad RADO_SEED value %r" % env, file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        try:
+            fields, code = args.func(args)
+        except tuple(GIVE_UPS) as exc:
+            fields, code = GIVE_UPS[type(exc)](exc), EXIT_EXHAUSTED
+        emit(args, {**_header(args), **fields})
+        return code
+    except (ValueError, OSError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

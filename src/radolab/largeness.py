@@ -174,14 +174,16 @@ class FamilyDescriptor:
 
 def _weighted_force(f: WeightFunction) -> ForcingOracle:
     def force(level: int, prefix: VertexSet, horizon: int) -> int | None:
-        within = prefix.restrict(1, horizon)
-        if len(within) == 0:
-            return None
-        sums = np.cumsum(f.weights(within.as_array))
-        hits = np.nonzero(sums > level)[0]
-        if len(hits) == 0:
-            return None
-        return int(within.as_array[hits[0]])
+        # cumsum is sequential, so carrying the running total into chunks of
+        # doubling length gives the full cumsum's sums bit for bit
+        within, total, lo, hi = prefix.restrict(1, horizon).as_array, 0.0, 0, 1024
+        while lo < len(within):
+            sums = np.cumsum(np.concatenate(([total], f.weights(within[lo:hi]))))[1:]
+            hits = np.flatnonzero(sums > level)
+            if len(hits):
+                return int(within[lo + hits[0]])
+            total, lo, hi = sums[-1], hi, 2 * hi
+        return None
 
     return force
 

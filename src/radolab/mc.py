@@ -168,6 +168,8 @@ def mc_fn_bound(
     Exact subset search decides each trial up to n = 16; beyond that a
     greedy witness search gives a lower-bound estimate only.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     rows_out = []
     for n in n_list:
         f = fn_size(n, n_param)

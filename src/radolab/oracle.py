@@ -242,6 +242,8 @@ def adjacency_rows(oracle: EdgeOracle, vertices: np.ndarray, which: Sequence[int
 
 def type_of(oracle: EdgeOracle, m: int, base: VertexSet) -> TypeSpec:
     """The type of vertex m over the base set (ascending base order)."""
+    if m < 1:
+        raise ValueError("type_of requires a vertex m >= 1, not %d" % m)
     if m in base:
         raise ValueError("vertex %d lies inside the base set" % m)
     return TypeSpec(base.elements, _bitset(oracle.edge_grid([m], base.as_array)[0]))

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from radolab.cli import main
 from radolab.graphs import graph6_decode
 from radolab.oracle import EdgeOracle
 
@@ -92,6 +99,8 @@ def test_construct_pi02_cli():
     assert rep["verified"] and rep["blocks"] == [[1, 2]]
     bad = run("construct-pi02", "--seed", "1", "--levels", "2", "--prefix-bound", "16")
     assert bad.returncode == 3
+    rep = json.loads(bad.stdout)
+    assert rep["error"] == "forcing failed at level 2 within prefix bound 16" and rep["level"] == 2
 
 
 def test_mc_density_csv_shape():
@@ -215,8 +224,6 @@ def test_missing_prefix_bound_is_a_usage_error():
 
 
 def test_failed_reverification_exits_four(monkeypatch, capsys):
-    from radolab.cli import main
-
     edge = EdgeOracle.edge
     monkeypatch.setattr(EdgeOracle, "edge", lambda self, u, v: not edge(self, u, v))
     assert main(["contains", "--seed", "1", "--host", "1-64", "--pattern", "k:3"]) == 4
@@ -247,3 +254,136 @@ def test_mc_commands_refuse_other_probabilities():
         assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
         assert out.stderr == "error: %s samples at probability 1/2 only, not 1/4\n" % argv[0]
         assert run(*argv, "--seed", "1", "--probability", "0.5").returncode == 0
+
+
+def run_main(argv, rado_seed=None):
+    """``main`` in process, with RADO_SEED set to the given value or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "RADO_SEED"}
+    if rado_seed is not None:
+        env["RADO_SEED"] = rado_seed
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_bad_rado_seed_is_a_usage_error():
+    for value in ("zz", "", "-1", str(1 << 64)):
+        assert run_main(["edge", "-u", "1", "-v", "2"], rado_seed=value) == (1, "", "bad RADO_SEED value %r\n" % value)
+    assert run_main(["edge", "-u", "1", "-v", "2"], rado_seed="0xff")[0] == 0
+
+
+def test_mc_fn_needs_a_trial():
+    for trials in ("0", "-1"):
+        argv = ["mc-fn", "--pattern", "k:3", "--n-list", "5", "--n-param", "1", "--trials", trials]
+        assert run_main(argv) == (1, "", "error: need at least one trial\n")
+
+
+def test_type_needs_a_positive_vertex():
+    for m in ("0", "-3"):
+        code, out, err = run_main(["type", "--m", m, "--base", "1-5"])
+        assert (code, out) == (1, "") and err == "error: type_of requires a vertex m >= 1, not %s\n" % m
+
+
+def test_zero_denominators_and_overflow_are_usage_errors():
+    for argv in (
+        ["edge", "-u", "1", "-v", "2", "--probability", "1/0"],
+        ["sample-mup", "--p", "1/0", "--prefix-bound", "100"],
+        ["thick", "--host", "mup:1/0", "--prefix-bound", "100"],
+        ["mc-gfree", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "-1000"],
+        ["gfree-max", "--window", "%d-%d" % (10**23, 10**23), "--pattern", "k:3"],
+    ):
+        code, out, err = run_main(argv)
+        assert (code, out) == (1, "") and err
+
+
+# Bounded argv for every subcommand: valid flag values, then at most one
+# flag dropped or replaced by a malformed value.  Sizes stay small: prefix
+# bound <= 10^4 (<= 300 where a whole host becomes an adjacency matrix),
+# window <= 20, trials <= 50, |F| <= 8 (extension tabulates 2^|F| types),
+# and --output is never set.
+MALFORMED = st.sampled_from(
+    ["-1", "0", "x", "", "1/0", "2.5", "5-3", "1-", "mup:1/0", "mup:2", "g6:~", "k:-1", "power:2", "file:missing"]
+)
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def words(*choices):
+    return st.sampled_from(choices)
+
+
+def maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+HOST = words("1-40", "1,10,3042", "even", "odd", "all", "ap:3,7", "mup:1/2", "mup:1/3")
+F_SET = words("1-3", "2,5,9", "1-8", "7")
+MC_PATTERN = words("k:1", "k:3", "c:4", "p:3", "e:2", "g6:Bw")
+PATTERN = st.one_of(MC_PATTERN, words("e:12", "petersen"))
+BOUND = ints(1, 10**4)
+SMALL_BOUND = ints(1, 300)
+TRIALS = ints(1, 50)
+MC = {"--format": maybe(words("json", "csv")), "--trials": TRIALS}
+COMMANDS = {
+    "edge": {"-u": ints(-2, 2**70), "-v": ints(-2, 2**70)},
+    "adj": {"--host": HOST, "--prefix-bound": SMALL_BOUND},
+    "type": {"--m": ints(-3, 10**4), "--base": HOST, "--prefix-bound": BOUND},
+    "extension": {"--f": F_SET, "--bound": BOUND},
+    "embed": {
+        "--target": PATTERN, "--host": HOST, "--prefix-bound": BOUND, "--candidate-cap": maybe(ints(0, 64)),
+        "--score-horizon": maybe(ints(0, 64)), "--backtrack": maybe(st.just(True)),
+    },
+    "audit-weak": {"--host": HOST, "--kmax": ints(0, 4), "--budget": ints(0, 5000), "--prefix-bound": SMALL_BOUND},
+    "contains": {"--host": HOST, "--pattern": PATTERN, "--budget": ints(0, 5000), "--prefix-bound": SMALL_BOUND},
+    "gfree-max": {
+        "--window": st.tuples(st.integers(0, 40), st.integers(0, 20)).map(lambda t: "%d-%d" % (t[0], t[0] + t[1])),
+        "--pattern": PATTERN, "--mode": maybe(words("exact", "greedy")),
+    },
+    "dyadic-audit": {"--pattern": PATTERN, "--n-param": ints(0, 3), "--k-from": ints(0, 5), "--k-to": ints(0, 5)},
+    "density": {"--host": HOST, "--prefix-bound": BOUND, "--checkpoints": maybe(words("10,50", "64"))},
+    "sum": {"--host": HOST, "--prefix-bound": BOUND, "--weight": maybe(words("reciprocal", "power:0.5"))},
+    "thick": {"--host": HOST, "--prefix-bound": BOUND},
+    "ap": {"--host": HOST, "--prefix-bound": BOUND},
+    "construct-thick": {"--blocks": ints(1, 6), "--prefix-bound": BOUND},
+    "construct-thick-copy": {"--target": PATTERN, "--blocks": ints(1, 4), "--prefix-bound": BOUND},
+    "construct-pi02": {
+        "--levels": ints(1, 3), "--family": maybe(words("substantial", "power:0.5")), "--prefix-bound": BOUND,
+    },
+    "mc-density": {"--k": ints(1, 4), "--n": ints(1, 4), "--pool": ints(1, 10**4), **MC},
+    "mc-gfree": {"--pattern": MC_PATTERN, "--n": ints(1, 12), "--c": maybe(words("0.1", "-1000", "nan", "inf")), **MC},
+    "mc-fn": {
+        "--pattern": MC_PATTERN, "--n-param": ints(0, 2), **MC,
+        "--n-list": st.lists(st.integers(1, 20), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
+    },
+    "sample-mup": {"--p": words("1/2", "1/3", "0.9"), "--prefix-bound": BOUND},
+    "typefreq": {"--f": F_SET, "--bound": BOUND, "--mask": maybe(words("1", "101", "111", "000"))},
+}
+COMMON = {"--seed": ints(0, 2**64 - 1), "--probability": maybe(words("1/2", "0.5", "1/3", "1"))}
+
+
+@st.composite
+def argvs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = {**COMMANDS[name], **COMMON}
+    values = {flag: draw(strategy) for flag, strategy in flags.items()}
+    broken = draw(maybe(st.sampled_from(sorted(flags))))
+    if broken is not None:
+        values[broken] = draw(maybe(MALFORMED))
+    argv = [name]
+    for flag, value in values.items():
+        if value is not None:
+            argv += [flag] if value is True else [flag, value]
+    return argv
+
+
+@settings(max_examples=300)
+@given(argvs(), st.sampled_from([None, "7", "zz", "-1"]))
+@example(["edge", "-u", "1", "-v", "2"], "zz")
+@example(["mc-fn", "--pattern", "k:3", "--n-list", "5", "--n-param", "1", "--trials", "0"], None)
+def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
+    code, _, err = run_main(argv, rado_seed)
+    assert code in range(5) and "Traceback" not in err

@@ -23,7 +23,7 @@ from radolab.graphs import (
     from_upper_mask,
     subset_code,
 )
-from radolab.largeness import thickness
+from radolab.largeness import WeightFunction, power_family, substantial_family, thickness
 from radolab.mc import _trial_graph_bits, mc_gfree_probability
 from radolab.oracle import EdgeOracle, type_keys
 from radolab.sets import VertexSet, format_runs, parse_runs
@@ -210,6 +210,27 @@ def test_mc_gfree_matches_brute_force_at_n7(pattern, seed):
         g = FiniteGraph.from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
         free += not contains_induced_copy(g, pattern)
     assert mc_gfree_probability(pattern, n, trials, seed)["estimate"] == free / trials
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1.0, 0.5, 0.25]), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0),
+       st.integers(1, 20000), st.integers(0, 10**6))
+def test_weighted_force_matches_one_full_cumsum(exponent, seed, density, horizon, pick):
+    n = 20000
+    rng = np.random.default_rng(seed)
+    prefix = VertexSet(np.flatnonzero(rng.random(n) < density) + 1, n)
+    family = substantial_family() if exponent == 1.0 else power_family(exponent)
+    # reference: one cumsum over the whole restricted prefix
+    within = prefix.restrict(1, horizon).as_array
+    sums = np.cumsum(WeightFunction.power(exponent).weights(within))
+    levels = [0, 1, 3]
+    if len(sums):
+        # exact partial sums as thresholds, at chunk edges too: an ulp of drift would move the crossing
+        levels += [int(sums[-1]), int(sums[-1]) + 1]
+        levels += [sums[i] for i in (pick % len(sums), 1023, 1024, 3071) if i < len(sums)]
+    for level in levels:
+        hits = np.flatnonzero(sums > level)
+        assert family.force(level, prefix, horizon) == (int(within[hits[0]]) if len(hits) else None)
 
 
 def _tracing_module():
