@@ -207,43 +207,43 @@ def _prefix_bound(args) -> int:
 
 # --- handlers: each returns (report fields, exit code) ----------------------
 
-def cmd_edge(args):
+def cmd_edge(args) -> tuple[dict, int]:
     return {"edge": bool(_oracle(args).edge(args.u, args.v))}, EXIT_OK
 
 
-def cmd_adj(args):
+def cmd_adj(args) -> tuple[dict, int]:
     g = induced_subgraph(_oracle(args), _host(args, args.host))
     return {"order": g.order, "edges": g.edge_count, "graph6": graph6_encode(g)}, EXIT_OK
 
 
-def cmd_type(args):
+def cmd_type(args) -> tuple[dict, int]:
     base = _host(args, args.base)
     return {"base": base.as_array.tolist(), "mask": type_of(_oracle(args), args.m, base).bits}, EXIT_OK
 
 
-def cmd_extension(args):
+def cmd_extension(args) -> tuple[dict, int]:
     report = extension_check(_oracle(args), _host(args, args.f), args.bound)
     return report, EXIT_OK if report["pass"] else EXIT_NEGATIVE
 
 
-def cmd_embed(args):
+def cmd_embed(args) -> tuple[dict, int]:
     host, target = _host(args, args.host), parse_pattern(args.target)
     cfg = EmbedConfig(candidate_cap=args.candidate_cap, score_horizon=args.score_horizon, fail_fast=not args.backtrack)
     return embed_target(_oracle(args), target, host, cfg).to_json(), EXIT_OK
 
 
-def cmd_audit_weak(args):
+def cmd_audit_weak(args) -> tuple[dict, int]:
     report = weak_universality(_oracle(args), _host(args, args.host), args.kmax, args.budget)
     return report, {"pass": EXIT_OK, "fail": EXIT_NEGATIVE}.get(report["verdict"], EXIT_EXHAUSTED)
 
 
-def cmd_contains(args):
+def cmd_contains(args) -> tuple[dict, int]:
     host, pattern = _host(args, args.host), parse_pattern(args.pattern)
     result = contains_induced(_oracle(args), host, pattern, args.budget)
     return result.to_json(), {FOUND: EXIT_OK, ABSENT: EXIT_NEGATIVE, BUDGET: EXIT_EXHAUSTED}[result.status]
 
 
-def cmd_gfree_max(args):
+def cmd_gfree_max(args) -> tuple[dict, int]:
     m = re.fullmatch(r"(\d+)-(\d+)", args.window)
     if not m:
         raise ValueError("--window must be an inclusive interval a-b, not %r" % args.window)
@@ -252,13 +252,13 @@ def cmd_gfree_max(args):
     return {"window": [lo, hi], "mode": args.mode, "size": len(subset), "elements": subset.as_array.tolist()}, EXIT_OK
 
 
-def cmd_dyadic_audit(args):
+def cmd_dyadic_audit(args) -> tuple[dict, int]:
     pattern = parse_pattern(args.pattern)
     report = dyadic_audit(_oracle(args), pattern, args.n_param, range(args.k_from, args.k_to + 1))
     return report, EXIT_NEGATIVE if report["violations"] else EXIT_OK
 
 
-def cmd_density(args):
+def cmd_density(args) -> tuple[dict, int]:
     host, dyadic = _host(args, args.host), args.checkpoints == "dyadic"
     points = dyadic_checkpoints(host.prefix_bound) if dyadic else [int(x) for x in args.checkpoints.split(",")]
     return density_profile(host, points).to_json(), EXIT_OK
@@ -274,58 +274,58 @@ def _power_eps(text: str, name: str, default: str) -> "float | None":
     return float(m.group(1))
 
 
-def cmd_sum(args):
+def cmd_sum(args) -> tuple[dict, int]:
     host, eps = _host(args, args.host), _power_eps(args.weight, "weight", "reciprocal")
     weight = WeightFunction.reciprocal() if eps is None else WeightFunction.power(eps)
     return {"sum": weighted_sum(host, weight)}, EXIT_OK
 
 
-def cmd_thick(args):
+def cmd_thick(args) -> tuple[dict, int]:
     return {"interval": list(thickness(_host(args, args.host)))}, EXIT_OK
 
 
-def cmd_ap(args):
+def cmd_ap(args) -> tuple[dict, int]:
     return {"ap": list(longest_ap(_host(args, args.host)))}, EXIT_OK
 
 
-def cmd_construct_thick(args):
+def cmd_construct_thick(args) -> tuple[dict, int]:
     return construct_thick_edgeless(_oracle(args), args.blocks, _prefix_bound(args)).to_json(), EXIT_OK
 
 
-def cmd_construct_thick_copy(args):
+def cmd_construct_thick_copy(args) -> tuple[dict, int]:
     target = parse_pattern(args.target)
     return construct_thick_copy(_oracle(args), target, args.blocks, _prefix_bound(args)).to_json(), EXIT_OK
 
 
-def cmd_construct_pi02(args):
+def cmd_construct_pi02(args) -> tuple[dict, int]:
     eps = _power_eps(args.family, "family", "substantial")
     family = substantial_family() if eps is None else power_family(eps)
     return construct_pi02_member(_oracle(args), family, args.levels, _prefix_bound(args)).to_json(), EXIT_OK
 
 
-def cmd_mc_density(args):
+def cmd_mc_density(args) -> tuple[dict, int]:
     _fair_coin(args)
     return mc_density_star(args.seed, args.k, args.n, args.pool, args.trials), EXIT_OK
 
 
-def cmd_mc_gfree(args):
+def cmd_mc_gfree(args) -> tuple[dict, int]:
     _fair_coin(args)
     return mc_gfree_probability(parse_pattern(args.pattern), args.n, args.trials, args.seed, args.c), EXIT_OK
 
 
-def cmd_mc_fn(args):
+def cmd_mc_fn(args) -> tuple[dict, int]:
     _fair_coin(args)
     pattern = parse_pattern(args.pattern)
     n_list = [int(x) for x in args.n_list.split(",")]
     return {"rows": mc_fn_bound(pattern, n_list, args.n_param, args.trials, args.seed)}, EXIT_OK
 
 
-def cmd_sample_mup(args):
+def cmd_sample_mup(args) -> tuple[dict, int]:
     vs = sample_mu_p(_fraction(args.p), _prefix_bound(args), args.seed)
     return {"count": len(vs), "elements": format_runs(vs)}, EXIT_OK
 
 
-def cmd_typefreq(args):
+def cmd_typefreq(args) -> tuple[dict, int]:
     f = _host(args, args.f)
     t = TypeSpec.from_bits(f.elements, args.mask if args.mask is not None else "1" * len(f))
     report = type_frequency_check(_oracle(args), f, t, args.bound)

@@ -176,7 +176,8 @@ def _weighted_force(f: WeightFunction) -> ForcingOracle:
     def force(level: int, prefix: VertexSet, horizon: int) -> int | None:
         # cumsum is sequential, so carrying the running total into chunks of
         # doubling length gives the full cumsum's sums bit for bit
-        within, total, lo, hi = prefix.restrict(1, horizon).as_array, 0.0, 0, 1024
+        within = prefix.restrict(1, horizon).as_array
+        total, lo, hi = 0.0, 0, 1024
         while lo < len(within):
             sums = np.cumsum(np.concatenate(([total], f.weights(within[lo:hi]))))[1:]
             hits = np.flatnonzero(sums > level)
