@@ -62,6 +62,9 @@ EXTRA = [
     "ap --seed 1 --host mup:1/2 --prefix-bound 2000",
     "edge --seed 5 -u 3 -v 9 --probability 1/3",
     "extension --seed 1 --f 1-8 --bound 300",
+    "construct-thick --seed 1 --blocks 3 --probability 1/3 --prefix-bound 200000",
+    "construct-thick --seed 1 --blocks 4 --probability 1/3 --prefix-bound 3000",
+    "construct-thick-copy --seed 2 --target petersen --blocks 3 --probability 1/3 --prefix-bound 100000",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
