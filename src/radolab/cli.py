@@ -100,6 +100,17 @@ def parse_probability(text: str) -> Fraction:
     return frac
 
 
+# Larger graph notation is refused before any quadratic-time graph build;
+# no command needs it (construct-thick-copy only beyond 44 blocks).
+PATTERN_ORDER_CAP = 1024
+
+
+def _capped_order(n: int) -> int:
+    if n > PATTERN_ORDER_CAP:
+        raise ValueError("graph order %d exceeds PATTERN_ORDER_CAP = %d" % (n, PATTERN_ORDER_CAP))
+    return n
+
+
 def parse_pattern(text: str) -> FiniteGraph:
     if text.startswith("g6:"):
         return graph6_decode(text[3:])
@@ -107,7 +118,7 @@ def parse_pattern(text: str) -> FiniteGraph:
         return petersen()
     m = re.fullmatch(r"(k|c|p|e):(\d+)", text)
     if m:
-        n = int(m.group(2))
+        n = _capped_order(int(m.group(2)))
         return {"k": complete, "c": cycle, "p": path, "e": empty_graph}[m.group(1)](n)
     if text.startswith("file:"):
         return load_graph_file(text[5:])
@@ -128,7 +139,7 @@ def load_graph_file(path_: str) -> FiniteGraph:
         u, v = (int(x) for x in ln.split())
         edges.append((u, v))
         top = max(top, u, v)
-    return FiniteGraph.from_edges(top + 1, edges)
+    return FiniteGraph.from_edges(_capped_order(top + 1), edges)
 
 
 def _host(args, text: str) -> VertexSet:

@@ -9,11 +9,12 @@ first, so outputs are deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .embed import Embedding, StepRecord, verify_embedding
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, empty_graph
 from .largeness import FamilyDescriptor, pi02_force
 from .oracle import EdgeOracle, VerificationError
 from .sets import VertexSet
@@ -63,30 +64,62 @@ class ForcingFailed(RuntimeError):
         self.union = union
 
 
-def _scan_block(
-    oracle: EdgeOracle,
-    scan_from: int,
-    length: int,
-    prefix_bound: int,
-    internal_want: list[tuple[int, int, bool]],
-    cross_want: list[tuple[int, int, bool]],
-) -> int | None:
-    """Least start k >= scan_from of a window [k, k+length-1] <= prefix_bound
-    whose internal pairs and (previous-vertex, offset) pairs carry exactly
-    the required edge bits.  Chunked, vectorized left-to-right scan."""
+def _scan_block(oracle: EdgeOracle, scan_from: int, placed: list[int], rows: list[int], prefix_bound: int) -> int | None:
+    """Least start k >= scan_from of a window [k, k+len(rows)-1] <=
+    prefix_bound that extends ``placed``: window vertex d, the image of
+    target vertex len(placed)+d, has an edge to each earlier window vertex
+    and each placed image exactly where its required adjacency bitmask
+    rows[d] has a bit.  Chunked, vectorized left-to-right scan."""
+    offset, length = len(placed), len(rows)
+    internal = [(d1, d2, bool(rows[d2] >> (offset + d1) & 1)) for d2 in range(length) for d1 in range(d2)]
+    cross = [(u, d, bool(rows[d] >> i & 1)) for i, u in enumerate(placed) for d in range(length)]
     last_start = prefix_bound - length + 1
     lo = scan_from
     while lo <= last_start:
         hi = min(lo + _SCAN_CHUNK - 1, last_start)
         ks = np.arange(lo, hi + 1, dtype=np.int64)
-        for d1, d2, want in internal_want:
+        for d1, d2, want in internal:
             ks = ks[oracle.edge_pairs(ks + d1, ks + d2) == want]
-        for u, d, want in cross_want:
-            ks = ks[oracle.edge_many(u, ks + d) == want]
+        for u, d, want in cross:
+            ks = ks[oracle.edge_pairs(u, ks + d) == want]
         if len(ks):
             return int(ks[0])
         lo = hi + 1
     return None
+
+
+def _place_blocks(
+    oracle: EdgeOracle, row: Callable[[int], int], blocks: int, prefix_bound: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Leftmost disjoint windows I_1..I_m, |I_j| = j, whose concatenation
+    induces the target whose vertex v has adjacency bitmask ``row(v)``.
+
+    Each block is the leftmost window beyond the previous one whose internal
+    and cross pairs carry the target's bits.  Every required bit is an
+    independent event, so a start succeeds with probability
+    p^ones·(1-p)^zeros over the block's C(j,2) + j·|placed| pairs; the prefix
+    demand grows doubly exponentially in m.  Returns the (start, length)
+    intervals and the images of target vertices 0..m(m+1)/2-1.
+    """
+    if blocks < 1:
+        raise ValueError("need at least one block")
+    intervals: list[tuple[int, int]] = []
+    images: list[int] = []
+    scan_from = 1
+    p = float(oracle.edge_probability)
+    for j in range(1, blocks + 1):
+        offset = len(images)
+        rows = [row(offset + d) for d in range(j)]
+        k = _scan_block(oracle, scan_from, images, rows, prefix_bound)
+        if k is None:
+            ones = sum((r & ((1 << offset + d) - 1)).bit_count() for d, r in enumerate(rows))
+            zeros = j * (j - 1) // 2 + j * offset - ones
+            prob = p**ones * (1 - p) ** zeros
+            raise PrefixExhausted(j, prefix_bound, prob, VertexSet(images, prefix_bound))
+        intervals.append((k, j))
+        images.extend(range(k, k + j))
+        scan_from = k + j
+    return intervals, images
 
 
 @dataclass(frozen=True)
@@ -103,40 +136,13 @@ class ThickResult:
         }
 
 
-def _assert_edgeless(oracle: EdgeOracle, vertices: np.ndarray) -> None:
-    if len(vertices) >= 2:
-        iu, iv = np.triu_indices(len(vertices), k=1)
-        if oracle.edge_pairs(vertices[iu], vertices[iv]).any():
-            raise VerificationError("edgeless verification failed")
-
-
 def construct_thick_edgeless(oracle: EdgeOracle, blocks: int, prefix_bound: int) -> ThickResult:
-    """Disjoint intervals I_1..I_m with |I_j| = j whose union has no edges.
-
-    Each block is the leftmost window beyond the previous one with no
-    internal edges and no edges to the union so far.  Per-candidate success
-    probability for block j is p^(C(j,2) + j·|union|), so the prefix demand
-    grows doubly exponentially in m.
-    """
-    if blocks < 1:
-        raise ValueError("need at least one block")
-    intervals: list[tuple[int, int]] = []
-    union: list[int] = []
-    scan_from = 1
-    p = float(oracle.edge_probability)
-    for j in range(1, blocks + 1):
-        internal = [(d1, d2, False) for d2 in range(j) for d1 in range(d2)]
-        cross = [(u, d, False) for u in union for d in range(j)]
-        k = _scan_block(oracle, scan_from, j, prefix_bound, internal, cross)
-        if k is None:
-            prob = (1 - p) ** (j * (j - 1) // 2 + j * len(union))
-            raise PrefixExhausted(j, prefix_bound, prob, VertexSet(union, prefix_bound))
-        intervals.append((k, j))
-        union.extend(range(k, k + j))
-        scan_from = k + j
-    verts = np.asarray(union, dtype=np.int64)
-    _assert_edgeless(oracle, verts)
-    return ThickResult(tuple(intervals), VertexSet(verts, prefix_bound), True)
+    """Disjoint intervals I_1..I_m with |I_j| = j whose union has no edges:
+    a thick copy of the empty graph, so a start for block j succeeds with
+    probability (1-p)^(C(j,2) + j·|union|)."""
+    intervals, images = _place_blocks(oracle, lambda v: 0, blocks, prefix_bound)
+    verify_embedding(oracle, empty_graph(len(images)), tuple(images))
+    return ThickResult(tuple(intervals), VertexSet(images, prefix_bound), True)
 
 
 @dataclass(frozen=True)
@@ -161,46 +167,14 @@ def construct_thick_copy(
 ) -> ThickCopyResult:
     """Intervals I_1..I_m of lengths 1..m whose concatenation induces the
     target prefix: every internal and cross-block pair matches the target."""
-    if blocks < 1:
-        raise ValueError("need at least one block")
     needed = blocks * (blocks + 1) // 2
-    if target.order < needed:
+    if blocks > 0 and target.order < needed:
         raise ValueError("target must supply at least %d vertices" % needed)
-    intervals: list[tuple[int, int]] = []
-    images: list[int] = []
-    scan_from = 1
-    p = float(oracle.edge_probability)
-    for j in range(1, blocks + 1):
-        offset = len(images)
-        internal = [
-            (d1, d2, target.has_edge(offset + d1, offset + d2))
-            for d2 in range(j)
-            for d1 in range(d2)
-        ]
-        cross = [
-            (u, d, target.has_edge(i, offset + d))
-            for i, u in enumerate(images)
-            for d in range(j)
-        ]
-        k = _scan_block(oracle, scan_from, j, prefix_bound, internal, cross)
-        if k is None:
-            # every required bit is an independent p-or-(1-p) event
-            prob = min(p, 1 - p) ** (j * (j - 1) // 2 + j * len(images))
-            raise PrefixExhausted(j, prefix_bound, prob, VertexSet(images, prefix_bound))
-        intervals.append((k, j))
-        images.extend(range(k, k + j))
-        scan_from = k + j
+    intervals, images = _place_blocks(oracle, target.rows.__getitem__, blocks, prefix_bound)
     prefix = target.induced(list(range(needed)))
     verify_embedding(oracle, prefix, tuple(images))
-    embedding = Embedding(
-        target=prefix,
-        images=tuple(images),
-        steps=tuple(
-            StepRecord(i + 1, "", v, 0) for i, v in enumerate(images)
-        ),
-        verified=True,
-    )
-    return ThickCopyResult(tuple(intervals), embedding, True)
+    steps = tuple(StepRecord(i + 1, "", v, 0) for i, v in enumerate(images))
+    return ThickCopyResult(tuple(intervals), Embedding(prefix, tuple(images), steps, True), True)
 
 
 @dataclass(frozen=True)
@@ -248,7 +222,7 @@ def construct_pi02_member(
         for b in range(1, k_prev + 1):
             if len(cands) == 0:
                 break
-            cands = cands[~oracle.edge_many(b, cands)]
+            cands = cands[~oracle.edge_pairs(b, cands)]
         if len(cands) == 0:
             raise TypeClassEmpty(n, k_prev, (prefix_bound - k_prev) * (1 - p) ** k_prev)
         t_prime = VertexSet(np.concatenate([earlier, cands]), prefix_bound)

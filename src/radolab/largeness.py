@@ -1,11 +1,11 @@
 """Largeness checkers: density profiles, weighted reciprocal sums, thickness,
-arithmetic progressions, and forcing oracles for Π⁰₂ family descriptors."""
+arithmetic progressions, and forcing for Π⁰₂ family descriptors."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +31,6 @@ class WeightFunction:
     @classmethod
     def power(cls, eps: float) -> "WeightFunction":
         return cls(eps)
-
-    @property
-    def kind(self) -> str:
-        return "reciprocal" if self.exponent == 1.0 else "power(%g)" % self.exponent
 
     def weight(self, n: int) -> float:
         if n < 1:
@@ -155,48 +151,39 @@ def longest_ap(a: VertexSet) -> tuple[int, int, int]:
     return best
 
 
-ForcingOracle = Callable[[int, VertexSet, int], "int | None"]
-
-
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """A Π⁰₂ family as a sequence of open-set forcing oracles over cylinders.
+    """A Π⁰₂ family of weighted-substantial sets: level n's open set holds
+    the sets whose sum of ``weight`` exceeds n."""
 
-    ``force(level, prefix, horizon)`` returns the least k' <= horizon such
-    that every superset of prefix ∩ [1,k'] agreeing with prefix below k'
-    lies in the level's open set, or None if the prefix does not force yet.
-    Oracles must be stateless and monotone in the prefix.
-    """
+    weight: WeightFunction
 
-    name: str
-    force: ForcingOracle
-
-
-def _weighted_force(f: WeightFunction) -> ForcingOracle:
-    def force(level: int, prefix: VertexSet, horizon: int) -> int | None:
+    def force(self, level: int, prefix: VertexSet, horizon: int) -> int | None:
+        """The least k' <= horizon such that every superset of prefix ∩ [1,k']
+        agreeing with prefix below k' lies in the level's open set, or None
+        if the prefix does not force yet.  Stateless and monotone in the
+        prefix."""
         # cumsum is sequential, so carrying the running total into chunks of
         # doubling length gives the full cumsum's sums bit for bit
         within = prefix.restrict(1, horizon).as_array
         total, lo, hi = 0.0, 0, 1024
         while lo < len(within):
-            sums = np.cumsum(np.concatenate(([total], f.weights(within[lo:hi]))))[1:]
+            sums = np.cumsum(np.concatenate(([total], self.weight.weights(within[lo:hi]))))[1:]
             hits = np.flatnonzero(sums > level)
             if len(hits):
                 return int(within[lo + hits[0]])
             total, lo, hi = sums[-1], hi, 2 * hi
         return None
 
-    return force
-
 
 def substantial_family() -> FamilyDescriptor:
     """Level-n open set: prefixes whose reciprocal sum already exceeds n."""
-    return FamilyDescriptor("substantial", _weighted_force(WeightFunction.reciprocal()))
+    return FamilyDescriptor(WeightFunction.reciprocal())
 
 
 def power_family(eps: float) -> FamilyDescriptor:
     """The power-weighted variant, with weights n^-eps."""
-    return FamilyDescriptor("substantial(pow=%g)" % eps, _weighted_force(WeightFunction.power(eps)))
+    return FamilyDescriptor(WeightFunction.power(eps))
 
 
 def pi02_force(family: FamilyDescriptor, level: int, prefix: VertexSet, horizon: int) -> int | None:

@@ -28,11 +28,10 @@ _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 
 # Stream tags keep the auxiliary counter-based bit streams (Monte Carlo
-# trial graphs, mu_p sampling, sampled verification) disjoint from each
-# other and from the ambient edge PRF.
+# trial graphs, mu_p sampling) disjoint from each other and from the
+# ambient edge PRF.
 TAG_TRIAL_GRAPHS = 1 << 40
 TAG_MU_P = 2 << 40
-TAG_VERIFY = 3 << 40
 
 
 class VerificationError(RuntimeError):
@@ -110,7 +109,9 @@ class EdgeOracle:
 
     def edge_many(self, u: int, vs: np.ndarray) -> np.ndarray:
         """Vectorized ``edge(u, v)`` for every v in vs.  Positions where
-        v == u yield an unspecified bit; callers must mask them out."""
+        v == u yield an unspecified bit; callers must mask them out.  A
+        delegate to ``edge_pairs``, kept because the benchmark's tracer
+        wraps it by name; radolab itself calls ``edge_pairs``."""
         return self.edge_pairs(u, vs)
 
     def _edge_bits(self, key: np.ndarray, out: np.ndarray) -> None:

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from radolab import audit
 from radolab.audit import (
     ABSENT,
     BUDGET,
@@ -15,8 +16,8 @@ from radolab.audit import (
     weak_universality,
 )
 from radolab.constructions import construct_thick_edgeless
-from radolab.graphs import complete, cycle, empty_graph, path
-from radolab.oracle import EdgeOracle, induced_subgraph
+from radolab.graphs import complete, cycle, empty_graph, path, pattern_orbit_table, subset_code
+from radolab.oracle import EdgeOracle, VerificationError, adjacency_rows, induced_subgraph
 from radolab.sets import VertexSet
 
 
@@ -230,3 +231,21 @@ def test_greedy_window_beyond_64_vertices_matches_scalar_greedy(seed):
         if not any(o.edge(a, b) and o.edge(a, v) and o.edge(b, v) for a, b in combinations(want, 2)):
             want.append(v)
     assert max_gfree_subset(o, (1000, 1079), complete(3), "greedy").elements == tuple(want)
+
+
+def test_gfree_answer_is_reverified_on_every_subset(monkeypatch):
+    """A greedy answer of 23 indices with one planted K4 copy: a check of
+    2000 sampled 4-subsets misses it, the check of every 4-subset does not."""
+    o, k4 = EdgeOracle(1), complete(4)
+    rows = adjacency_rows(o, np.arange(1, 101))
+    chosen = audit._greedy_gfree(rows, 100, k4)
+    table = pattern_orbit_table(k4)
+
+    def copies_with(v):
+        return sum(table[subset_code(rows, sorted((*rest, v)))] for rest in combinations(chosen, 3))
+
+    planted = sorted(chosen + [next(v for v in range(100) if v not in chosen and copies_with(v) == 1)])
+    assert len(planted) > 20
+    monkeypatch.setattr(audit, "_greedy_gfree", lambda rows, n, pattern: planted)
+    with pytest.raises(VerificationError):
+        max_gfree_subset(o, (1, 100), k4, "greedy")

@@ -298,6 +298,20 @@ def test_zero_denominators_and_overflow_are_usage_errors():
         assert (code, out) == (1, "") and err
 
 
+def test_graph_orders_above_the_cap_are_usage_errors(tmp_path):
+    # building and checking E30000 alone takes minutes: the cap must act first
+    r = subprocess.run(
+        BASE + ["embed", "--seed", "1", "--target", "e:30000", "--host", "1-10"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (r.returncode, r.stdout) == (1, "") and "PATTERN_ORDER_CAP = 1024" in r.stderr
+    edges = tmp_path / "far.txt"
+    edges.write_text("0 1\n1 1024\n", encoding="ascii")
+    for target in ("k:1025", "c:1025", "p:1025", "e:1025", "file:%s" % edges):
+        code, out, err = run_main(["embed", "--target", target, "--host", "1-10"])
+        assert (code, out) == (1, "") and err == "error: graph order 1025 exceeds PATTERN_ORDER_CAP = 1024\n"
+
+
 # Bounded argv for every subcommand: valid flag values, then at most one
 # flag dropped or replaced by a malformed value.  Sizes stay small: prefix
 # bound <= 10^4 (<= 300 where a whole host becomes an adjacency matrix),
@@ -384,6 +398,7 @@ def argvs(draw):
 @given(argvs(), st.sampled_from([None, "7", "zz", "-1"]))
 @example(["edge", "-u", "1", "-v", "2"], "zz")
 @example(["mc-fn", "--pattern", "k:3", "--n-list", "5", "--n-param", "1", "--trials", "0"], None)
+@example(["embed", "--seed", "1", "--target", "e:30000", "--host", "1-10"], None)
 def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
     code, _, err = run_main(argv, rado_seed)
     assert code in range(5) and "Traceback" not in err

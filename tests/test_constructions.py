@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radolab.constructions import (
     ForcingFailed,
@@ -9,7 +13,7 @@ from radolab.constructions import (
     construct_thick_copy,
     construct_thick_edgeless,
 )
-from radolab.graphs import FiniteGraph, complete, empty_graph, rows_from_upper_bits
+from radolab.graphs import FiniteGraph, complete, empty_graph, petersen, rows_from_upper_bits
 from radolab.largeness import pi02_force, power_family, substantial_family, thickness, weighted_sum
 from radolab.mc import _trial_graph_bits
 from radolab.oracle import EdgeOracle
@@ -119,6 +123,51 @@ def test_random_six_vertex_target_twenty_seeds():
 def test_copy_requires_enough_target_vertices():
     with pytest.raises(ValueError):
         construct_thick_copy(EdgeOracle(1), complete(3), 3, 10**5)  # needs 6
+
+
+def test_empty_copy_gives_up_with_the_edgeless_probability():
+    o = EdgeOracle(1, Fraction(1, 3))
+    with pytest.raises(PrefixExhausted) as thick:
+        construct_thick_edgeless(o, 4, 3000)
+    with pytest.raises(PrefixExhausted) as copy:
+        construct_thick_copy(o, empty_graph(10), 4, 3000)
+    assert copy.value.block == thick.value.block == 4
+    # block 4 needs C(4,2) + 4·6 = 30 non-edges
+    assert copy.value.per_candidate_probability == thick.value.per_candidate_probability == (1 - 1 / 3) ** 30
+
+
+def test_mixed_target_gives_up_with_the_exact_probability():
+    o, target, p = EdgeOracle(1, Fraction(1, 3)), petersen(), 1 / 3
+    with pytest.raises(PrefixExhausted) as exc:
+        construct_thick_copy(o, target, 4, 3000)
+    j = exc.value.block
+    pairs = [(u, v) for v in range(j * (j - 1) // 2, j * (j + 1) // 2) for u in range(v)]
+    ones = sum(target.has_edge(u, v) for u, v in pairs)
+    assert 0 < ones < len(pairs)
+    assert exc.value.per_candidate_probability == pytest.approx(p**ones * (1 - p) ** (len(pairs) - ones), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]),
+    st.integers(1, 4),
+    st.integers(1, 5000),
+)
+def test_edgeless_is_the_thick_copy_of_the_empty_graph(seed, p, blocks, bound):
+    o = EdgeOracle(seed, p)
+
+    def outcome(construct, union_of):
+        try:
+            r = construct()
+        except PrefixExhausted as exc:
+            return exc.block, exc.per_candidate_probability, exc.union.elements
+        return r.intervals, union_of(r)
+
+    thick = outcome(lambda: construct_thick_edgeless(o, blocks, bound), lambda r: r.union.elements)
+    empty = empty_graph(blocks * (blocks + 1) // 2)
+    copy = outcome(lambda: construct_thick_copy(o, empty, blocks, bound), lambda r: r.embedding.images)
+    assert thick == copy
 
 
 # --- family member with finite components ---------------------------------------
