@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .embed import verify_embedding
 from .graphs import (
     FiniteGraph,
     canonical_form,
@@ -63,17 +64,13 @@ def contains_induced(
         raise ValueError("pattern order capped at %d" % CONTAINS_ORDER_CAP)
     if node_budget < 1:
         raise ValueError("node budget must be >= 1")
-    r = pattern.order
-    if r == 0:
+    if pattern.order == 0:
         return SearchResult(FOUND, VertexSet.empty(), 0)
     images, nodes = find_induced(_LazyRows(oracle, host.as_array), len(host), pattern, node_budget)
     if images is None:
         return SearchResult(BUDGET if nodes > node_budget else ABSENT, None, nodes)
-    mapped = host.as_array[images].tolist()
-    for i in range(r):
-        for j in range(i + 1, r):
-            if oracle.edge(mapped[i], mapped[j]) != pattern.has_edge(i, j):
-                raise VerificationError("witness failed re-verification")
+    mapped = tuple(host.as_array[images].tolist())
+    verify_embedding(oracle, pattern, mapped)
     return SearchResult(FOUND, VertexSet.from_iterable(mapped, host.prefix_bound), nodes)
 
 

@@ -200,10 +200,15 @@ def _header(args) -> dict:
     return {"seed": args.seed, "version": __version__, "config": cfg}
 
 
-def _fair_coin(args) -> None:
-    """The mc trial streams draw every edge at p = 1/2; refuse another p."""
+def _fair_coin(args, reason: str = "samples at probability 1/2 only") -> None:
+    """Refuse a --probability other than 1/2 where it would be ignored: the
+    mc trial streams draw every edge at p = 1/2, and the set commands
+    query no edge at all."""
     if args.probability != Fraction(1, 2):
-        raise ValueError("%s samples at probability 1/2 only, not %s" % (args.command, args.probability))
+        raise ValueError("%s %s, not %s" % (args.command, reason, args.probability))
+
+
+_NO_EDGES = "queries no edges, so --probability must be 1/2"
 
 
 def _oracle(args) -> EdgeOracle:
@@ -270,6 +275,7 @@ def cmd_dyadic_audit(args) -> tuple[dict, int]:
 
 
 def cmd_density(args) -> tuple[dict, int]:
+    _fair_coin(args, _NO_EDGES)
     host, dyadic = _host(args, args.host), args.checkpoints == "dyadic"
     points = dyadic_checkpoints(host.prefix_bound) if dyadic else [int(x) for x in args.checkpoints.split(",")]
     return density_profile(host, points).to_json(), EXIT_OK
@@ -286,16 +292,19 @@ def _power_eps(text: str, name: str, default: str) -> "float | None":
 
 
 def cmd_sum(args) -> tuple[dict, int]:
+    _fair_coin(args, _NO_EDGES)
     host, eps = _host(args, args.host), _power_eps(args.weight, "weight", "reciprocal")
     weight = WeightFunction.reciprocal() if eps is None else WeightFunction.power(eps)
     return {"sum": weighted_sum(host, weight)}, EXIT_OK
 
 
 def cmd_thick(args) -> tuple[dict, int]:
+    _fair_coin(args, _NO_EDGES)
     return {"interval": list(thickness(_host(args, args.host)))}, EXIT_OK
 
 
 def cmd_ap(args) -> tuple[dict, int]:
+    _fair_coin(args, _NO_EDGES)
     return {"ap": list(longest_ap(_host(args, args.host)))}, EXIT_OK
 
 
@@ -332,6 +341,7 @@ def cmd_mc_fn(args) -> tuple[dict, int]:
 
 
 def cmd_sample_mup(args) -> tuple[dict, int]:
+    _fair_coin(args, _NO_EDGES)
     vs = sample_mu_p(_fraction(args.p), _prefix_bound(args), args.seed)
     return {"count": len(vs), "elements": format_runs(vs)}, EXIT_OK
 

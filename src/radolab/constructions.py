@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embed import Embedding, StepRecord, verify_embedding
+from .embed import verify_embedding
 from .graphs import FiniteGraph, empty_graph
 from .largeness import FamilyDescriptor, pi02_force
 from .oracle import EdgeOracle, VerificationError
@@ -148,13 +148,13 @@ def construct_thick_edgeless(oracle: EdgeOracle, blocks: int, prefix_bound: int)
 @dataclass(frozen=True)
 class ThickCopyResult:
     intervals: tuple[tuple[int, int], ...]
-    embedding: Embedding
+    images: tuple[int, ...]
     verified: bool
 
     def to_json(self) -> dict:
         return {
             "intervals": [[s, l] for s, l in self.intervals],
-            "images": list(self.embedding.images),
+            "images": list(self.images),
             "verified": self.verified,
         }
 
@@ -171,10 +171,8 @@ def construct_thick_copy(
     if blocks > 0 and target.order < needed:
         raise ValueError("target must supply at least %d vertices" % needed)
     intervals, images = _place_blocks(oracle, target.rows.__getitem__, blocks, prefix_bound)
-    prefix = target.induced(list(range(needed)))
-    verify_embedding(oracle, prefix, tuple(images))
-    steps = tuple(StepRecord(i + 1, "", v, 0) for i, v in enumerate(images))
-    return ThickCopyResult(tuple(intervals), Embedding(prefix, tuple(images), steps, True), True)
+    verify_embedding(oracle, target.induced(list(range(needed))), tuple(images))
+    return ThickCopyResult(tuple(intervals), tuple(images), True)
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,7 @@ def required_type(target: FiniteGraph, placed: tuple[int, ...], next_index: int)
         raise ValueError("next_index must be one past the placed vertices")
     if next_index > target.order:
         raise ValueError("target has no vertex %d" % next_index)
-    mask = 0
-    for i in range(len(placed)):
-        if target.has_edge(next_index - 1, i):
-            mask |= 1 << i
-    return TypeSpec(placed, mask)
+    return TypeSpec(placed, target.rows[next_index - 1] & ((1 << len(placed)) - 1))
 
 
 def verify_embedding(oracle: EdgeOracle, target: FiniteGraph, images: tuple[int, ...]) -> None:
@@ -98,17 +94,6 @@ def verify_embedding(oracle: EdgeOracle, target: FiniteGraph, images: tuple[int,
                 )
 
 
-class _Step:
-    """Mutable search state for one placement step."""
-
-    __slots__ = ("ranked", "next_rank", "required")
-
-    def __init__(self, ranked: list[tuple[int, int]], required: TypeSpec):
-        self.ranked = ranked  # (vertex, score), best first
-        self.next_rank = 0
-        self.required = required
-
-
 def embed_target(
     oracle: EdgeOracle,
     target: FiniteGraph,
@@ -119,89 +104,69 @@ def embed_target(
 
     Deterministic: among required-type candidates the first candidate_cap
     (ascending) are scored, the maximum score wins, and ties go to the
-    smallest vertex.  With fail_fast off, a dead end retries the next-best
-    candidate one step up, at most candidate_cap times.
+    smallest vertex.  A candidate is scored on the available vertices other
+    than itself, or on the first score_horizon of them.  With fail_fast off,
+    a dead end retries the next-best candidate one step up, at most
+    candidate_cap times.
     """
     if target.order > 0 and len(host) == 0:
         raise ValueError("host must be nonempty for a positive-order target")
     pool = host.as_array
-    npool = len(pool)
-    alive = np.ones(npool, dtype=bool)
+    alive = np.ones(len(pool), dtype=bool)
     # bits[:, i] = adjacency of every host vertex to the i-th placed image
-    bits = np.zeros((npool, target.order), dtype=bool)
+    bits = np.zeros((len(pool), target.order), dtype=bool)
     placed: list[int] = []
-    steps: list[_Step] = []
     records: list[StepRecord] = []
 
-    def rank_candidates(step_index: int) -> tuple[TypeSpec, list[tuple[int, int]]]:
-        req = required_type(target, tuple(placed), step_index)
+    def rank_candidates(req: TypeSpec) -> list[tuple[int, int]]:
+        """(vertex, score) of the capped candidates of type req, best first."""
         n_placed = len(placed)
-        cand_mask = alive.copy()
-        for i in range(n_placed):
-            want = bool(req.mask >> i & 1)
-            cand_mask &= bits[:, i] == want
-        cands = pool[cand_mask][: cfg.candidate_cap]
-        if len(cands) == 0:
-            return req, []
-        n = n_placed + 1
-        scoring_pool_mask = alive
-        scoring_pool = pool[scoring_pool_mask]
+        want = np.frombuffer(req.bits.encode(), dtype=np.uint8) == ord("1")
+        cands = pool[alive & (bits[:, :n_placed] == want).all(axis=1)][: cfg.candidate_cap]
+        # one vertex beyond the horizon stands in for a candidate outside it
+        scoring_pool = pool[alive]
         if cfg.score_horizon is not None:
-            scoring_pool = scoring_pool[: cfg.score_horizon]
-        if (1 << n) > len(scoring_pool):
+            scoring_pool = scoring_pool[: cfg.score_horizon + 1]
+        n = n_placed + 1
+        if (1 << n) >= len(scoring_pool):
             # pigeonhole: every candidate starves some class within the pool
-            return req, [(int(c), 0) for c in cands]
-        base_keys = np.zeros(len(scoring_pool), dtype=np.int64)
-        for i in range(n_placed):
-            col = bits[scoring_pool_mask, i]
-            if cfg.score_horizon is not None:
-                col = col[: cfg.score_horizon]
-            base_keys |= col.astype(np.int64) << i
-        # one grid call covers every (candidate, pool vertex) pair
-        ext_bits = oracle.edge_grid(cands, scoring_pool)
-        scored: list[tuple[int, int]] = []
-        for ci, c in enumerate(cands):
-            not_self = scoring_pool != c
-            ext = base_keys[not_self] | (ext_bits[ci, not_self].astype(np.int64) << n_placed)
-            score = int(np.bincount(ext, minlength=1 << n).min())
-            scored.append((int(c), score))
-        scored.sort(key=lambda vs: (-vs[1], vs[0]))
-        return req, scored
+            return [(int(c), 0) for c in cands]
+        base_keys = bits[alive, :n_placed][: len(scoring_pool)] @ (1 << np.arange(n_placed))
+        # row r of keys: the type keys over placed + [cands[r]], offset by r << n
+        rows = np.arange(len(cands))
+        keys = oracle.edge_grid(cands, scoring_pool).astype(np.int64)
+        keys <<= n_placed
+        keys |= base_keys
+        keys |= (rows << n)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=len(cands) << n)
+        at = np.minimum(np.searchsorted(scoring_pool, cands), len(scoring_pool) - 1)
+        counts[keys[rows, at]] -= 1
+        scores = counts.reshape(len(cands), 1 << n).min(axis=1)
+        order = np.argsort(-scores, kind="stable")
+        return list(zip(cands[order].tolist(), scores[order].tolist()))
 
-    def place(vertex: int) -> None:
-        i = len(placed)
+    def place(vertex: int, score: int, req: TypeSpec) -> None:
+        bits[:, len(placed)] = oracle.edge_grid([vertex], pool)[0]
         placed.append(vertex)
         alive[np.searchsorted(pool, vertex)] = False
-        bits[:, i] = oracle.edge_grid([vertex], pool)[0]
+        records.append(StepRecord(len(placed), req.bits, vertex, score))
 
-    def unplace() -> None:
-        vertex = placed.pop()
-        alive[np.searchsorted(pool, vertex)] = True
-        records.pop()
-
+    # the last placed step's untried candidates and its required type
+    alternatives, last_req = iter(()), None
     while len(placed) < target.order:
-        step_index = len(placed) + 1
-        req, ranked = rank_candidates(step_index)
+        req = required_type(target, tuple(placed), len(placed) + 1)
+        ranked = rank_candidates(req)
         if ranked:
-            steps.append(_Step(ranked, req))
-            v, score = ranked[0]
-            steps[-1].next_rank = 1
-            place(v)
-            records.append(StepRecord(step_index, req.bits, v, score))
+            alternatives, last_req = iter(ranked[1:]), req
+            place(*ranked[0], req)
             continue
-        # dead end at step_index
-        dead = DeadEnd(step_index, req, int(alive.sum()))
-        if cfg.fail_fast or len(steps) == 0:
-            raise dead
-        # depth-1 backtrack: advance the previous step to its next candidate
-        prev = steps[-1]
-        if prev.next_rank >= min(len(prev.ranked), cfg.candidate_cap):
-            raise dead
-        unplace()
-        v, score = prev.ranked[prev.next_rank]
-        prev.next_rank += 1
-        place(v)
-        records.append(StepRecord(len(placed), prev.required.bits, v, score))
+        retry = None if cfg.fail_fast else next(alternatives, None)
+        if retry is None:
+            raise DeadEnd(len(placed) + 1, req, int(alive.sum()))
+        # depth-1 backtrack: replace the previous image by its next-best candidate
+        alive[np.searchsorted(pool, placed.pop())] = True
+        records.pop()
+        place(*retry, last_req)
 
     images = tuple(placed)
     verify_embedding(oracle, target, images)

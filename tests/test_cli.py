@@ -228,7 +228,7 @@ def test_failed_reverification_exits_four(monkeypatch, capsys):
     monkeypatch.setattr(EdgeOracle, "edge", lambda self, u, v: not edge(self, u, v))
     assert main(["contains", "--seed", "1", "--host", "1-64", "--pattern", "k:3"]) == 4
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: witness failed re-verification\n"
+    assert out.out == "" and out.err == "error: embedding verification failed on pair (1, 2)\n"
 
 
 def test_malformed_window_is_a_usage_error():
@@ -266,6 +266,23 @@ def run_main(argv, rado_seed=None):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_set_commands_refuse_other_probabilities():
+    """density, sum, thick, ap and sample-mup query no edges, so a
+    --probability they would ignore is a usage error."""
+    for argv in (
+        ["density", "--host", "1-10"],
+        ["sum", "--host", "1-10"],
+        ["thick", "--host", "1-10"],
+        ["ap", "--host", "1-10"],
+        ["sample-mup", "--p", "1/2", "--prefix-bound", "100"],
+    ):
+        assert run_main([*argv, "--seed", "7", "--probability", "1/3"]) == (
+            1, "", "error: %s queries no edges, so --probability must be 1/2, not 1/3\n" % argv[0]
+        )
+        for p in ("1/2", "0.5"):
+            assert run_main([*argv, "--seed", "7", "--probability", p])[0] == 0
 
 
 def test_bad_rado_seed_is_a_usage_error():

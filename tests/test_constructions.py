@@ -96,7 +96,7 @@ def test_empty_target_reduces_to_edgeless():
 def test_triangle_across_two_blocks():
     o = EdgeOracle(1)
     r = construct_thick_copy(o, complete(3), 2, 10**5)
-    im = r.embedding.images
+    im = r.images
     assert len(im) == 3
     assert o.edge(im[0], im[1]) and o.edge(im[0], im[2]) and o.edge(im[1], im[2])
     assert r.intervals[0][1] == 1 and r.intervals[1][1] == 2
@@ -113,7 +113,7 @@ def test_random_six_vertex_target_twenty_seeds():
         except PrefixExhausted:
             continue
         ok += 1
-        im = r.embedding.images
+        im = r.images
         for i in range(6):
             for j in range(i + 1, 6):
                 assert o.edge(im[i], im[j]) == target.has_edge(i, j)
@@ -166,7 +166,7 @@ def test_edgeless_is_the_thick_copy_of_the_empty_graph(seed, p, blocks, bound):
 
     thick = outcome(lambda: construct_thick_edgeless(o, blocks, bound), lambda r: r.union.elements)
     empty = empty_graph(blocks * (blocks + 1) // 2)
-    copy = outcome(lambda: construct_thick_copy(o, empty, blocks, bound), lambda r: r.embedding.images)
+    copy = outcome(lambda: construct_thick_copy(o, empty, blocks, bound), lambda r: r.images)
     assert thick == copy
 
 

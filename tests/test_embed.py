@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radolab.embed import DeadEnd, EmbedConfig, embed_target, required_type, verify_embedding
 from radolab.graphs import complete, cycle, empty_graph, path, petersen
@@ -182,3 +185,28 @@ def test_step_records_expose_config_trace():
     assert emb.steps[1].required_type in ("0", "1")
     js = emb.to_json()
     assert js["verified"] and len(js["steps"]) == 3
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(1, 2**32),
+    host_seed=st.integers(0, 2**32),
+    host_size=st.integers(40, 300),
+    target=st.sampled_from([empty_graph(3), complete(3), path(4), cycle(4)]),
+    cap=st.sampled_from([1, 5, 64]),
+    horizon=st.sampled_from([None, 4, 8, 16, 17, 33]),
+    fail_fast=st.booleans(),
+)
+def test_step_scores_match_reference(seed, host_seed, host_size, target, cap, horizon, fail_fast):
+    """Every recorded score is the reference score of the chosen vertex over
+    the images placed before it, with or without a score horizon."""
+    o = EdgeOracle(seed)
+    drawn = np.random.default_rng(host_seed).choice(np.arange(1, 4 * host_size + 1), host_size, replace=False)
+    host = VertexSet.from_iterable(drawn.tolist())
+    try:
+        emb = embed_target(o, target, host, EmbedConfig(candidate_cap=cap, score_horizon=horizon, fail_fast=fail_fast))
+    except DeadEnd:
+        return
+    for k, step in enumerate(emb.steps):
+        assert step.chosen == emb.images[k]
+        assert step.score == score_candidate(o, host, emb.images[:k], step.chosen, horizon)

@@ -66,6 +66,7 @@ EXTRA = [
     "construct-thick --seed 1 --blocks 4 --probability 1/3 --prefix-bound 3000",
     "construct-thick-copy --seed 2 --target petersen --blocks 3 --probability 1/3 --prefix-bound 100000",
     "construct-thick-copy --seed 1 --target e:10 --blocks 4 --probability 1/3 --prefix-bound 3000",
+    "embed --seed 9 --target e:1 --host 1-256 --score-horizon 16 --candidate-cap 40",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
