@@ -45,6 +45,7 @@ EXTRA = [
     "contains --seed 1 --host 1-10 --pattern k:5",
     "contains --seed 1 --host 1-64 --pattern k:5 --budget 3",
     "audit-weak --seed 1 --host 1-512 --kmax 5",
+    "audit-weak --seed 1 --host 1-512 --kmax 6",
     "mc-gfree --seed 1 --pattern k:3 --n 8 --trials 2000",
     "mc-fn --seed 1 --pattern k:3 --n-list 8,12,20 --n-param 1 --trials 50",
     "gfree-max --seed 1 --window 1-60 --pattern c:4 --mode greedy",

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -202,6 +203,19 @@ def test_enumerate_counts_match_brute_force(k, expected):
 def test_enumerate_six_and_seven_match_published_counts():
     assert len(enumerate_unlabeled(6)) == 156
     assert len(enumerate_unlabeled(7)) == 1044
+
+
+CATALOG_SHA256 = {
+    6: "6e46fe89dc7b1d0f2c8559df37049a7d5118f02fe3e2cb0dd58d32659c05e7d0",
+    7: "1740fe57bf883d4ceba3e923227857c0ad97b48b76d84d7d83c91fb0fb1fc462",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CATALOG_SHA256))
+def test_catalog_digest_is_frozen(k):
+    """Representatives, their order and their forms, byte for byte."""
+    text = "\n".join(graph6_encode(g) + " " + canonical_form(g) for g in enumerate_unlabeled(k))
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[k]
 
 
 def test_enumerate_classes_are_distinct_and_canonical():
