@@ -188,11 +188,13 @@ def _exact_gfree(rows: list[int], n: int, pattern: FiniteGraph, stop_at: int | N
     return [v for v in range(n) if state_best[1] >> v & 1]
 
 
-def _verify_gfree(rows: list[int], chosen: list[int], pattern: FiniteGraph) -> None:
-    """Re-verify pattern-freeness on every r-subset of the answer.  The
-    solvers have already examined at least that many subsets."""
+def _verify_gfree(oracle: EdgeOracle, chosen: list[int], pattern: FiniteGraph) -> None:
+    """Re-verify pattern-freeness on every r-subset of the answer, on rows
+    rebuilt from scalar edge queries.  The solvers have already examined at
+    least that many subsets."""
+    rows = [sum(oracle.edge(u, v) << q for q, v in enumerate(chosen) if v != u) for u in chosen]
     table = pattern_orbit_table(pattern)
-    if any(table[subset_code(rows, sub)] for sub in combinations(chosen, pattern.order)):
+    if any(table[subset_code(rows, sub)] for sub in combinations(range(len(chosen)), pattern.order)):
         raise VerificationError("pattern-free verification failed")
 
 
@@ -215,7 +217,7 @@ def max_gfree_subset(
     vertices = np.arange(lo, hi + 1, dtype=np.int64)
     rows = adjacency_rows(oracle, vertices)
     chosen = _exact_gfree(rows, n, pattern) if mode == "exact" else _greedy_gfree(rows, n, pattern)
-    _verify_gfree(rows, chosen, pattern)
+    _verify_gfree(oracle, vertices[chosen].tolist(), pattern)
     return VertexSet(vertices[chosen], hi)
 
 

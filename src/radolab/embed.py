@@ -114,7 +114,7 @@ def embed_target(
     pool = host.as_array
     alive = np.ones(len(pool), dtype=bool)
     # bits[:, i] = adjacency of every host vertex to the i-th placed image
-    bits = np.zeros((len(pool), target.order), dtype=bool)
+    bits = np.zeros((len(pool), 0), dtype=bool)
     placed: list[int] = []
     records: list[StepRecord] = []
 
@@ -122,7 +122,7 @@ def embed_target(
         """(vertex, score) of the capped candidates of type req, best first."""
         n_placed = len(placed)
         want = np.frombuffer(req.bits.encode(), dtype=np.uint8) == ord("1")
-        cands = pool[alive & (bits[:, :n_placed] == want).all(axis=1)][: cfg.candidate_cap]
+        cands = pool[alive & (bits == want).all(axis=1)][: cfg.candidate_cap]
         # one vertex beyond the horizon stands in for a candidate outside it
         scoring_pool = pool[alive]
         if cfg.score_horizon is not None:
@@ -131,7 +131,7 @@ def embed_target(
         if (1 << n) >= len(scoring_pool):
             # pigeonhole: every candidate starves some class within the pool
             return [(int(c), 0) for c in cands]
-        base_keys = bits[alive, :n_placed][: len(scoring_pool)] @ (1 << np.arange(n_placed))
+        base_keys = bits[alive][: len(scoring_pool)] @ (1 << np.arange(n_placed))
         # row r of keys: the type keys over placed + [cands[r]], offset by r << n
         rows = np.arange(len(cands))
         keys = oracle.edge_grid(cands, scoring_pool).astype(np.int64)
@@ -146,7 +146,8 @@ def embed_target(
         return list(zip(cands[order].tolist(), scores[order].tolist()))
 
     def place(vertex: int, score: int, req: TypeSpec) -> None:
-        bits[:, len(placed)] = oracle.edge_grid([vertex], pool)[0]
+        nonlocal bits
+        bits = np.column_stack((bits, oracle.edge_grid([vertex], pool)[0]))
         placed.append(vertex)
         alive[np.searchsorted(pool, vertex)] = False
         records.append(StepRecord(len(placed), req.bits, vertex, score))
@@ -166,6 +167,7 @@ def embed_target(
         # depth-1 backtrack: replace the previous image by its next-best candidate
         alive[np.searchsorted(pool, placed.pop())] = True
         records.pop()
+        bits = bits[:, :-1]
         place(*retry, last_req)
 
     images = tuple(placed)

@@ -8,6 +8,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class FiniteGraph:
@@ -107,6 +109,11 @@ def rows_from_upper_bits(bits: Sequence[int], n: int) -> list[int]:
     return rows
 
 
+def _upper_bits(g: FiniteGraph) -> list[int]:
+    """The column-major upper-triangle bits of g, the first pair first."""
+    return [g.rows[j] >> i & 1 for j in range(1, g.order) for i in range(j)]
+
+
 def upper_mask(g: FiniteGraph) -> int:
     """The upper triangle packed into an integer, column-major bit order."""
     return subset_code(g.rows, range(g.order))
@@ -115,11 +122,6 @@ def upper_mask(g: FiniteGraph) -> int:
 def from_upper_mask(n: int, mask: int) -> FiniteGraph:
     bits = [mask >> p & 1 for p in range(n * (n - 1) // 2)]
     return FiniteGraph(n, tuple(rows_from_upper_bits(bits, n)))
-
-
-def relabel(g: FiniteGraph, order: Sequence[int]) -> FiniteGraph:
-    """The graph with new vertex p = old vertex order[p]."""
-    return g.induced(list(order))
 
 
 # --- named graphs -----------------------------------------------------------
@@ -171,19 +173,9 @@ def graph6_encode(g: FiniteGraph) -> str:
         head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
     else:
         raise ValueError("graph6 encoding supported up to 258047 vertices")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for p in range(0, len(bits), 6):
-        v = 0
-        for b in bits[p : p + 6]:
-            v = v << 1 | b
-        body.append(chr(63 + v))
-    return head + "".join(body)
+    bits = "".join(map(str, _upper_bits(g)))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(63 + int(bits[p : p + 6], 2)) for p in range(0, len(bits), 6))
 
 
 def graph6_decode(text: str) -> FiniteGraph:
@@ -232,93 +224,71 @@ def graph6_decode(text: str) -> FiniteGraph:
 CANONICAL_MAX_ORDER = 8
 
 
-def _canonical_order(g: FiniteGraph) -> tuple[list[int], list[int]]:
-    """Lexicographically minimal column-major upper-triangle bits, with the
-    vertex ordering that attains it.  DFS over orderings; a branch is cut as
-    soon as its forced prefix exceeds the best known."""
-    n = g.order
-    rows = g.rows
-    best: list[int] | None = None
-    best_order: list[int] | None = None
-    order: list[int] = []
-    used = [False] * n
-    acc: list[int] = []
+@lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every relabelling of the n-vertex upper triangle, as (source, weights).
 
-    def dfs():
-        nonlocal best, best_order
-        depth = len(order)
-        if depth == n:
-            if best is None or acc < best:
-                best = acc.copy()
-                best_order = order.copy()
-            return
-        start = len(acc)
-        options = []
-        for u in range(n):
-            if not used[u]:
-                options.append(([(rows[v] >> u) & 1 for v in order], u))
-        options.sort()
-        # pruning against best is only sound while the accumulated prefix
-        # ties with best; a strictly smaller prefix beats best regardless
-        # of later segments
-        tied = best is not None and acc == best[:start]
-        for seg, u in options:
-            if tied and seg > best[start : start + depth]:
-                break
-            used[u] = True
-            order.append(u)
-            acc.extend(seg)
-            dfs()
-            del acc[start:]
-            order.pop()
-            used[u] = False
-            tied = best is not None and acc == best[:start]
+    ``source[t, p]`` is the original pair that pair p of relabelling t
+    reads (pairs column-major): relabelling t puts old vertex perm[q] at q
+    for the t-th permutation perm.  ``bits @ weights`` is the code of every
+    relabelling of the bit rows ``bits`` at once, the first pair as the most
+    significant bit, so the least code is the lexicographically least
+    bitstring.  Codes stay below 2^28 for n <= 8: float64 is exact.
+    """
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    j, i = np.tril_indices(n, -1)
+    lo, hi = np.minimum(perms[:, i], perms[:, j]), np.maximum(perms[:, i], perms[:, j])
+    source = hi * (hi - 1) // 2 + lo
+    weights = np.zeros(source.shape)
+    np.put_along_axis(weights, source, 2.0 ** np.arange(len(i))[::-1], axis=1)
+    source.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return source, weights.T
 
-    dfs()
-    assert best is not None and best_order is not None
-    return best, best_order
+
+def _least_relabelings(bits: np.ndarray, n: int) -> np.ndarray:
+    """The least relabelling of each row of upper-triangle bits."""
+    source, weights = _relabelings(n)
+    return np.take_along_axis(bits, source[np.argmin(bits @ weights, axis=1)], axis=1)
+
+
+def _canonical_bits(g: FiniteGraph) -> list[int]:
+    """The least upper-triangle bits over all relabellings of g."""
+    if g.order > CANONICAL_MAX_ORDER:
+        raise ValueError("canonicalization bound exceeded (order %d > %d)" % (g.order, CANONICAL_MAX_ORDER))
+    return _least_relabelings(np.array([_upper_bits(g)], dtype=np.uint8), g.order)[0].tolist()
 
 
 def canonical_form(g: FiniteGraph) -> str:
     """Order-prefixed minimal upper-triangle bitstring; two graphs are
     isomorphic iff their canonical forms are equal."""
-    if g.order > CANONICAL_MAX_ORDER:
-        raise ValueError("canonicalization bound exceeded (order %d > %d)" % (g.order, CANONICAL_MAX_ORDER))
-    if g.order == 0:
-        return "0:"
-    bits, _ = _canonical_order(g)
-    return "%d:%s" % (g.order, "".join(map(str, bits)))
+    return "%d:%s" % (g.order, "".join(map(str, _canonical_bits(g))))
 
 
 def canonical_representative(g: FiniteGraph) -> FiniteGraph:
-    """An isomorphic copy relabeled into its canonical ordering."""
-    if g.order == 0:
-        return g
-    _, order = _canonical_order(g)
-    return relabel(g, order)
+    """The isomorphic copy whose upper triangle spells the canonical form."""
+    return FiniteGraph(g.order, tuple(rows_from_upper_bits(_canonical_bits(g), g.order)))
 
 
 @lru_cache(maxsize=None)
 def enumerate_unlabeled(k: int) -> tuple[FiniteGraph, ...]:
-    """One canonical representative per isomorphism class on k vertices.
+    """One canonical representative per isomorphism class on k vertices,
+    in the order of their canonical forms.
 
-    Built by extending the (k-1)-catalog with every possible neighborhood
-    of a fresh vertex, deduplicating through canonical_form.
+    Each (k-1)-class is extended by every neighborhood of a fresh vertex,
+    whose pairs are the last k - 1 columns; the batch is canonicalised at
+    once and the distinct rows kept.
     """
     if not 1 <= k <= 7:
         raise ValueError("unlabeled enumeration supported for 1 <= k <= 7")
     if k == 1:
         return (FiniteGraph(1, (0,)),)
-    seen: dict[str, FiniteGraph] = {}
+    fresh = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1) & 1).astype(np.uint8)
+    batches = []
     for g in enumerate_unlabeled(k - 1):
-        for nb in range(1 << (k - 1)):
-            rows = [r | ((nb >> i & 1) << (k - 1)) for i, r in enumerate(g.rows)]
-            rows.append(nb)
-            h = FiniteGraph(k, tuple(rows))
-            form = canonical_form(h)
-            if form not in seen:
-                seen[form] = canonical_representative(h)
-    return tuple(seen[f] for f in sorted(seen))
+        old = np.array([_upper_bits(g)] * len(fresh), dtype=np.uint8)
+        batches.append(_least_relabelings(np.hstack([old, fresh]), k))
+    forms = np.unique(np.concatenate(batches), axis=0)
+    return tuple(FiniteGraph(k, tuple(rows_from_upper_bits(bits, k))) for bits in forms.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -330,8 +300,12 @@ def pattern_orbit_table(pattern: FiniteGraph) -> tuple[bool, ...]:
     r = pattern.order
     if r > 7:
         raise ValueError("orbit table supported up to order 7")
-    codes = {subset_code(pattern.rows, perm) for perm in permutations(range(r))}
-    return tuple(code in codes for code in range(1 << (r * (r - 1) // 2)))
+    source, _ = _relabelings(r)
+    # the subset_code of every relabelling: the first pair is the least significant bit
+    codes = np.array(_upper_bits(pattern), dtype=np.int64)[source] @ (1 << np.arange(source.shape[1]))
+    table = np.zeros(1 << source.shape[1], dtype=bool)
+    table[codes] = True
+    return tuple(table.tolist())
 
 
 def find_induced(

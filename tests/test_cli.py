@@ -231,6 +231,15 @@ def test_failed_reverification_exits_four(monkeypatch, capsys):
     assert out.out == "" and out.err == "error: embedding verification failed on pair (1, 2)\n"
 
 
+def test_pattern_free_answer_is_verified_from_scalar_edges(monkeypatch, capsys):
+    # the solver works on edge_grid rows; only the scalar re-verification sees the flip
+    edge = EdgeOracle.edge
+    monkeypatch.setattr(EdgeOracle, "edge", lambda self, u, v: not edge(self, u, v))
+    assert main(["gfree-max", "--seed", "1", "--window", "1-16", "--pattern", "k:2"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: pattern-free verification failed\n"
+
+
 def test_malformed_window_is_a_usage_error():
     for window in ("5", "1-", "a-b", "1-2-3"):
         out = run("gfree-max", "--window", window, "--pattern", "k:3")

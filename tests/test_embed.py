@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ def test_empty_target():
 def test_empty_host_rejected():
     with pytest.raises(ValueError):
         embed_target(EdgeOracle(1), complete(2), VertexSet.empty())
+
+
+def test_type_bits_grow_with_the_placed_images():
+    """Memory follows the images placed, not the target's order: a
+    1000-vertex target dead-ends after 16 images on a 10^5-vertex host."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeadEnd) as info:
+            embed_target(EdgeOracle(1), empty_graph(1000), VertexSet.interval(1, 100000), EmbedConfig(candidate_cap=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.step == 17
+    assert peak < 40 * 2**20
 
 
 def test_config_validation():

@@ -2,7 +2,7 @@ import hashlib
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from radolab.graphs import (
@@ -21,7 +21,7 @@ from radolab.graphs import (
     path,
     pattern_orbit_table,
     petersen,
-    relabel,
+    subset_code,
     upper_mask,
 )
 
@@ -134,7 +134,7 @@ def test_graph6_large_order_header():
 def test_canonical_complete_is_relabel_invariant():
     k3 = complete(3)
     for perm in permutations(range(3)):
-        assert canonical_form(relabel(k3, perm)) == canonical_form(k3)
+        assert canonical_form(k3.induced(list(perm))) == canonical_form(k3)
 
 
 def test_canonical_distinguishes_path_from_triangle():
@@ -145,7 +145,7 @@ def test_canonical_distinguishes_path_from_triangle():
 def test_canonical_invariant_under_relabeling(g, rnd):
     perm = list(range(g.order))
     rnd.shuffle(perm)
-    assert canonical_form(relabel(g, perm)) == canonical_form(g)
+    assert canonical_form(g.induced(list(perm))) == canonical_form(g)
 
 
 def test_canonical_representative_attains_form():
@@ -162,6 +162,37 @@ def test_canonical_soundness_all_pairs_up_to_order_5():
         for b in range(a, len(graphs)):
             g, h = graphs[a], graphs[b]
             assert (canonical_form(g) == canonical_form(h)) == brute_isomorphic(g, h)
+
+
+def upper_string(g: FiniteGraph, perm) -> str:
+    """Upper-triangle string of g relabelled so that new vertex q is perm[q]."""
+    return "".join(str(int(g.has_edge(perm[i], perm[j]))) for j in range(1, g.order) for i in range(j))
+
+
+def check_against_reference(g: FiniteGraph) -> None:
+    """Canonical form, representative and orbit table against a scan of
+    every permutation."""
+    form = "%d:%s" % (g.order, min(upper_string(g, p) for p in permutations(range(g.order))))
+    assert canonical_form(g) == form
+    rep = canonical_representative(g)
+    assert "%d:%s" % (rep.order, upper_string(rep, range(rep.order))) == form
+    if g.order <= 5:
+        codes = {subset_code(g.rows, p) for p in permutations(range(g.order))}
+        assert pattern_orbit_table(g) == tuple(c in codes for c in range(1 << (g.order * (g.order - 1) // 2)))
+
+
+@given(st.integers(0, 7).flatmap(graphs_of_order))
+@example(empty_graph(0))
+@example(empty_graph(1))
+def test_relabelling_table_matches_permutation_scan(g):
+    check_against_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g", [petersen().induced(range(8)), path(8), from_upper_mask(8, 0x9E3779B)], ids=["petersen-8", "path-8", "mask-8"]
+)
+def test_relabelling_table_matches_permutation_scan_at_order_8(g):
+    check_against_reference(g)
 
 
 def test_canonical_order_bound():
