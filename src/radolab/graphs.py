@@ -236,7 +236,7 @@ def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
     bitstring.  Codes stay below 2^28 for n <= 8: float64 is exact.
     """
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
-    j, i = np.tril_indices(n, -1)
+    j, i = np.tril_indices(n, -1)  # the pairs i < j, column-major
     lo, hi = np.minimum(perms[:, i], perms[:, j]), np.maximum(perms[:, i], perms[:, j])
     source = hi * (hi - 1) // 2 + lo
     weights = np.zeros(source.shape)
