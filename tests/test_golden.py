@@ -68,6 +68,8 @@ EXTRA = [
     "construct-thick-copy --seed 2 --target petersen --blocks 3 --probability 1/3 --prefix-bound 100000",
     "construct-thick-copy --seed 1 --target e:10 --blocks 4 --probability 1/3 --prefix-bound 3000",
     "embed --seed 9 --target e:1 --host 1-256 --score-horizon 16 --candidate-cap 40",
+    "construct-pi02 --seed 1 --family power:0.5 --levels 2 --prefix-bound 100000",
+    "sum --seed 7 --host mup:1/2 --prefix-bound 100000 --weight power:0.5",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
