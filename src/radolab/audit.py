@@ -28,6 +28,8 @@ from .sets import VertexSet
 
 DEFAULT_NODE_BUDGET = 10**6
 EXACT_WINDOW_CAP = 40
+# Longer pattern-free windows are refused before any adjacency row is built.
+GFREE_WINDOW_CAP = 1 << 14
 CONTAINS_ORDER_CAP = 10
 
 FOUND = "found"
@@ -44,7 +46,7 @@ class SearchResult:
     def to_json(self) -> dict:
         return {
             "status": self.status,
-            "witness": self.witness.as_array.tolist() if self.witness else None,
+            "witness": self.witness.as_array.tolist() if self.witness is not None else None,
             "nodes": self.nodes,
         }
 
@@ -212,6 +214,10 @@ def max_gfree_subset(
     n = hi - lo + 1
     if mode not in ("exact", "greedy"):
         raise ValueError("mode must be exact or greedy")
+    if pattern.order == 0:
+        raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
+    if n > GFREE_WINDOW_CAP:
+        raise ValueError("window length %d exceeds GFREE_WINDOW_CAP = %d" % (n, GFREE_WINDOW_CAP))
     if mode == "exact" and n > EXACT_WINDOW_CAP:
         raise ValueError("exact mode capped at window length %d" % EXACT_WINDOW_CAP)
     vertices = np.arange(lo, hi + 1, dtype=np.int64)
@@ -242,6 +248,9 @@ def dyadic_audit(
     get the greedy lower bound, which can certify a violation but never
     absence of one.
     """
+    top = max(k_range[0], k_range[-1]) if k_range else 0
+    if top >= GFREE_WINDOW_CAP.bit_length():  # 2^top > GFREE_WINDOW_CAP
+        raise ValueError("window length 2^%d exceeds GFREE_WINDOW_CAP = %d" % (top, GFREE_WINDOW_CAP))
     rows_out = []
     for k in k_range:
         lo, hi = 2**k, 2 ** (k + 1) - 1

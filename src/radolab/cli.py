@@ -57,8 +57,6 @@ from .largeness import (
     density_profile,
     dyadic_checkpoints,
     longest_ap,
-    power_family,
-    substantial_family,
     thickness,
     weighted_sum,
 )
@@ -281,21 +279,20 @@ def cmd_density(args) -> tuple[dict, int]:
     return density_profile(host, points).to_json(), EXIT_OK
 
 
-def _power_eps(text: str, name: str, default: str) -> "float | None":
-    """None for the default name, else EPS of 'power:EPS'."""
+def _weight(text: str, name: str, default: str) -> WeightFunction:
+    """The reciprocal weights for the default name, else those of 'power:EPS'."""
     if text == default:
-        return None
+        return WeightFunction()
     m = re.fullmatch(r"power:([0-9.]+)", text)
     if not m:
         raise ValueError("%s must be '%s' or 'power:EPS'" % (name, default))
-    return float(m.group(1))
+    return WeightFunction(float(m.group(1)))
 
 
 def cmd_sum(args) -> tuple[dict, int]:
     _fair_coin(args, _NO_EDGES)
-    host, eps = _host(args, args.host), _power_eps(args.weight, "weight", "reciprocal")
-    weight = WeightFunction.reciprocal() if eps is None else WeightFunction.power(eps)
-    return {"sum": weighted_sum(host, weight)}, EXIT_OK
+    host = _host(args, args.host)
+    return {"sum": weighted_sum(host, _weight(args.weight, "weight", "reciprocal"))}, EXIT_OK
 
 
 def cmd_thick(args) -> tuple[dict, int]:
@@ -318,8 +315,7 @@ def cmd_construct_thick_copy(args) -> tuple[dict, int]:
 
 
 def cmd_construct_pi02(args) -> tuple[dict, int]:
-    eps = _power_eps(args.family, "family", "substantial")
-    family = substantial_family() if eps is None else power_family(eps)
+    family = _weight(args.family, "family", "substantial")
     return construct_pi02_member(_oracle(args), family, args.levels, _prefix_bound(args)).to_json(), EXIT_OK
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .embed import verify_embedding
 from .graphs import FiniteGraph, empty_graph
-from .largeness import FamilyDescriptor, pi02_force
+from .largeness import WeightFunction, pi02_force
 from .oracle import EdgeOracle, VerificationError
 from .sets import VertexSet
 
@@ -195,7 +195,7 @@ class Pi02Result:
 
 def construct_pi02_member(
     oracle: EdgeOracle,
-    family: FamilyDescriptor,
+    family: WeightFunction,
     levels: int,
     prefix_bound: int,
 ) -> Pi02Result:

@@ -75,13 +75,11 @@ class DeadEnd(RuntimeError):
         self.pool_remaining = pool_remaining
 
 
-def required_type(target: FiniteGraph, placed: tuple[int, ...], next_index: int) -> TypeSpec:
+def required_type(target: FiniteGraph, placed: tuple[int, ...]) -> TypeSpec:
     """The type over the placed images that the next image must realize."""
-    if next_index != len(placed) + 1:
-        raise ValueError("next_index must be one past the placed vertices")
-    if next_index > target.order:
-        raise ValueError("target has no vertex %d" % next_index)
-    return TypeSpec(placed, target.rows[next_index - 1] & ((1 << len(placed)) - 1))
+    if len(placed) >= target.order:
+        raise ValueError("target has no vertex %d" % (len(placed) + 1))
+    return TypeSpec(placed, target.rows[len(placed)] & ((1 << len(placed)) - 1))
 
 
 def verify_embedding(oracle: EdgeOracle, target: FiniteGraph, images: tuple[int, ...]) -> None:
@@ -155,7 +153,7 @@ def embed_target(
     # the last placed step's untried candidates and its required type
     alternatives, last_req = iter(()), None
     while len(placed) < target.order:
-        req = required_type(target, tuple(placed), len(placed) + 1)
+        req = required_type(target, tuple(placed))
         ranked = rank_candidates(req)
         if ranked:
             alternatives, last_req = iter(ranked[1:]), req

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from itertools import permutations
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,18 +38,8 @@ class FiniteGraph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.order):
-            for j in range(i + 1, self.order):
-                if self.has_edge(i, j):
-                    yield (i, j)
-
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
-
-    def complement(self) -> "FiniteGraph":
-        full = (1 << self.order) - 1
-        return FiniteGraph(self.order, tuple((~r & full & ~(1 << i)) for i, r in enumerate(self.rows)))
 
     def induced(self, vertices: Sequence[int]) -> "FiniteGraph":
         """Subgraph induced on the given vertex positions, in the given order."""
@@ -112,16 +102,6 @@ def rows_from_upper_bits(bits: Sequence[int], n: int) -> list[int]:
 def _upper_bits(g: FiniteGraph) -> list[int]:
     """The column-major upper-triangle bits of g, the first pair first."""
     return [g.rows[j] >> i & 1 for j in range(1, g.order) for i in range(j)]
-
-
-def upper_mask(g: FiniteGraph) -> int:
-    """The upper triangle packed into an integer, column-major bit order."""
-    return subset_code(g.rows, range(g.order))
-
-
-def from_upper_mask(n: int, mask: int) -> FiniteGraph:
-    bits = [mask >> p & 1 for p in range(n * (n - 1) // 2)]
-    return FiniteGraph(n, tuple(rows_from_upper_bits(bits, n)))
 
 
 # --- named graphs -----------------------------------------------------------
@@ -251,22 +231,13 @@ def _least_relabelings(bits: np.ndarray, n: int) -> np.ndarray:
     return np.take_along_axis(bits, source[np.argmin(bits @ weights, axis=1)], axis=1)
 
 
-def _canonical_bits(g: FiniteGraph) -> list[int]:
-    """The least upper-triangle bits over all relabellings of g."""
+def canonical_form(g: FiniteGraph) -> str:
+    """Order-prefixed minimal upper-triangle bitstring over all relabellings;
+    two graphs are isomorphic iff their canonical forms are equal."""
     if g.order > CANONICAL_MAX_ORDER:
         raise ValueError("canonicalization bound exceeded (order %d > %d)" % (g.order, CANONICAL_MAX_ORDER))
-    return _least_relabelings(np.array([_upper_bits(g)], dtype=np.uint8), g.order)[0].tolist()
-
-
-def canonical_form(g: FiniteGraph) -> str:
-    """Order-prefixed minimal upper-triangle bitstring; two graphs are
-    isomorphic iff their canonical forms are equal."""
-    return "%d:%s" % (g.order, "".join(map(str, _canonical_bits(g))))
-
-
-def canonical_representative(g: FiniteGraph) -> FiniteGraph:
-    """The isomorphic copy whose upper triangle spells the canonical form."""
-    return FiniteGraph(g.order, tuple(rows_from_upper_bits(_canonical_bits(g), g.order)))
+    bits = _least_relabelings(np.array([_upper_bits(g)], dtype=np.uint8), g.order)[0]
+    return "%d:%s" % (g.order, "".join(map(str, bits.tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -356,11 +327,3 @@ def find_induced(
     found = dfs(0, 0) and nodes <= limit
     return (images if found else None), nodes
 
-
-def contains_induced_copy(g: FiniteGraph, pattern: FiniteGraph) -> bool:
-    """Exhaustive check that g has an induced copy of the pattern."""
-    r = pattern.order
-    if r > g.order:
-        return False
-    table = pattern_orbit_table(pattern)
-    return any(table[subset_code(g.rows, sub)] for sub in combinations(range(g.order), r))

@@ -1,5 +1,5 @@
 """Largeness checkers: density profiles, weighted reciprocal sums, thickness,
-arithmetic progressions, and forcing for Π⁰₂ family descriptors."""
+arithmetic progressions, and forcing for the Π⁰₂ family of a weight function."""
 
 from __future__ import annotations
 
@@ -16,7 +16,9 @@ AP_SIZE_LIMIT = 5000
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Closed-form positive weights: reciprocal is power(1), power(ε) is n^-ε."""
+    """Closed-form positive weights n^-exponent, and the Π⁰₂ family they fix:
+    level n's open set holds the sets whose sum of weights exceeds n.  The
+    default, exponent 1, gives the reciprocal sum."""
 
     exponent: float = 1.0
 
@@ -24,22 +26,26 @@ class WeightFunction:
         if not 0 < self.exponent <= 1:
             raise ValueError("weight exponent must lie in (0, 1]")
 
-    @classmethod
-    def reciprocal(cls) -> "WeightFunction":
-        return cls(1.0)
-
-    @classmethod
-    def power(cls, eps: float) -> "WeightFunction":
-        return cls(eps)
-
-    def weight(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("weights are defined on positive integers")
-        return 1.0 / n if self.exponent == 1.0 else n ** -self.exponent
-
     def weights(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=np.float64)
         return 1.0 / ns if self.exponent == 1.0 else ns ** -self.exponent
+
+    def force(self, level: int, prefix: VertexSet, horizon: int) -> int | None:
+        """The least k' <= horizon such that every superset of prefix ∩ [1,k']
+        agreeing with prefix below k' lies in the level's open set, or None
+        if the prefix does not force yet.  Stateless and monotone in the
+        prefix."""
+        # cumsum is sequential, so carrying the running total into chunks of
+        # doubling length gives the full cumsum's sums bit for bit
+        within = prefix.restrict(1, horizon).as_array
+        total, lo, hi = 0.0, 0, 1024
+        while lo < len(within):
+            sums = np.cumsum(np.concatenate(([total], self.weights(within[lo:hi]))))[1:]
+            hits = np.flatnonzero(sums > level)
+            if len(hits):
+                return int(within[lo + hits[0]])
+            total, lo, hi = sums[-1], hi, 2 * hi
+        return None
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,8 @@ def density_profile(a: VertexSet, checkpoints: Sequence[int]) -> DensityReport:
     )
 
 
-def weighted_sum(a: VertexSet, f: WeightFunction | None = None) -> float:
+def weighted_sum(a: VertexSet, f: WeightFunction = WeightFunction()) -> float:
     """Exact partial sum of f over the materialized prefix of A."""
-    f = f or WeightFunction.reciprocal()
     if len(a) == 0:
         return 0.0
     return math.fsum(f.weights(a.as_array))
@@ -151,41 +156,11 @@ def longest_ap(a: VertexSet) -> tuple[int, int, int]:
     return best
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    """A Π⁰₂ family of weighted-substantial sets: level n's open set holds
-    the sets whose sum of ``weight`` exceeds n."""
-
-    weight: WeightFunction
-
-    def force(self, level: int, prefix: VertexSet, horizon: int) -> int | None:
-        """The least k' <= horizon such that every superset of prefix ∩ [1,k']
-        agreeing with prefix below k' lies in the level's open set, or None
-        if the prefix does not force yet.  Stateless and monotone in the
-        prefix."""
-        # cumsum is sequential, so carrying the running total into chunks of
-        # doubling length gives the full cumsum's sums bit for bit
-        within = prefix.restrict(1, horizon).as_array
-        total, lo, hi = 0.0, 0, 1024
-        while lo < len(within):
-            sums = np.cumsum(np.concatenate(([total], self.weight.weights(within[lo:hi]))))[1:]
-            hits = np.flatnonzero(sums > level)
-            if len(hits):
-                return int(within[lo + hits[0]])
-            total, lo, hi = sums[-1], hi, 2 * hi
-        return None
-
-
-def substantial_family() -> FamilyDescriptor:
+def substantial_family() -> WeightFunction:
     """Level-n open set: prefixes whose reciprocal sum already exceeds n."""
-    return FamilyDescriptor(WeightFunction.reciprocal())
+    return WeightFunction()
 
 
-def power_family(eps: float) -> FamilyDescriptor:
-    """The power-weighted variant, with weights n^-eps."""
-    return FamilyDescriptor(WeightFunction.power(eps))
-
-
-def pi02_force(family: FamilyDescriptor, level: int, prefix: VertexSet, horizon: int) -> int | None:
+def pi02_force(family: WeightFunction, level: int, prefix: VertexSet, horizon: int) -> int | None:
     """Least horizon k' at which the prefix forces the level's open set."""
     return family.force(level, prefix, horizon)

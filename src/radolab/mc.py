@@ -170,6 +170,8 @@ def mc_fn_bound(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if pattern.order == 0:
+        raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
     rows_out = []
     for n in n_list:
         f = fn_size(n, n_param)

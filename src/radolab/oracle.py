@@ -158,23 +158,22 @@ class EdgeOracle:
         return out
 
 
-def stream_values(seed: int, tag: int, count: int, offset: int = 0) -> np.ndarray:
-    """Counter-based 53-bit uniforms, reproducible from (seed, tag, index).
+def stream_matrix(seed: int, tags: np.ndarray, count: int) -> np.ndarray:
+    """Counter-based 53-bit uniforms, reproducible from (seed, tag, index),
+    one row of count values per tag; shape (len(tags), count).
 
     Independent of the ambient edge PRF: a different derivation chain is
     used, so Monte Carlo trial graphs never alias ambient edges.
     """
-    key = mix64((seed ^ mix64((tag * GOLDEN) & MASK64)) & MASK64)
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    return _mix64_np(np.uint64(key) + idx * np.uint64(GOLDEN)) >> np.uint64(11)
-
-
-def stream_matrix(seed: int, tags: np.ndarray, count: int) -> np.ndarray:
-    """stream_values for many tags at once; shape (len(tags), count)."""
     tags = np.asarray(tags, dtype=np.uint64)
     keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags * np.uint64(GOLDEN)))
     idx = np.arange(1, count + 1, dtype=np.uint64)
     return _mix64_np(keys[:, None] + idx[None, :] * np.uint64(GOLDEN)) >> np.uint64(11)
+
+
+def stream_values(seed: int, tag: int, count: int) -> np.ndarray:
+    """The stream_matrix row of one tag."""
+    return stream_matrix(seed, [tag], count)[0]
 
 
 @dataclass(frozen=True)
@@ -231,14 +230,23 @@ def _bitset(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
+# Adjacency rows per edge_grid call: the boolean block stays small however
+# many vertices the rows span.
+_ROW_BLOCK = 256
+
+
 def adjacency_rows(oracle: EdgeOracle, vertices: np.ndarray, which: Sequence[int] | None = None) -> list[int]:
     """Bitset adjacency rows among the sorted vertices: bit j of row i is
     the edge {vertices[i], vertices[j]}.  ``which`` lists the rows to build
     (all by default)."""
     which = np.arange(len(vertices)) if which is None else np.asarray(which, dtype=np.int64)
-    grid = oracle.edge_grid(vertices[which], vertices)
-    grid[np.arange(len(which)), which] = False
-    return [_bitset(row) for row in grid]
+    rows = []
+    for lo in range(0, len(which), _ROW_BLOCK):
+        part = which[lo : lo + _ROW_BLOCK]
+        grid = oracle.edge_grid(vertices[part], vertices)
+        grid[np.arange(len(part)), part] = False
+        rows.extend(map(_bitset, grid))
+    return rows
 
 
 def type_of(oracle: EdgeOracle, m: int, base: VertexSet) -> TypeSpec:

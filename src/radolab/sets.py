@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import re
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -160,11 +159,6 @@ def load_vertex_set(path: str) -> VertexSet:
     if len(lines) == 1 and ("," in lines[0] or "-" in lines[0]):
         return parse_runs(lines[0])
     return VertexSet.from_iterable(int(ln) for ln in lines)
-
-
-def save_vertex_set(vs: VertexSet, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_runs(vs) + os.linesep)
 
 
 def parse_notation(text: str, prefix_bound: int | None = None) -> VertexSet:

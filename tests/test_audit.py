@@ -9,6 +9,7 @@ from radolab.audit import (
     ABSENT,
     BUDGET,
     FOUND,
+    GFREE_WINDOW_CAP,
     contains_induced,
     dyadic_audit,
     max_gfree_subset,
@@ -103,6 +104,12 @@ def test_contains_pattern_larger_than_host():
     assert res.status == ABSENT
 
 
+
+def test_found_empty_pattern_reports_an_empty_witness():
+    res = contains_induced(EdgeOracle(1), VertexSet.interval(1, 10), empty_graph(0))
+    assert res.status == FOUND
+    assert res.to_json() == {"status": FOUND, "witness": [], "nodes": 0}
+
 def test_contains_validation():
     with pytest.raises(ValueError):
         contains_induced(EdgeOracle(1), VertexSet.interval(1, 5), empty_graph(11))
@@ -188,6 +195,16 @@ def test_exact_window_cap():
     with pytest.raises(ValueError):
         max_gfree_subset(EdgeOracle(1), (1, 10), complete(2), "middling")
 
+
+
+def test_pattern_free_windows_are_capped_before_any_row_is_built(monkeypatch):
+    monkeypatch.setattr(audit, "adjacency_rows", None)  # any row build would fail with a TypeError
+    too_long = (1, GFREE_WINDOW_CAP + 1)
+    for mode in ("exact", "greedy"):
+        with pytest.raises(ValueError, match="GFREE_WINDOW_CAP"):
+            max_gfree_subset(EdgeOracle(1), too_long, complete(3), mode)
+    with pytest.raises(ValueError, match="GFREE_WINDOW_CAP"):
+        dyadic_audit(EdgeOracle(1), complete(2), 1, range(1, 16))
 
 # --- dyadic audit ---------------------------------------------------------------
 

@@ -338,6 +338,29 @@ def test_graph_orders_above_the_cap_are_usage_errors(tmp_path):
         assert (code, out) == (1, "") and err == "error: graph order 1025 exceeds PATTERN_ORDER_CAP = 1024\n"
 
 
+
+def test_order_zero_patterns_are_refused_by_name():
+    for argv in (
+        ["gfree-max", "--window", "1-10", "--pattern", "e:0"],
+        ["gfree-max", "--window", "1-10", "--pattern", "e:0", "--mode", "greedy"],
+        ["dyadic-audit", "--pattern", "e:0", "--n-param", "1", "--k-from", "1", "--k-to", "3"],
+        ["mc-fn", "--pattern", "e:0", "--n-list", "8", "--n-param", "1", "--trials", "5"],
+    ):
+        assert run_main([*argv, "--seed", "1"]) == (
+            1, "", "error: a pattern-free subset needs a pattern with at least one vertex\n"
+        )
+
+
+def test_pattern_free_windows_above_the_cap_are_usage_errors():
+    # both ran into a multi-GiB adjacency grid, or for hours, before the cap
+    for argv in (
+        ["gfree-max", "--seed", "1", "--window", "1-100000", "--pattern", "k:3", "--mode", "greedy"],
+        ["dyadic-audit", "--seed", "1", "--pattern", "k:2", "--n-param", "1", "--k-from", "1",
+         "--k-to", "99999999999999999999999"],
+    ):
+        r = subprocess.run(BASE + argv, capture_output=True, text=True, timeout=10)
+        assert (r.returncode, r.stdout) == (1, "") and "GFREE_WINDOW_CAP = 16384" in r.stderr
+
 # Bounded argv for every subcommand: valid flag values, then at most one
 # flag dropped or replaced by a malformed value.  Sizes stay small: prefix
 # bound <= 10^4 (<= 300 where a whole host becomes an adjacency matrix),

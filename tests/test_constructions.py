@@ -14,7 +14,7 @@ from radolab.constructions import (
     construct_thick_edgeless,
 )
 from radolab.graphs import FiniteGraph, complete, empty_graph, petersen, rows_from_upper_bits
-from radolab.largeness import pi02_force, power_family, substantial_family, thickness, weighted_sum
+from radolab.largeness import WeightFunction, pi02_force, substantial_family, thickness, weighted_sum
 from radolab.mc import _trial_graph_bits
 from radolab.oracle import EdgeOracle
 
@@ -208,7 +208,7 @@ def test_level_two_structure(seed):
 
 
 def test_power_family_member():
-    r = construct_pi02_member(EdgeOracle(1), power_family(0.5), 1, 10**4)
+    r = construct_pi02_member(EdgeOracle(1), WeightFunction(0.5), 1, 10**4)
     assert sum(v**-0.5 for v in r.union) > 1
 
 

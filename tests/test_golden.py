@@ -70,6 +70,7 @@ EXTRA = [
     "embed --seed 9 --target e:1 --host 1-256 --score-horizon 16 --candidate-cap 40",
     "construct-pi02 --seed 1 --family power:0.5 --levels 2 --prefix-bound 100000",
     "sum --seed 7 --host mup:1/2 --prefix-bound 100000 --weight power:0.5",
+    "contains --seed 1 --host 1-10 --pattern e:0",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 

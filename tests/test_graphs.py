@@ -4,25 +4,22 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from reference import contains_induced_copy, from_upper_mask
 
 from radolab.graphs import (
     FiniteGraph,
     Graph6Error,
     canonical_form,
-    canonical_representative,
     complete,
-    contains_induced_copy,
     cycle,
     empty_graph,
     enumerate_unlabeled,
-    from_upper_mask,
     graph6_decode,
     graph6_encode,
     path,
     pattern_orbit_table,
     petersen,
     subset_code,
-    upper_mask,
 )
 
 
@@ -72,7 +69,7 @@ def test_graph6_hand_decoded_star():
     # present with two padding zeros: the star centered at vertex 4.
     g = graph6_decode("D?{")
     assert g.order == 5
-    assert sorted(g.edges()) == [(0, 4), (1, 4), (2, 4), (3, 4)]
+    assert g == FiniteGraph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
     assert graph6_encode(g) == "D?{"
 
 
@@ -148,14 +145,6 @@ def test_canonical_invariant_under_relabeling(g, rnd):
     assert canonical_form(g.induced(list(perm))) == canonical_form(g)
 
 
-def test_canonical_representative_attains_form():
-    g = from_upper_mask(5, 0b1011001101)
-    rep = canonical_representative(g)
-    assert canonical_form(rep) == canonical_form(g)
-    bits = canonical_form(g).split(":")[1]
-    assert upper_mask(rep) == int(bits[::-1], 2)
-
-
 def test_canonical_soundness_all_pairs_up_to_order_5():
     graphs = [g for k in range(1, 6) for g in enumerate_unlabeled(k)]
     for a in range(len(graphs)):
@@ -170,12 +159,9 @@ def upper_string(g: FiniteGraph, perm) -> str:
 
 
 def check_against_reference(g: FiniteGraph) -> None:
-    """Canonical form, representative and orbit table against a scan of
-    every permutation."""
+    """Canonical form and orbit table against a scan of every permutation."""
     form = "%d:%s" % (g.order, min(upper_string(g, p) for p in permutations(range(g.order))))
     assert canonical_form(g) == form
-    rep = canonical_representative(g)
-    assert "%d:%s" % (rep.order, upper_string(rep, range(rep.order))) == form
     if g.order <= 5:
         codes = {subset_code(g.rows, p) for p in permutations(range(g.order))}
         assert pattern_orbit_table(g) == tuple(c in codes for c in range(1 << (g.order * (g.order - 1) // 2)))

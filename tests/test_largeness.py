@@ -10,7 +10,6 @@ from radolab.largeness import (
     dyadic_checkpoints,
     longest_ap,
     pi02_force,
-    power_family,
     substantial_family,
     thickness,
     weighted_sum,
@@ -77,7 +76,7 @@ def test_weighted_sum_harmonic_million():
 
 
 def test_weighted_sum_power():
-    w = WeightFunction.power(0.5)
+    w = WeightFunction(0.5)
     got = weighted_sum(VertexSet.from_iterable([1, 4, 9]), w)
     assert abs(got - (1 + 0.5 + 1 / 3)) < 1e-12
 
@@ -92,11 +91,9 @@ def test_weighted_sum_additive_over_disjoint_unions(xs, ys):
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        WeightFunction.power(0)
+        WeightFunction(0)
     with pytest.raises(ValueError):
-        WeightFunction.power(1.5)
-    with pytest.raises(ValueError):
-        WeightFunction.reciprocal().weight(0)
+        WeightFunction(1.5)
 
 
 # --- thickness and progressions ---------------------------------------------
@@ -195,7 +192,7 @@ def test_force_respects_horizon():
 
 
 def test_force_power_family():
-    fam = power_family(0.5)
+    fam = WeightFunction(0.5)
     # weights 1, 1/sqrt(2), ...: crosses level 1 at 2
     assert pi02_force(fam, 1, VertexSet.interval(1, 10), 10) == 2
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -227,7 +228,7 @@ def test_induced_subgraph_matches_oracle_pairwise():
 
 def test_streams_are_counter_based():
     whole = stream_values(5, 77, 100)
-    assert list(stream_values(5, 77, 40, offset=60)) == list(whole[60:])
+    assert list(stream_values(5, 77, 40)) == list(whole[:40])
     mat = stream_matrix(5, np.array([77, 78]), 100)
     assert list(mat[0]) == list(whole)
     assert list(mat[1]) != list(whole)
@@ -263,6 +264,29 @@ def test_adjacency_rows_beyond_64_vertices_match_scalar_edges(vertices):
     g = induced_subgraph(o, VertexSet.from_iterable(vertices))
     assert list(g.rows) == want
 
+
+
+def test_adjacency_rows_span_several_blocks():
+    o = EdgeOracle(4)
+    verts = np.arange(5, 605, dtype=np.int64)
+    grid = o.edge_grid(verts, verts)
+    np.fill_diagonal(grid, False)
+    want = [sum(int(bit) << j for j, bit in enumerate(row)) for row in grid]
+    assert adjacency_rows(o, verts) == want
+    which = [0, 255, 256, 599]
+    assert adjacency_rows(o, verts, which) == [want[i] for i in which]
+
+
+def test_adjacency_rows_never_hold_the_whole_grid():
+    """4096 rows are 2 MiB of bitsets; the 4096 x 4096 boolean grid alone is 16 MiB."""
+    tracemalloc.start()
+    try:
+        rows = adjacency_rows(EdgeOracle(1), np.arange(1, 4097, dtype=np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4096
+    assert peak < 8 * 2**20
 
 def test_type_bits_validated():
     assert TypeSpec.from_bits((4, 7, 9), "100").mask == 1

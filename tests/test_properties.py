@@ -3,8 +3,10 @@ references written here: VertexSet against a tuple-backed set, thickness
 and run notation against element loops, type keys against scalar edges.
 The induced-pattern matcher (subset codes, the induced-copy search and the
 Monte Carlo estimate built on it) is checked against exhaustive search.
-Also pins the names the benchmark tracer wraps by name."""
+Also pins the names the benchmark tracer wraps by name, and every radolab
+name the benchmark reads."""
 
+import ast
 import importlib.util
 import inspect
 import pathlib
@@ -13,17 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import contains_induced_copy, from_upper_mask
 
 import radolab.cli  # noqa: F401  (the tracer wraps every layer, cli included)
-from radolab.graphs import (
-    FiniteGraph,
-    contains_induced_copy,
-    enumerate_unlabeled,
-    find_induced,
-    from_upper_mask,
-    subset_code,
-)
-from radolab.largeness import WeightFunction, power_family, substantial_family, thickness
+from radolab.graphs import FiniteGraph, enumerate_unlabeled, find_induced, subset_code
+from radolab.largeness import WeightFunction, substantial_family, thickness
 from radolab.mc import _trial_graph_bits, mc_gfree_probability
 from radolab.oracle import EdgeOracle, type_keys
 from radolab.sets import VertexSet, format_runs, parse_runs
@@ -219,10 +215,10 @@ def test_weighted_force_matches_one_full_cumsum(exponent, seed, density, horizon
     n = 20000
     rng = np.random.default_rng(seed)
     prefix = VertexSet(np.flatnonzero(rng.random(n) < density) + 1, n)
-    family = substantial_family() if exponent == 1.0 else power_family(exponent)
+    family = substantial_family() if exponent == 1.0 else WeightFunction(exponent)
     # reference: one cumsum over the whole restricted prefix
     within = prefix.restrict(1, horizon).as_array
-    sums = np.cumsum(WeightFunction.power(exponent).weights(within))
+    sums = np.cumsum(WeightFunction(exponent).weights(within))
     levels = [0, 1, 3]
     if len(sums):
         # exact partial sums as thresholds, at chunk edges too: an ulp of drift would move the crossing
@@ -233,8 +229,11 @@ def test_weighted_force_matches_one_full_cumsum(exponent, seed, density, horizon
         assert family.force(level, prefix, horizon) == (int(within[hits[0]]) if len(hits) else None)
 
 
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
 def _tracing_module():
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = BENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
@@ -257,3 +256,27 @@ def test_names_the_tracer_wraps_still_exist():
     snap = tracer.snapshot()
     assert snap["sets.elements_built"] == 15 and snap["oracle.edge_evals"] == 10
     assert vars(VertexSet)["__init__"] is original
+
+
+def test_names_the_benchmark_reads_still_exist():
+    """Every ``from radolab.<m> import <n>`` and every ``<alias>.<n>`` on
+    ``import radolab.<m> as <alias>`` in bench/, and every layer and name
+    that the tracer reads inclusive times from."""
+    reads = [(layer, name.split("[")[0]) for layer, name in _tracing_module()._INCLUSIVE.values()]
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("radolab."):
+                reads += [(node.module[len("radolab."):], a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                aliases.update({a.asname: a.name[len("radolab."):] for a in node.names
+                                if a.asname and a.name.startswith("radolab.")})
+        reads += [
+            (aliases[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+        ]
+    assert {("oracle", "stream_values"), ("largeness", "substantial_family")} <= set(reads)  # both import forms
+    missing = [(m, n) for m, n in reads if not hasattr(importlib.import_module("radolab." + m), n)]
+    assert missing == []

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radolab.sets import VertexSet, format_runs, load_vertex_set, parse_notation, parse_runs, save_vertex_set
+from radolab.sets import VertexSet, format_runs, load_vertex_set, parse_notation, parse_runs
 
 
 def test_invariants():
@@ -53,7 +53,7 @@ def test_parse_notation_keywords():
 def test_file_roundtrip(tmp_path):
     vs = VertexSet.from_iterable([3, 4, 5, 9])
     p = tmp_path / "set.txt"
-    save_vertex_set(vs, str(p))
+    p.write_text(format_runs(vs) + "\n")
     assert load_vertex_set(str(p)).elements == vs.elements
     q = tmp_path / "lines.txt"
     q.write_text("# comment\n5\n2\n11\n")
