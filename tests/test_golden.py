@@ -71,6 +71,12 @@ EXTRA = [
     "construct-pi02 --seed 1 --family power:0.5 --levels 2 --prefix-bound 100000",
     "sum --seed 7 --host mup:1/2 --prefix-bound 100000 --weight power:0.5",
     "contains --seed 1 --host 1-10 --pattern e:0",
+    "gfree-max --seed 1 --window 1-400 --pattern k:4 --mode greedy",
+    "gfree-max --seed 3 --window 1-30 --pattern p:3",
+    "gfree-max --seed 2 --window 1-24 --pattern e:3",
+    "mc-fn --seed 2 --pattern c:4 --n-list 10,18 --n-param 1 --trials 10",
+    "gfree-max --seed 1 --window 1-100 --pattern k:8 --mode greedy",
+    "mc-fn --seed 1 --pattern k:8 --n-list 1,2 --n-param 5 --trials 2",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
