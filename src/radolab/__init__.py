@@ -10,7 +10,7 @@ of the underlying probability bounds.
 
 __version__ = "0.1.0"
 
-from .oracle import EdgeOracle, TypeSpec, extension_check, induced_subgraph, type_of, vertices_of_type
+from .oracle import EdgeOracle, TypeSpec, extension_check, induced_subgraph, type_of
 from .sets import VertexSet
 from .graphs import FiniteGraph, canonical_form, enumerate_unlabeled, graph6_decode, graph6_encode
 
@@ -26,6 +26,5 @@ __all__ = [
     "extension_check",
     "induced_subgraph",
     "type_of",
-    "vertices_of_type",
     "__version__",
 ]

@@ -68,7 +68,7 @@ def contains_induced(
         raise ValueError("node budget must be >= 1")
     if pattern.order == 0:
         return SearchResult(FOUND, VertexSet.empty(), 0)
-    images, nodes = find_induced(_LazyRows(oracle, host.as_array), len(host), pattern, node_budget)
+    images, nodes = find_induced(_LazyRows(oracle, host.as_array), (1 << len(host)) - 1, pattern, node_budget)
     if images is None:
         return SearchResult(BUDGET if nodes > node_budget else ABSENT, None, nodes)
     mapped = tuple(host.as_array[images].tolist())
@@ -131,35 +131,30 @@ def _bad_subsets(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
 
 
 def _greedy_gfree(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
-    """Take each index in turn unless it completes a pattern copy with r - 1
-    indices already taken (all lower, so the subset stays in order)."""
-    r = pattern.order
-    table = pattern_orbit_table(pattern)
-    chosen: list[int] = []
+    """Take each index in turn unless the taken indices plus it induce the
+    pattern; the taken set is pattern-free, so any copy found uses it."""
+    if pattern.order > 7:
+        raise ValueError("pattern-free subsets supported up to pattern order 7")
+    taken = 0
     for v in range(n):
-        if not any(table[subset_code(rows, (*rest, v))] for rest in combinations(chosen, r - 1)):
-            chosen.append(v)
-    return chosen
+        if find_induced(rows, taken | 1 << v, pattern)[0] is None:
+            taken |= 1 << v
+    return [v for v in range(n) if taken >> v & 1]
 
 
 def _exact_gfree(rows: list[int], n: int, pattern: FiniteGraph, stop_at: int | None = None) -> list[int]:
     """Branch and bound maximum pattern-free index subset.
 
-    The bound is the trivial one (current size + vertices left).  The
-    greedy solution seeds the incumbent.  ``stop_at`` ends the search as
-    soon as a subset of that size is known.
+    The bound is the trivial one (current size + vertices left).  Each
+    index is taken before it is left out, so the first leaf is the greedy
+    solution, and only strictly larger subsets replace the incumbent.
+    ``stop_at`` ends the search as soon as a subset of that size is known.
     """
     bads = _bad_subsets(rows, n, pattern)
     bads_by_vertex: list[list[int]] = [[] for _ in range(n)]
     for m in bads:
         bads_by_vertex[m.bit_length() - 1].append(m)
-
-    best = _greedy_gfree(rows, n, pattern)
-    if stop_at is not None and len(best) >= stop_at:
-        return best
-    best_mask = 0
-    for v in best:
-        best_mask |= 1 << v
+    best_size = best_mask = 0
 
     def conflict(mask: int, v: int) -> bool:
         m2 = mask | (1 << v)
@@ -168,16 +163,14 @@ def _exact_gfree(rows: list[int], n: int, pattern: FiniteGraph, stop_at: int | N
                 return True
         return False
 
-    state_best = [len(best), best_mask]
-
     def dfs(v: int, mask: int, size: int) -> bool:
         """Returns True once stop_at is reached."""
-        if size + (n - v) <= state_best[0]:
+        nonlocal best_size, best_mask
+        if size + (n - v) <= best_size:
             return False
         if v == n:
-            if size > state_best[0]:
-                state_best[0] = size
-                state_best[1] = mask
+            if size > best_size:
+                best_size, best_mask = size, mask
                 if stop_at is not None and size >= stop_at:
                     return True
             return False
@@ -187,16 +180,14 @@ def _exact_gfree(rows: list[int], n: int, pattern: FiniteGraph, stop_at: int | N
         return dfs(v + 1, mask, size)
 
     dfs(0, 0, 0)
-    return [v for v in range(n) if state_best[1] >> v & 1]
+    return [v for v in range(n) if best_mask >> v & 1]
 
 
 def _verify_gfree(oracle: EdgeOracle, chosen: list[int], pattern: FiniteGraph) -> None:
-    """Re-verify pattern-freeness on every r-subset of the answer, on rows
-    rebuilt from scalar edge queries.  The solvers have already examined at
-    least that many subsets."""
+    """Re-verify pattern-freeness by a completed induced-copy search of the
+    answer, on rows rebuilt from scalar edge queries."""
     rows = [sum(oracle.edge(u, v) << q for q, v in enumerate(chosen) if v != u) for u in chosen]
-    table = pattern_orbit_table(pattern)
-    if any(table[subset_code(rows, sub)] for sub in combinations(range(len(chosen)), pattern.order)):
+    if find_induced(rows, (1 << len(chosen)) - 1, pattern)[0] is not None:
         raise VerificationError("pattern-free verification failed")
 
 

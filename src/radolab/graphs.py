@@ -280,12 +280,12 @@ def pattern_orbit_table(pattern: FiniteGraph) -> tuple[bool, ...]:
 
 
 def find_induced(
-    rows: Sequence[int], n: int, pattern: FiniteGraph, node_budget: int | None = None
+    rows: Sequence[int], within: int, pattern: FiniteGraph, node_budget: int | None = None
 ) -> tuple[list[int] | None, int]:
-    """Search positions 0..n-1 of the bitset ``rows`` for an induced copy
-    of the pattern.  Returns (images, nodes): images[v] is the position of
-    pattern vertex v, or None when no copy was found, and nodes counts the
-    candidates tried.
+    """Search the positions in the bitmask ``within`` of the bitset
+    ``rows`` for an induced copy of the pattern.  Returns (images, nodes):
+    images[v] is the position of pattern vertex v, or None when no copy was
+    found, and nodes counts the candidates tried.
 
     Backtracking over pattern vertices in descending-degree order, lowest
     free position first; candidates are cut to the positions consistent
@@ -293,13 +293,12 @@ def find_induced(
     test, so a search that ran out reports node_budget + 1 nodes.
     """
     r = pattern.order
-    if r > n:
+    if r > within.bit_count():
         return None, 0
     porder = sorted(range(r), key=lambda v: (-pattern.degree(v), v))
     # per depth: (earlier pattern vertex, adjacent to this depth's vertex?)
     constraints = [[(q, pattern.has_edge(p, q)) for q in porder[:d]] for d, p in enumerate(porder)]
     limit = float("inf") if node_budget is None else node_budget
-    full = (1 << n) - 1
     images = [-1] * r
     nodes = 0
 
@@ -308,7 +307,7 @@ def find_induced(
         nonlocal nodes
         if depth == r:
             return True
-        cand = full & ~used
+        cand = within & ~used
         for q, adjacent in constraints[depth]:
             row = rows[images[q]]
             cand = cand & row if adjacent else cand & ~row

@@ -106,8 +106,8 @@ def exact_gfree_count(pattern: FiniteGraph, n: int) -> dict:
     return {"n": n, "count": count, "total": total, "probability": Fraction(count, total)}
 
 
-def _trial_graph_bits(seed: int, first_trial: int, trials: int, npairs: int) -> np.ndarray:
-    tags = TAG_TRIAL_GRAPHS + np.arange(first_trial, first_trial + trials, dtype=np.uint64)
+def _trial_graph_bits(seed: int, trials: int, npairs: int) -> np.ndarray:
+    tags = TAG_TRIAL_GRAPHS + np.arange(trials, dtype=np.uint64)
     return stream_matrix(seed, tags, npairs) < _FAIR_BIT_THRESHOLD
 
 
@@ -127,13 +127,13 @@ def mc_gfree_probability(
     if trials < 1:
         raise ValueError("need at least one trial")
     npairs = n * (n - 1) // 2
-    bits = _trial_graph_bits(seed, 0, trials, npairs)
+    bits = _trial_graph_bits(seed, trials, npairs)
     if n <= EXACT_N_CAP:
         flags = _gfree_flags(pattern, n)
         masks = bits @ (1 << np.arange(npairs, dtype=np.int64))
         hits = flags[masks]
     else:
-        hits = np.array([find_induced(rows_from_upper_bits(row, n), n, pattern)[0] is None for row in bits])
+        hits = np.array([find_induced(rows_from_upper_bits(row, n), (1 << n) - 1, pattern)[0] is None for row in bits])
     est = float(hits.mean())
     out = {
         "n": n,
@@ -182,7 +182,7 @@ def mc_fn_bound(
             row.update(estimate=0.0, stderr=0.0, mode="degenerate")
         else:
             npairs = n * (n - 1) // 2
-            bits = _trial_graph_bits(seed, 0, trials, npairs)
+            bits = _trial_graph_bits(seed, trials, npairs)
             wins = 0
             for t in range(trials):
                 g_rows = rows_from_upper_bits(bits[t], n)

@@ -101,8 +101,8 @@ class EdgeOracle:
 
     def edge(self, u: int, v: int) -> bool:
         """Whether {u, v} is an edge of the ambient graph."""
-        if u == v or u < 1 or v < 1:
-            raise ValueError("edge requires two distinct vertices >= 1")
+        if u == v or not (1 <= u <= MASK64 and 1 <= v <= MASK64):
+            raise ValueError("edge requires two distinct vertices in [1, 2^64)")
         a, b = (u, v) if u < v else (v, u)
         h = mix64(self.seed ^ mix64(((a * GOLDEN) & MASK64) ^ rotl64(b, 32)))
         return (h >> 11) < self._threshold
@@ -253,16 +253,11 @@ def type_of(oracle: EdgeOracle, m: int, base: VertexSet) -> TypeSpec:
     """The type of vertex m over the base set (ascending base order)."""
     if m < 1:
         raise ValueError("type_of requires a vertex m >= 1, not %d" % m)
+    if m > MASK64:
+        raise ValueError("type_of requires a vertex m < 2^64, not %d" % m)
     if m in base:
         raise ValueError("vertex %d lies inside the base set" % m)
     return TypeSpec(base.elements, _bitset(oracle.edge_grid([m], base.as_array)[0]))
-
-
-def vertices_of_type(oracle: EdgeOracle, t: TypeSpec, pool: VertexSet) -> VertexSet:
-    """The subset of pool whose type over t.base equals t (base removed first)."""
-    pool = pool.minus(t.base)
-    keys = type_keys(oracle, t.base, pool.as_array)
-    return VertexSet(pool.as_array[keys == t.mask], pool.prefix_bound)
 
 
 def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:

@@ -23,3 +23,14 @@ def contains_induced_copy(g: FiniteGraph, pattern: FiniteGraph) -> bool:
         return False
     table = pattern_orbit_table(pattern)
     return any(table[subset_code(g.rows, sub)] for sub in combinations(range(g.order), r))
+
+
+def greedy_gfree(rows, n: int, pattern: FiniteGraph) -> list[int]:
+    """Take each index in turn unless it completes a pattern copy with r - 1
+    indices already taken, found by scanning every such (r - 1)-subset."""
+    table = pattern_orbit_table(pattern)
+    chosen: list[int] = []
+    for v in range(n):
+        if not any(table[subset_code(rows, (*rest, v))] for rest in combinations(chosen, pattern.order - 1)):
+            chosen.append(v)
+    return chosen

@@ -252,7 +252,8 @@ def test_greedy_window_beyond_64_vertices_matches_scalar_greedy(seed):
 
 def test_gfree_answer_is_reverified_on_every_subset(monkeypatch):
     """A greedy answer of 23 indices with one planted K4 copy: a check of
-    2000 sampled 4-subsets misses it, the check of every 4-subset does not."""
+    2000 sampled 4-subsets misses it, a completed induced-copy search of the
+    whole answer does not."""
     o, k4 = EdgeOracle(1), complete(4)
     rows = adjacency_rows(o, np.arange(1, 101))
     chosen = audit._greedy_gfree(rows, 100, k4)

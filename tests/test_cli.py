@@ -312,6 +312,26 @@ def test_type_needs_a_positive_vertex():
         assert (code, out) == (1, "") and err == "error: type_of requires a vertex m >= 1, not %s\n" % m
 
 
+def test_vertices_beyond_64_bits_are_usage_errors():
+    # 2^64 + 7 used to answer for {3, 7}, and m = 2^64 + 3 for the pseudo-pair {3, 3}
+    for argv in (
+        ["edge", "--seed", "1", "-u", "3", "-v", "18446744073709551623"],
+        ["type", "--seed", "1", "--m", "18446744073709551619", "--base", "1-3"],
+    ):
+        code, out, err = run_main(argv)
+        assert (code, out) == (1, "") and "2^64" in err
+
+
+def test_greedy_pattern_free_growth_scales_past_k4():
+    # one induced-copy search per vertex; enumerating every 4-subset of the
+    # taken set per vertex, as greedy growth once did, takes over 40 s here
+    r = subprocess.run(
+        BASE + ["gfree-max", "--seed", "1", "--window", "1-2000", "--pattern", "k:5", "--mode", "greedy"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert r.returncode == 0 and json.loads(r.stdout)["size"] > 0
+
+
 def test_zero_denominators_and_overflow_are_usage_errors():
     for argv in (
         ["edge", "-u", "1", "-v", "2", "--probability", "1/0"],

@@ -103,7 +103,7 @@ def test_triangle_across_two_blocks():
 
 
 def test_random_six_vertex_target_twenty_seeds():
-    bits = _trial_graph_bits(99, 0, 1, 15)[0]
+    bits = _trial_graph_bits(99, 1, 15)[0]
     target = FiniteGraph(6, tuple(rows_from_upper_bits(bits, 6)))
     ok = 0
     for seed in range(1, 21):

@@ -17,7 +17,7 @@ from radolab.mc import (
     sample_mu_p,
     type_frequency_check,
 )
-from radolab.oracle import EdgeOracle, TypeSpec
+from radolab.oracle import TAG_TRIAL_GRAPHS, EdgeOracle, TypeSpec, stream_values
 from radolab.sets import VertexSet
 
 
@@ -134,9 +134,9 @@ def test_mc_large_n_path_uses_backtracking():
 
 
 def test_trial_graphs_reproducible_from_seed_and_index():
-    a = _trial_graph_bits(9, 0, 5, 10)
-    b = _trial_graph_bits(9, 3, 1, 10)
-    assert list(a[3]) == list(b[0])
+    a = _trial_graph_bits(9, 5, 10)
+    assert (a[:4] == _trial_graph_bits(9, 4, 10)).all()
+    assert list(a[3]) == list(stream_values(9, TAG_TRIAL_GRAPHS + 3, 10) < 1 << 52)
 
 
 def test_mc_validation():
@@ -166,7 +166,7 @@ def test_fn_k2_matches_subset_scan_oracle():
     on the same sampled graphs."""
     trials = 60
     rows = mc_fn_bound(complete(2), [8], 1, trials, 7)
-    bits = _trial_graph_bits(7, 0, trials, 28)
+    bits = _trial_graph_bits(7, trials, 28)
     wins = 0
     for t in range(trials):
         g = rows_from_upper_bits(bits[t], 8)

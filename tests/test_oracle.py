@@ -18,8 +18,8 @@ from radolab.oracle import (
     probability_threshold,
     stream_matrix,
     stream_values,
+    type_keys,
     type_of,
-    vertices_of_type,
 )
 from radolab.sets import VertexSet
 
@@ -51,6 +51,17 @@ def test_edge_contract_violations():
         EdgeOracle(-1)
     with pytest.raises(ValueError):
         EdgeOracle(1, Fraction(3, 2))
+
+
+def test_vertices_beyond_64_bits_are_refused():
+    # the recipe reads 64-bit words: 2^64 + 5 would alias 5, the non-pair {5, 5}
+    o = EdgeOracle(1)
+    for u, v in ((5, 2**64 + 5), (2**64 + 7, 3), (2**64, 2**64 + 1)):
+        with pytest.raises(ValueError):
+            o.edge(u, v)
+    assert o.edge(2, 2**64 - 1) in (True, False)
+    with pytest.raises(ValueError):
+        type_of(o, 2**64 + 3, VertexSet.interval(1, 3))
 
 
 def test_edge_probability_one_is_complete():
@@ -134,13 +145,11 @@ def test_types_partition_pool():
     o = EdgeOracle(7)
     base = VertexSet.from_iterable([1, 2, 3])
     pool = VertexSet.interval(1, 1024).minus(base.elements)
-    parts = [vertices_of_type(o, TypeSpec(base.elements, m), pool) for m in range(8)]
-    assert sum(len(p) for p in parts) == len(pool)
-    union = set()
-    for p in parts:
-        assert union.isdisjoint(p.elements)
-        union |= set(p.elements)
-    assert union == set(pool.elements)
+    keys = type_keys(o, base.as_array, pool.as_array)
+    counts = np.bincount(keys, minlength=8)
+    assert len(counts) == 8 and counts.sum() == len(pool)
+    for v, key in zip(pool.elements[:50], keys.tolist()):
+        assert TypeSpec(base.elements, key) == type_of(o, v, base)
 
 
 def test_types_binomial_concentration():
@@ -148,23 +157,10 @@ def test_types_binomial_concentration():
     base = VertexSet.from_iterable([1, 2, 3])
     pool = VertexSet.interval(1, 1024).minus(base.elements)
     sigma = math.sqrt(len(pool) * (1 / 8) * (7 / 8))
-    for m in range(8):
-        size = len(vertices_of_type(o, TypeSpec(base.elements, m), pool))
+    sizes = np.bincount(type_keys(o, base.as_array, pool.as_array), minlength=8)
+    assert len(sizes) == 8
+    for size in sizes.tolist():
         assert abs(size - len(pool) / 8) <= 4 * sigma
-
-
-def test_vertices_of_type_empty_base_returns_pool():
-    pool = VertexSet.from_iterable([4, 9, 12])
-    out = vertices_of_type(EdgeOracle(1), TypeSpec((), 0), pool)
-    assert out.elements == pool.elements
-
-
-def test_vertices_of_type_strips_base_silently():
-    o = EdgeOracle(2)
-    base = VertexSet.from_iterable([3, 4])
-    pool = VertexSet.interval(1, 50)
-    out = vertices_of_type(o, TypeSpec(base.elements, 0), pool)
-    assert 3 not in out and 4 not in out
 
 
 def test_extension_empty_base():

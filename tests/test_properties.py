@@ -2,23 +2,26 @@
 references written here: VertexSet against a tuple-backed set, thickness
 and run notation against element loops, type keys against scalar edges.
 The induced-pattern matcher (subset codes, the induced-copy search and the
-Monte Carlo estimate built on it) is checked against exhaustive search.
-Also pins the names the benchmark tracer wraps by name, and every radolab
-name the benchmark reads."""
+Monte Carlo estimate built on it) is checked against exhaustive search,
+and so are greedy and exact pattern-free growth.  Also pins the names the
+benchmark tracer wraps by name, every radolab name the benchmark reads, and
+that every library name has a caller."""
 
 import ast
 import importlib.util
 import inspect
 import pathlib
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import contains_induced_copy, from_upper_mask
+from reference import contains_induced_copy, from_upper_mask, greedy_gfree
 
 import radolab.cli  # noqa: F401  (the tracer wraps every layer, cli included)
-from radolab.graphs import FiniteGraph, enumerate_unlabeled, find_induced, subset_code
+from radolab.audit import _exact_gfree, _greedy_gfree
+from radolab.graphs import FiniteGraph, canonical_form, enumerate_unlabeled, find_induced, subset_code
 from radolab.largeness import WeightFunction, substantial_family, thickness
 from radolab.mc import _trial_graph_bits, mc_gfree_probability
 from radolab.oracle import EdgeOracle, type_keys
@@ -171,16 +174,38 @@ def graphs_on(n_min, n_max):
 @settings(max_examples=200, deadline=None)
 @given(graphs_on(0, 9), graphs_on(1, 4))
 def test_find_induced_matches_exhaustive_search(g, pattern):
-    images, nodes = find_induced(g.rows, g.order, pattern)
+    full = (1 << g.order) - 1
+    images, nodes = find_induced(g.rows, full, pattern)
     assert (images is not None) == contains_induced_copy(g, pattern)
     if images is not None:
         assert len(set(images)) == pattern.order
         assert g.induced(images) == pattern
         # a budget one short of the nodes used stops the search at budget + 1
         if nodes > 1:
-            assert find_induced(g.rows, g.order, pattern, nodes - 1) == (None, nodes)
+            assert find_induced(g.rows, full, pattern, nodes - 1) == (None, nodes)
     else:
-        assert find_induced(g.rows, g.order, pattern, max(nodes, 1)) == (None, nodes)
+        assert find_induced(g.rows, full, pattern, max(nodes, 1)) == (None, nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_on(0, 14), graphs_on(1, 4))
+def test_greedy_gfree_matches_subset_scan(g, pattern):
+    assert _greedy_gfree(list(g.rows), g.order, pattern) == greedy_gfree(g.rows, g.order, pattern)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_on(1, 10), graphs_on(1, 4))
+def test_exact_gfree_is_the_lexicographically_largest_maximum(g, pattern):
+    """Among the maximum-size pattern-free subsets, the one whose indicator
+    (index 0 first) is lexicographically largest: the search takes each
+    index before it leaves it out."""
+    n, form = g.order, canonical_form(pattern)
+    bad = [sum(1 << v for v in sub) for sub in combinations(range(n), pattern.order)
+           if canonical_form(g.induced(sub)) == form]
+    free = [m for m in range(1 << n) if not any(b & m == b for b in bad)]
+    top = max(m.bit_count() for m in free)
+    want = max((m for m in free if m.bit_count() == top), key=lambda m: [m >> v & 1 for v in range(n)])
+    assert _exact_gfree(list(g.rows), n, pattern) == [v for v in range(n) if want >> v & 1]
 
 
 @given(graphs_on(1, 9), st.data())
@@ -202,7 +227,7 @@ def test_mc_gfree_matches_brute_force_at_n7(pattern, seed):
     n, trials = 7, 40
     pairs = [(i, j) for j in range(n) for i in range(j)]
     free = 0
-    for bits in _trial_graph_bits(seed, 0, trials, len(pairs)):
+    for bits in _trial_graph_bits(seed, trials, len(pairs)):
         g = FiniteGraph.from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
         free += not contains_induced_copy(g, pattern)
     assert mc_gfree_probability(pattern, n, trials, seed)["estimate"] == free / trials
@@ -280,3 +305,33 @@ def test_names_the_benchmark_reads_still_exist():
     assert {("oracle", "stream_values"), ("largeness", "substantial_family")} <= set(reads)  # both import forms
     missing = [(m, n) for m, n in reads if not hasattr(importlib.import_module("radolab." + m), n)]
     assert missing == []
+
+
+def test_every_library_name_has_a_caller():
+    """Each top-level function, class and assigned name of a radolab module
+    is read (an ``ast.Name``, an ``ast.Attribute`` or an import) somewhere in
+    src/radolab or bench/, outside the package's __init__.py."""
+    package = pathlib.Path(radolab.cli.__file__).parent
+    reads = set()
+    for path in [p for p in package.glob("*.py") if p.name != "__init__.py"] + list(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                reads.update(a.name for a in node.names)
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [e.id for t in targets for e in ast.walk(t) if isinstance(e, ast.Name)]
+            else:
+                names = []
+            unread += ["%s.%s" % (path.stem, name) for name in names if name not in reads]
+    assert unread == []
