@@ -77,6 +77,9 @@ EXTRA = [
     "mc-fn --seed 2 --pattern c:4 --n-list 10,18 --n-param 1 --trials 10",
     "gfree-max --seed 1 --window 1-100 --pattern k:8 --mode greedy",
     "mc-fn --seed 1 --pattern k:8 --n-list 1,2 --n-param 5 --trials 2",
+    "construct-pi02 --seed 4 --family substantial --levels 3 --prefix-bound 1000000",
+    "construct-pi02 --seed 3 --family power:0.5 --levels 3 --prefix-bound 100000",
+    "construct-thick-copy --seed 3 --target petersen --blocks 4 --prefix-bound 300000",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
