@@ -9,7 +9,7 @@ first, so outputs are deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -19,7 +19,15 @@ from .largeness import WeightFunction, pi02_force
 from .oracle import EdgeOracle, VerificationError
 from .sets import VertexSet
 
-_SCAN_CHUNK = 1 << 16
+# Starts per scan chunk: the first chunk holds _SCAN_CHUNK >> 6 and each
+# later one twice as many, up to _SCAN_CHUNK.  An early stop scans little,
+# and a long scan pays the fixed cost of each edge_pairs call rarely.
+_SCAN_CHUNK = 1 << 18
+
+# Every scan is linear in the prefix bound: at about 25 ns per start, the
+# cap is a scan of about a minute.  Larger bounds are refused before any
+# scan.
+SCAN_PREFIX_CAP = 2 * 10**9
 
 
 class PrefixExhausted(RuntimeError):
@@ -64,28 +72,51 @@ class ForcingFailed(RuntimeError):
         self.union = union
 
 
-def _scan_block(oracle: EdgeOracle, scan_from: int, placed: list[int], rows: list[int], prefix_bound: int) -> int | None:
-    """Least start k >= scan_from of a window [k, k+len(rows)-1] <=
-    prefix_bound that extends ``placed``: window vertex d, the image of
-    target vertex len(placed)+d, has an edge to each earlier window vertex
-    and each placed image exactly where its required adjacency bitmask
-    rows[d] has a bit.  Chunked, vectorized left-to-right scan."""
+def _scan(oracle: EdgeOracle, scan_from: int, placed: list[int], rows: list[int], prefix_bound: int) -> Iterator[np.ndarray]:
+    """The starts k >= scan_from of the windows [k, k+len(rows)-1] <=
+    prefix_bound that extend ``placed``, yielded chunk by chunk in ascending
+    order, each chunk's survivors as one array; chunks without survivors
+    are skipped.  Window vertex d, the image of target vertex len(placed)+d,
+    has an edge to each earlier window vertex and each placed image exactly
+    where its required adjacency bitmask rows[d] has a bit.  Every placed
+    image lies below scan_from.
+
+    One ``edge_pairs`` pass over the diagonal edge(m, m+1) of a chunk's
+    window vertices settles every (d, d+1) pair at once through shifted
+    views; every other pair runs on the compacted survivors only
+    (``np.compress``: boolean indexing costs about four times as much on
+    masks this random).  A consumer that stops early scans only the chunks
+    it has read."""
     offset, length = len(placed), len(rows)
-    internal = [(d1, d2, bool(rows[d2] >> (offset + d1) & 1)) for d2 in range(length) for d1 in range(d2)]
+    diagonal = [bool(rows[d + 1] >> (offset + d) & 1) for d in range(length - 1)]
+    internal = [(d1, d2, bool(rows[d2] >> (offset + d1) & 1)) for d2 in range(2, length) for d1 in range(d2 - 1)]
     cross = [(u, d, bool(rows[d] >> i & 1)) for i, u in enumerate(placed) for d in range(length)]
     last_start = prefix_bound - length + 1
-    lo = scan_from
-    while lo <= last_start:
-        hi = min(lo + _SCAN_CHUNK - 1, last_start)
-        ks = np.arange(lo, hi + 1, dtype=np.int64)
+    start, size = scan_from, max(_SCAN_CHUNK >> 6, 1)
+    while start <= last_start:
+        count = min(size, last_start + 1 - start)
+        window = np.arange(start, start + count + length - 1, dtype=np.int64)
+        ks = window[:count]
+        if diagonal:
+            diag = oracle.edge_pairs(window[:-1], window[1:])
+            keep = diag[:count] == diagonal[0]
+            for d, want in enumerate(diagonal[1:], 1):
+                keep &= diag[d : d + count] == want
+            ks = np.compress(keep, ks)
         for d1, d2, want in internal:
-            ks = ks[oracle.edge_pairs(ks + d1, ks + d2) == want]
+            ks = np.compress(oracle.edge_pairs(ks + d1, ks + d2) == want, ks)
         for u, d, want in cross:
-            ks = ks[oracle.edge_pairs(u, ks + d) == want]
+            if not len(ks):
+                break
+            ks = np.compress(oracle.edge_pairs(u, ks + d) == want, ks)
+        start, size = start + count, min(2 * size, _SCAN_CHUNK)
         if len(ks):
-            return int(ks[0])
-        lo = hi + 1
-    return None
+            yield ks
+
+
+def _check_scan_bound(prefix_bound: int) -> None:
+    if prefix_bound > SCAN_PREFIX_CAP:
+        raise ValueError("prefix bound %d exceeds SCAN_PREFIX_CAP = %d" % (prefix_bound, SCAN_PREFIX_CAP))
 
 
 def _place_blocks(
@@ -103,6 +134,7 @@ def _place_blocks(
     """
     if blocks < 1:
         raise ValueError("need at least one block")
+    _check_scan_bound(prefix_bound)
     intervals: list[tuple[int, int]] = []
     images: list[int] = []
     scan_from = 1
@@ -110,12 +142,13 @@ def _place_blocks(
     for j in range(1, blocks + 1):
         offset = len(images)
         rows = [row(offset + d) for d in range(j)]
-        k = _scan_block(oracle, scan_from, images, rows, prefix_bound)
-        if k is None:
+        first = next(_scan(oracle, scan_from, images, rows, prefix_bound), None)
+        if first is None:
             ones = sum((r & ((1 << offset + d) - 1)).bit_count() for d, r in enumerate(rows))
             zeros = j * (j - 1) // 2 + j * offset - ones
             prob = p**ones * (1 - p) ** zeros
             raise PrefixExhausted(j, prefix_bound, prob, VertexSet(images, prefix_bound))
+        k = int(first[0])
         intervals.append((k, j))
         images.extend(range(k, k + j))
         scan_from = k + j
@@ -202,33 +235,43 @@ def construct_pi02_member(
     """Level-by-level recursion producing a family member whose connected
     components are confined to finite blocks.
 
-    At stage n the vertices connecting to nothing in [1, k_{n-1}] are
-    collected, merged with the earlier blocks, and the family's forcing
-    oracle picks the least sufficient horizon; the new block is the slice
-    up to that horizon.  The isolation type thins like p^k_{n-1}, so the
+    At stage n the isolation class, the vertices beyond k_{n-1} with no
+    edge into [1, k_{n-1}], is scanned as a length-1 block over the placed
+    set [1, k_{n-1}].  The family's forcing oracle runs over the earlier
+    blocks and then the class, one scan chunk at a time, and the scan stops
+    at the first chunk where the level forces; the new block is the class
+    up to that horizon k_n.  The earlier blocks sum to at most
+    n - 1 + 2^-exponent < n, so the horizon always lies in the class.  A
+    give-up comes only from a scan that reached ``prefix_bound``:
+    ``TypeClassEmpty`` when the class is empty there, ``ForcingFailed`` when
+    it never forces.  The isolation type thins like p^k_{n-1}, so the
     prefix demand explodes after a few levels.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
+    _check_scan_bound(prefix_bound)
     k_prev = 0
     ks: list[int] = []
     fs: list[tuple[int, ...]] = []
     earlier = np.zeros(0, dtype=np.int64)
     p = float(oracle.edge_probability)
     for n in range(1, levels + 1):
-        cands = np.arange(k_prev + 1, prefix_bound + 1, dtype=np.int64)
-        for b in range(1, k_prev + 1):
-            if len(cands) == 0:
-                break
-            cands = cands[~oracle.edge_pairs(b, cands)]
-        if len(cands) == 0:
+        scan = _scan(oracle, k_prev + 1, list(range(1, k_prev + 1)), [0], prefix_bound)
+        found: list[np.ndarray] = []
+
+        def parts():
+            yield earlier
+            for chunk in scan:
+                found.append(chunk)
+                yield chunk
+
+        k_n = family.crossing(n, parts())
+        if not found:
             raise TypeClassEmpty(n, k_prev, (prefix_bound - k_prev) * (1 - p) ** k_prev)
-        t_prime = VertexSet(np.concatenate([earlier, cands]), prefix_bound)
-        k_forced = pi02_force(family, n, t_prime, prefix_bound)
-        if k_forced is None:
+        if k_n is None:
             raise ForcingFailed(n, prefix_bound, k_prev, VertexSet(earlier, prefix_bound))
-        k_n = max(k_forced, k_prev + 1)
-        f_n = t_prime.restrict(k_prev + 1, k_n).as_array
+        cls = np.concatenate(found)
+        f_n = cls[: np.searchsorted(cls, k_n, side="right")]
         ks.append(k_n)
         fs.append(tuple(f_n.tolist()))
         earlier = np.concatenate([earlier, f_n])

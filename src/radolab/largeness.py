@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,16 +35,23 @@ class WeightFunction:
         agreeing with prefix below k' lies in the level's open set, or None
         if the prefix does not force yet.  Stateless and monotone in the
         prefix."""
-        # cumsum is sequential, so carrying the running total into chunks of
-        # doubling length gives the full cumsum's sums bit for bit
-        within = prefix.restrict(1, horizon).as_array
-        total, lo, hi = 0.0, 0, 1024
-        while lo < len(within):
-            sums = np.cumsum(np.concatenate(([total], self.weights(within[lo:hi]))))[1:]
-            hits = np.flatnonzero(sums > level)
-            if len(hits):
-                return int(within[lo + hits[0]])
-            total, lo, hi = sums[-1], hi, 2 * hi
+        return self.crossing(level, [prefix.restrict(1, horizon).as_array])
+
+    def crossing(self, level: int, parts: Iterable[np.ndarray]) -> int | None:
+        """The first element of the ascending concatenation of ``parts`` at
+        which the running sum of weights exceeds the level, or None.  Parts
+        are read only until then, each in pieces of doubling length."""
+        # cumsum is sequential, so carrying the running total from piece to
+        # piece gives the sums of one cumsum over the whole bit for bit
+        total = 0.0
+        for part in parts:
+            lo, hi = 0, 1024
+            while lo < len(part):
+                sums = np.cumsum(np.concatenate(([total], self.weights(part[lo:hi]))))[1:]
+                hits = np.flatnonzero(sums > level)
+                if len(hits):
+                    return int(part[lo + hits[0]])
+                total, lo, hi = sums[-1], hi, 2 * hi
         return None
 
 

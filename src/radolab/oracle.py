@@ -52,9 +52,10 @@ def rotl64(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & MASK64
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array, in place; returns z."""
-    tmp = np.empty_like(z)
+def _mix64_np(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array, in place, with an optional
+    scratch array of z's shape; returns z."""
+    tmp = np.empty_like(z) if tmp is None else tmp
     for shift, mul in ((30, _MIX_MUL_1), (27, _MIX_MUL_2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=tmp)
         z ^= tmp
@@ -114,25 +115,34 @@ class EdgeOracle:
         wraps it by name; radolab itself calls ``edge_pairs``."""
         return self.edge_pairs(u, vs)
 
-    def _edge_bits(self, key: np.ndarray, out: np.ndarray) -> None:
-        """Finish the recipe on canonical pair keys (overwritten) into out."""
-        _mix64_np(key)
+    def _edge_bits(self, key: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        """Finish the recipe on canonical pair keys (overwritten) into out;
+        tmp is scratch of key's shape."""
+        _mix64_np(key, tmp)
         key ^= np.uint64(self.seed)
-        _mix64_np(key)
-        key >>= np.uint64(11)
-        np.less(key, np.uint64(self._threshold), out=out)
+        _mix64_np(key, tmp)
+        # (h >> 11) < T  iff  h <= T * 2^11 - 1, which fits 64 bits as T <= 2^53
+        np.less_equal(key, np.uint64((self._threshold << 11) - 1), out=out)
 
     def edge_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Elementwise edges for paired (broadcast) vertex arrays; exact
-        match of edge()."""
-        us, vs = np.broadcast_arrays(np.asarray(us, dtype=np.uint64), np.asarray(vs, dtype=np.uint64))
+        """Elementwise edges for paired (broadcast) 1-D vertex arrays; exact
+        match of edge().  Each chunk is cast to uint64 in reused scratch, so
+        int64 views cost no full-array copy and vertices >= 2^63 stay exact."""
+        us, vs = np.broadcast_arrays(us, vs)
         out = np.empty(us.shape, dtype=bool)
+        scratch = np.empty((3, min(len(us), _CHUNK)), dtype=np.uint64)
         for lo in range(0, len(us), _CHUNK):
-            u, v = us[lo : lo + _CHUNK], vs[lo : lo + _CHUNK]
-            key, b = np.minimum(u, v), np.maximum(u, v)
+            a, b, key = scratch[:, : min(_CHUNK, len(us) - lo)]
+            np.copyto(a, us[lo : lo + _CHUNK], casting="unsafe")
+            np.copyto(b, vs[lo : lo + _CHUNK], casting="unsafe")
+            np.minimum(a, b, out=key)
+            np.maximum(a, b, out=b)
             key *= np.uint64(GOLDEN)
-            key ^= (b << np.uint64(32)) | (b >> np.uint64(32))
-            self._edge_bits(key, out[lo : lo + _CHUNK])
+            np.left_shift(b, np.uint64(32), out=a)
+            b >>= np.uint64(32)
+            key ^= a
+            key ^= b
+            self._edge_bits(key, out[lo : lo + _CHUNK], a)
         return out
 
     def edge_grid(self, us, pool_sorted: np.ndarray) -> np.ndarray:
@@ -140,8 +150,9 @@ class EdgeOracle:
         matrix.  Bit-identical to edge_pairs; the sortedness lets the pair
         canonicalization be precomputed once per pool chunk."""
         pool = np.asarray(pool_sorted, dtype=np.uint64)
+        # the split is searched in uint64: an int64 pool would meet c >= 2^63 in float64
         rows = [
-            (np.uint64(rotl64(c, 32)), np.uint64((c * GOLDEN) & MASK64), int(np.searchsorted(pool_sorted, c)))
+            (np.uint64(rotl64(c, 32)), np.uint64((c * GOLDEN) & MASK64), int(pool.searchsorted(np.uint64(c))))
             for c in map(int, us)
         ]
         out = np.empty((len(rows), len(pool)), dtype=bool)
@@ -149,12 +160,12 @@ class EdgeOracle:
             part = pool[lo : lo + _CHUNK]
             part_g = part * np.uint64(GOLDEN)
             part_rot = (part << np.uint64(32)) | (part >> np.uint64(32))
-            key = np.empty_like(part)
+            key, tmp = np.empty_like(part), np.empty_like(part)
             for row, (c_rot, c_g, split) in enumerate(rows):
                 i = min(max(split - lo, 0), len(part))  # pool[:split] < c
                 np.bitwise_xor(part_g[:i], c_rot, out=key[:i])
                 np.bitwise_xor(part_rot[i:], c_g, out=key[i:])
-                self._edge_bits(key, out[row, lo : lo + len(part)])
+                self._edge_bits(key, out[row, lo : lo + len(part)], tmp)
         return out
 
 

@@ -2,7 +2,12 @@
 
 from itertools import combinations
 
+import numpy as np
+
+from radolab.constructions import ForcingFailed, TypeClassEmpty
 from radolab.graphs import FiniteGraph, pattern_orbit_table, rows_from_upper_bits, subset_code
+from radolab.largeness import pi02_force
+from radolab.sets import VertexSet
 
 
 def from_upper_mask(n: int, mask: int) -> FiniteGraph:
@@ -34,3 +39,66 @@ def greedy_gfree(rows, n: int, pattern: FiniteGraph) -> list[int]:
         if not any(table[subset_code(rows, (*rest, v))] for rest in combinations(chosen, pattern.order - 1)):
             chosen.append(v)
     return chosen
+
+
+def scan_starts(oracle, scan_from: int, placed, rows, prefix_bound: int) -> list[int]:
+    """Every start k >= scan_from whose window [k, k + len(rows) - 1] <=
+    prefix_bound extends the placed images, tested start by start on scalar
+    ``edge``: window vertex d must have an edge to window vertex d' < d, or
+    to placed[i], exactly where rows[d] has bit len(placed) + d', or bit i."""
+    offset, length = len(placed), len(rows)
+
+    def fits(k):
+        for d in range(length):
+            earlier = list(enumerate(placed)) + [(offset + e, k + e) for e in range(d)]
+            if any(oracle.edge(k + d, w) != bool(rows[d] >> bit & 1) for bit, w in earlier):
+                return False
+        return True
+
+    return [k for k in range(scan_from, prefix_bound - length + 2) if fits(k)]
+
+
+def place_blocks(oracle, row, blocks: int, prefix_bound: int):
+    """Leftmost disjoint windows of lengths 1..blocks whose concatenation
+    induces the target with adjacency bitmasks row(v), from ``scan_starts``.
+    Returns (intervals, images, None), or (intervals so far, images so far,
+    the block that found no start)."""
+    intervals, images, scan_from = [], [], 1
+    for j in range(1, blocks + 1):
+        rows = [row(len(images) + d) for d in range(j)]
+        starts = scan_starts(oracle, scan_from, images, rows, prefix_bound)
+        if not starts:
+            return intervals, images, j
+        intervals.append((starts[0], j))
+        images.extend(range(starts[0], starts[0] + j))
+        scan_from = starts[0] + j
+    return intervals, images, None
+
+
+def pi02_full_class(oracle, family, levels: int, prefix_bound: int):
+    """The Π⁰₂ recursion on whole isolation classes: level n filters every
+    vertex of (k_{n-1}, prefix_bound] against [1, k_{n-1}] and forces over
+    the earlier blocks plus that whole class.  Returns (ks, blocks,
+    certificates) or raises the library's give-ups with the same fields."""
+    k_prev, ks, blocks, earlier = 0, [], [], []
+    p = float(oracle.edge_probability)
+    for n in range(1, levels + 1):
+        cands = np.arange(k_prev + 1, prefix_bound + 1, dtype=np.int64)
+        for b in range(1, k_prev + 1):
+            cands = cands[~oracle.edge_pairs(b, cands)]
+        if len(cands) == 0:
+            raise TypeClassEmpty(n, k_prev, (prefix_bound - k_prev) * (1 - p) ** k_prev)
+        t_prime = VertexSet(np.concatenate([np.array(earlier, dtype=np.int64), cands]), prefix_bound)
+        k_forced = pi02_force(family, n, t_prime, prefix_bound)
+        if k_forced is None:
+            raise ForcingFailed(n, prefix_bound, k_prev, VertexSet(earlier, prefix_bound))
+        k_n = max(k_forced, k_prev + 1)
+        blocks.append(t_prime.restrict(k_prev + 1, k_n).elements)
+        earlier.extend(blocks[-1])
+        ks.append(k_n)
+        k_prev = k_n
+    union = VertexSet(earlier, prefix_bound)
+    certificates = {
+        str(n): {"k": k, "forced_at": pi02_force(family, n, union.restrict(1, k), k)} for n, k in enumerate(ks, 1)
+    }
+    return tuple(ks), tuple(blocks), certificates

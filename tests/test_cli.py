@@ -381,6 +381,20 @@ def test_pattern_free_windows_above_the_cap_are_usage_errors():
         r = subprocess.run(BASE + argv, capture_output=True, text=True, timeout=10)
         assert (r.returncode, r.stdout) == (1, "") and "GFREE_WINDOW_CAP = 16384" in r.stderr
 
+
+def test_construction_prefix_bounds_above_the_scan_cap_are_refused_fast():
+    # the first two scanned for hours, or asked numpy for 7.28 TiB, before the cap
+    for argv in (
+        ["construct-pi02", "--seed", "4", "--levels", "3", "--prefix-bound", str(10**12)],
+        ["construct-thick", "--blocks", "4", "--prefix-bound", str(10**12)],
+        ["construct-thick", "--blocks", "2", "--prefix-bound", str(2**64 - 1)],
+        ["construct-thick-copy", "--target", "petersen", "--blocks", "3", "--prefix-bound", "2000000001"],
+    ):
+        r = subprocess.run(BASE + argv, capture_output=True, text=True, timeout=2)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: prefix bound %s exceeds SCAN_PREFIX_CAP = 2000000000\n" % argv[-1]
+
+
 # Bounded argv for every subcommand: valid flag values, then at most one
 # flag dropped or replaced by a malformed value.  Sizes stay small: prefix
 # bound <= 10^4 (<= 300 where a whole host becomes an adjacency matrix),

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radolab import constructions
 from radolab.constructions import (
     ForcingFailed,
     PrefixExhausted,
@@ -17,6 +19,7 @@ from radolab.graphs import FiniteGraph, complete, empty_graph, petersen, rows_fr
 from radolab.largeness import WeightFunction, pi02_force, substantial_family, thickness, weighted_sum
 from radolab.mc import _trial_graph_bits
 from radolab.oracle import EdgeOracle
+from reference import pi02_full_class, place_blocks, scan_starts
 
 
 def scalar_scan_second_block(oracle, bound):
@@ -290,3 +293,75 @@ def test_prefix_exhausted_carries_union_of_placed_blocks():
     with pytest.raises(PrefixExhausted) as copy:
         construct_thick_copy(o, empty_graph(10), 4, 5000)
     assert copy.value.union.elements == (1, 10, 11, 3042, 3043, 3044)
+
+
+# --- the chunked scan against start-by-start references ---------------------------
+
+# _SCAN_CHUNK caps the chunk length; the first chunk holds _SCAN_CHUNK >> 6
+CHUNK_CAPS = st.sampled_from([1, 64, 1000, constructions._SCAN_CHUNK])
+SEEDS = st.integers(0, 2**64 - 1)
+PROBABILITIES = st.sampled_from([Fraction(1, 2), Fraction(1, 3)])
+
+
+@st.composite
+def scans(draw):
+    """(scan_from, placed, rows, prefix_bound) with every placed image below
+    scan_from; scan_from is sometimes near the bound, and the bound
+    sometimes below the window length."""
+    length = draw(st.integers(1, 4))
+    placed = sorted(draw(st.sets(st.integers(1, 60), max_size=4)))
+    bound = draw(st.integers(0, 5000))
+    floor = placed[-1] + 1 if placed else 1
+    scan_from = max(floor, draw(st.one_of(st.integers(1, 300), st.integers(bound - 8, bound + 2))))
+    rows = [draw(st.integers(0, (1 << len(placed) + length) - 1)) for _ in range(length)]
+    return scan_from, placed, rows, bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, PROBABILITIES, scans(), CHUNK_CAPS)
+@example(5, Fraction(1, 2), (1, [], [0, 0, 0, 0], 2), 64)
+@example(5, Fraction(1, 2), (4990, [3], [1, 0b110], 4997), 64)
+def test_scan_yields_the_start_by_start_survivors(seed, p, scan, cap):
+    o = EdgeOracle(seed, p)
+    with mock.patch.object(constructions, "_SCAN_CHUNK", cap):
+        chunks = list(constructions._scan(o, *scan))
+    assert all(len(c) for c in chunks)
+    assert [int(k) for c in chunks for k in c] == scan_starts(o, *scan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, PROBABILITIES, st.integers(1, 4), st.integers(1, 5000), st.integers(0, 2**45 - 1), CHUNK_CAPS)
+def test_place_blocks_matches_the_start_by_start_reference(seed, p, blocks, bound, bits, cap):
+    o = EdgeOracle(seed, p)
+    row = FiniteGraph(10, tuple(rows_from_upper_bits([bits >> i & 1 for i in range(45)], 10))).rows.__getitem__
+    intervals, images, failed = place_blocks(o, row, blocks, bound)
+    with mock.patch.object(constructions, "_SCAN_CHUNK", cap):
+        if failed is None:
+            assert constructions._place_blocks(o, row, blocks, bound) == (intervals, images)
+        else:
+            with pytest.raises(PrefixExhausted) as exc:
+                constructions._place_blocks(o, row, blocks, bound)
+            assert (exc.value.block, list(exc.value.union.elements)) == (failed, images)
+
+
+def _pi02_outcome(build):
+    try:
+        return build()
+    except (TypeClassEmpty, ForcingFailed) as exc:
+        return type(exc).__name__, vars(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    SEEDS, PROBABILITIES, st.sampled_from([WeightFunction(), WeightFunction(0.5)]), st.integers(1, 3),
+    st.one_of(st.integers(1, 300), st.integers(1, 2 * 10**5)), st.sampled_from([64, constructions._SCAN_CHUNK]),
+)
+@example(4, Fraction(1, 2), WeightFunction(), 3, 2 * 10**5, constructions._SCAN_CHUNK)
+def test_lazy_pi02_matches_the_full_class_recursion(seed, p, family, levels, bound, cap):
+    o = EdgeOracle(seed, p)
+    want = _pi02_outcome(lambda: pi02_full_class(o, family, levels, bound))
+    with mock.patch.object(constructions, "_SCAN_CHUNK", cap):
+        got = _pi02_outcome(lambda: construct_pi02_member(o, family, levels, bound))
+    if isinstance(got, constructions.Pi02Result):
+        got = (got.ks, got.blocks, got.certificates)
+    assert got == want

@@ -249,6 +249,33 @@ def test_edge_grid_matches_edge_pairs():
         assert (grid[r][same] == ref[same]).all()
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(1)])
+def test_batched_kernels_are_exact_above_two_to_the_63(p):
+    """int64 and uint64 inputs meet in the kernels; promoting them together
+    would go through float64 and lose the low bits of these vertices, and
+    of the int64 ones above 2^53."""
+    o = EdgeOracle(12, p)
+    big = [2**63, 2**63 + 12345, 2**64 - 1]
+    small = np.array([1, 2, 3, 1000, 2**40 + 7, 2**62 + 3, 2**63 - 1], dtype=np.int64)
+    for u in big:
+        assert o.edge_pairs(u, small).tolist() == [o.edge(u, int(v)) for v in small]
+    us = np.array((big * 3)[: len(small)], dtype=np.uint64)
+    assert o.edge_pairs(us, small).tolist() == [o.edge(int(u), int(v)) for u, v in zip(us, small)]
+    assert o.edge_pairs(small, us).tolist() == [o.edge(int(u), int(v)) for u, v in zip(us, small)]
+    pool = np.array(sorted(big), dtype=np.uint64)
+    for grid, rows, cols in ((o.edge_grid(big, small), big, small), (o.edge_grid(small, pool), small, pool)):
+        assert grid.tolist() == [[o.edge(int(u), int(v)) for v in cols] for u in rows]
+
+
+def test_edge_pairs_spans_several_chunks():
+    o = EdgeOracle(5, Fraction(1, 3))
+    ks = np.arange(7, 7 + 2 * 2**15 + 9, dtype=np.int64)
+    got = o.edge_pairs(ks[:-2], ks[2:])
+    picks = [0, 1, 2**15 - 1, 2**15, 2**15 + 1, 2 * 2**15, len(got) - 1]
+    assert [bool(got[i]) for i in picks] == [o.edge(int(ks[i]), int(ks[i + 2])) for i in picks]
+    assert (o.edge_pairs(3, ks) == o.edge_grid([3], ks)[0]).all()
+
+
 @pytest.mark.parametrize("vertices", [range(1, 66), range(1000, 1080), range(3, 3 + 7 * 80, 7)])
 def test_adjacency_rows_beyond_64_vertices_match_scalar_edges(vertices):
     o = EdgeOracle(1)
