@@ -80,6 +80,12 @@ EXTRA = [
     "construct-pi02 --seed 4 --family substantial --levels 3 --prefix-bound 1000000",
     "construct-pi02 --seed 3 --family power:0.5 --levels 3 --prefix-bound 100000",
     "construct-thick-copy --seed 3 --target petersen --blocks 4 --prefix-bound 300000",
+    "gfree-max --seed 1 --window 1-2000 --pattern k:5 --mode greedy",
+    "gfree-max --seed 3 --window 1-24 --pattern c:5",
+    "gfree-max --seed 2 --window 1-24 --pattern k:4",
+    "mc-fn --seed 3 --pattern p:4 --n-list 12,16 --n-param 1 --trials 20",
+    "gfree-max --seed 1 --window 1-20 --pattern k:8",
+    "mc-fn --seed 1 --pattern k:8 --n-list 12 --n-param 1 --trials 2",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
