@@ -9,20 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .embed import verify_embedding
-from .graphs import (
-    FiniteGraph,
-    canonical_form,
-    enumerate_unlabeled,
-    find_induced,
-    graph6_encode,
-    pattern_orbit_table,
-    subset_code,
-)
+from .graphs import FiniteGraph, canonical_form, enumerate_unlabeled, find_induced, graph6_encode
 from .oracle import EdgeOracle, VerificationError, adjacency_rows
 from .sets import VertexSet
 
@@ -120,24 +111,20 @@ def weak_universality(
     return {"k_max": k_max, "patterns": patterns, "verdict": verdict}
 
 
-def _bad_subsets(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
-    """Bitmasks of the index subsets that induce the pattern."""
-    table = pattern_orbit_table(pattern)
-    return [
-        sum(1 << j for j in sub)
-        for sub in combinations(range(n), pattern.order)
-        if table[subset_code(rows, sub)]
-    ]
+def _check_gfree_order(pattern: FiniteGraph) -> None:
+    """Both pattern-free solvers refuse patterns of order above 7."""
+    if pattern.order > 7:
+        raise ValueError("pattern-free subsets supported up to pattern order 7")
 
 
 def _greedy_gfree(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
     """Take each index in turn unless the taken indices plus it induce the
-    pattern; the taken set is pattern-free, so any copy found uses it."""
-    if pattern.order > 7:
-        raise ValueError("pattern-free subsets supported up to pattern order 7")
+    pattern; the taken set is pattern-free, so any copy uses the new index,
+    and the search is anchored there."""
+    _check_gfree_order(pattern)
     taken = 0
     for v in range(n):
-        if find_induced(rows, taken | 1 << v, pattern)[0] is None:
+        if find_induced(rows, taken | 1 << v, pattern, anchor=v)[0] is None:
             taken |= 1 << v
     return [v for v in range(n) if taken >> v & 1]
 
@@ -150,10 +137,13 @@ def _exact_gfree(rows: list[int], n: int, pattern: FiniteGraph, stop_at: int | N
     solution, and only strictly larger subsets replace the incumbent.
     ``stop_at`` ends the search as soon as a subset of that size is known.
     """
-    bads = _bad_subsets(rows, n, pattern)
-    bads_by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for m in bads:
-        bads_by_vertex[m.bit_length() - 1].append(m)
+    _check_gfree_order(pattern)
+    # the vertex masks of the copies whose largest index is v
+    bads_by_vertex: list[list[int]] = []
+    for v in range(n):
+        copies: list[int] = []
+        find_induced(rows, (2 << v) - 1, pattern, anchor=v, copies=copies)
+        bads_by_vertex.append(sorted(set(copies)))  # a list iterates faster than a set
     best_size = best_mask = 0
 
     def conflict(mask: int, v: int) -> bool:

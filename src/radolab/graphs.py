@@ -70,21 +70,6 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def subset_code(rows: Sequence[int], sub: Sequence[int]) -> int:
-    """Upper-triangle code of the subgraph induced on the ordered positions
-    ``sub`` of the bitset ``rows``: the pair (a, b), a < b, of ``sub`` is
-    bit b(b-1)/2 + a, set when rows[sub[a]] and rows[sub[b]] are adjacent."""
-    code = 0
-    bit = 1
-    for b, j in enumerate(sub):
-        row = rows[j]
-        for a in range(b):
-            if row >> sub[a] & 1:
-                code |= bit
-            bit <<= 1
-    return code
-
-
 def rows_from_upper_bits(bits: Sequence[int], n: int) -> list[int]:
     """Bitset rows of the n-vertex graph whose column-major upper-triangle
     pairs are the truthy entries of ``bits``."""
@@ -272,7 +257,7 @@ def pattern_orbit_table(pattern: FiniteGraph) -> tuple[bool, ...]:
     if r > 7:
         raise ValueError("orbit table supported up to order 7")
     source, _ = _relabelings(r)
-    # the subset_code of every relabelling: the first pair is the least significant bit
+    # the upper-triangle mask of every relabelling, the first pair as the least significant bit
     codes = np.array(_upper_bits(pattern), dtype=np.int64)[source] @ (1 << np.arange(source.shape[1]))
     table = np.zeros(1 << source.shape[1], dtype=bool)
     table[codes] = True
@@ -280,7 +265,8 @@ def pattern_orbit_table(pattern: FiniteGraph) -> tuple[bool, ...]:
 
 
 def find_induced(
-    rows: Sequence[int], within: int, pattern: FiniteGraph, node_budget: int | None = None
+    rows: Sequence[int], within: int, pattern: FiniteGraph, node_budget: int | None = None,
+    anchor: int | None = None, copies: list[int] | None = None,
 ) -> tuple[list[int] | None, int]:
     """Search the positions in the bitmask ``within`` of the bitset
     ``rows`` for an induced copy of the pattern.  Returns (images, nodes):
@@ -291,13 +277,21 @@ def find_induced(
     free position first; candidates are cut to the positions consistent
     with every vertex already mapped.  A node is counted before the budget
     test, so a search that ran out reports node_budget + 1 nodes.
+
+    With an ``anchor`` position, only copies that use it are searched: each
+    pattern vertex in turn is mapped to the anchor first.  With a ``copies``
+    list, the search does not stop at a copy but appends its position mask
+    and goes on, so every labelled copy is listed (a vertex set once per
+    automorphism of the pattern) and None is returned.
     """
     r = pattern.order
     if r > within.bit_count():
         return None, 0
-    porder = sorted(range(r), key=lambda v: (-pattern.degree(v), v))
-    # per depth: (earlier pattern vertex, adjacent to this depth's vertex?)
-    constraints = [[(q, pattern.has_edge(p, q)) for q in porder[:d]] for d, p in enumerate(porder)]
+    by_degree = sorted(range(r), key=lambda v: (-pattern.degree(v), v))
+    if anchor is None:
+        first, orders = within, [by_degree]
+    else:
+        first, orders = within & 1 << anchor, [[a] + [p for p in by_degree if p != a] for a in by_degree]
     limit = float("inf") if node_budget is None else node_budget
     images = [-1] * r
     nodes = 0
@@ -306,8 +300,11 @@ def find_induced(
         """True once a copy is complete or the budget is spent."""
         nonlocal nodes
         if depth == r:
-            return True
-        cand = within & ~used
+            if copies is None:
+                return True
+            copies.append(used)
+            return False
+        cand = (within if depth else first) & ~used
         for q, adjacent in constraints[depth]:
             row = rows[images[q]]
             cand = cand & row if adjacent else cand & ~row
@@ -323,6 +320,9 @@ def find_induced(
                 return True
         return False
 
-    found = dfs(0, 0) and nodes <= limit
-    return (images if found else None), nodes
-
+    for porder in orders:
+        # per depth: (earlier pattern vertex, adjacent to this depth's vertex?)
+        constraints = [[(q, pattern.has_edge(p, q)) for q in porder[:d]] for d, p in enumerate(porder)]
+        if dfs(0, 0):
+            return (images if nodes <= limit else None), nodes
+    return None, nodes

@@ -34,6 +34,7 @@ MC_PATTERN_ORDER_CAP = 6
 MC_N_CAP = 32
 EXACT_N_CAP = 6
 FN_EXACT_CAP = 16
+MC_DENSITY_EDGE_CAP = 2 * 10**7  # trials * n * k * pool edge evaluations: about a second
 
 _FAIR_BIT_THRESHOLD = np.uint64(1 << 52)  # p = 1/2 over 53-bit uniforms
 
@@ -52,6 +53,8 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
         raise ValueError("pool too small")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
+    if trials * n * k * pool_size > MC_DENSITY_EDGE_CAP:
+        raise ValueError("trials * n * k * pool exceeds MC_DENSITY_EDGE_CAP = %d" % MC_DENSITY_EDGE_CAP)
     pool = np.arange(n * k + 1, n * k + pool_size + 1, dtype=np.int64)
     fractions = []
     for t in range(trials):

@@ -5,9 +5,24 @@ from itertools import combinations
 import numpy as np
 
 from radolab.constructions import ForcingFailed, TypeClassEmpty
-from radolab.graphs import FiniteGraph, pattern_orbit_table, rows_from_upper_bits, subset_code
+from radolab.graphs import FiniteGraph, pattern_orbit_table, rows_from_upper_bits
 from radolab.largeness import pi02_force
 from radolab.sets import VertexSet
+
+
+def subset_code(rows, sub) -> int:
+    """Upper-triangle code of the subgraph induced on the ordered positions
+    ``sub`` of the bitset ``rows``: the pair (a, b), a < b, of ``sub`` is
+    bit b(b-1)/2 + a, set when rows[sub[a]] and rows[sub[b]] are adjacent."""
+    code = 0
+    bit = 1
+    for b, j in enumerate(sub):
+        row = rows[j]
+        for a in range(b):
+            if row >> sub[a] & 1:
+                code |= bit
+            bit <<= 1
+    return code
 
 
 def from_upper_mask(n: int, mask: int) -> FiniteGraph:
@@ -28,6 +43,17 @@ def contains_induced_copy(g: FiniteGraph, pattern: FiniteGraph) -> bool:
         return False
     table = pattern_orbit_table(pattern)
     return any(table[subset_code(g.rows, sub)] for sub in combinations(range(g.order), r))
+
+
+def bad_subsets(rows, n: int, pattern: FiniteGraph) -> list[int]:
+    """Bitmasks of the index subsets that induce the pattern, found by
+    testing the subset code of every r-subset against the orbit table."""
+    table = pattern_orbit_table(pattern)
+    return [
+        sum(1 << j for j in sub)
+        for sub in combinations(range(n), pattern.order)
+        if table[subset_code(rows, sub)]
+    ]
 
 
 def greedy_gfree(rows, n: int, pattern: FiniteGraph) -> list[int]:

@@ -371,6 +371,28 @@ def test_order_zero_patterns_are_refused_by_name():
         )
 
 
+def test_pattern_free_solvers_refuse_order_eight_by_name():
+    for argv in (
+        ["gfree-max", "--window", "1-20", "--pattern", "k:8"],
+        ["gfree-max", "--window", "1-20", "--pattern", "k:8", "--mode", "greedy"],
+        ["mc-fn", "--pattern", "k:8", "--n-list", "12", "--n-param", "1", "--trials", "2"],
+    ):
+        assert run_main([*argv, "--seed", "1"]) == (
+            1, "", "error: pattern-free subsets supported up to pattern order 7\n"
+        )
+
+
+def test_mc_density_work_above_the_cap_is_refused_fast():
+    # the trial loop ran until a 10 s timeout before the cap
+    for argv in (
+        ["--k", "2", "--n", "2", "--pool", "10", "--trials", "99999999999999999999999"],
+        ["--k", "1", "--n", "1", "--pool", "10000001", "--trials", "2"],
+    ):
+        r = subprocess.run(BASE + ["mc-density", "--seed", "1", *argv], capture_output=True, text=True, timeout=2)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: trials * n * k * pool exceeds MC_DENSITY_EDGE_CAP = 20000000\n"
+
+
 def test_pattern_free_windows_above_the_cap_are_usage_errors():
     # both ran into a multi-GiB adjacency grid, or for hours, before the cap
     for argv in (

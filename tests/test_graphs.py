@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference import contains_induced_copy, from_upper_mask
+from reference import contains_induced_copy, from_upper_mask, subset_code
 
 from radolab.graphs import (
     FiniteGraph,
@@ -19,7 +19,6 @@ from radolab.graphs import (
     path,
     pattern_orbit_table,
     petersen,
-    subset_code,
 )
 
 

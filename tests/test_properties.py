@@ -1,27 +1,28 @@
 """Property tests of the array-native fast paths against pure-Python
 references written here: VertexSet against a tuple-backed set, thickness
 and run notation against element loops, type keys against scalar edges.
-The induced-pattern matcher (subset codes, the induced-copy search and the
-Monte Carlo estimate built on it) is checked against exhaustive search,
-and so are greedy and exact pattern-free growth.  Also pins the names the
-benchmark tracer wraps by name, every radolab name the benchmark reads, and
-that every library name has a caller."""
+The induced-pattern matcher (the induced-copy search, anchored or not and
+listing every copy, and the Monte Carlo estimate built on it) is checked
+against exhaustive search, and so are greedy and exact pattern-free
+growth.  Also pins the names the benchmark tracer wraps by name, every
+radolab name the benchmark reads, and that every library name has a
+caller."""
 
 import ast
 import importlib.util
 import inspect
 import pathlib
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import contains_induced_copy, from_upper_mask, greedy_gfree
+from reference import bad_subsets, contains_induced_copy, from_upper_mask, greedy_gfree, subset_code
 
 import radolab.cli  # noqa: F401  (the tracer wraps every layer, cli included)
 from radolab.audit import _exact_gfree, _greedy_gfree
-from radolab.graphs import FiniteGraph, canonical_form, enumerate_unlabeled, find_induced, subset_code
+from radolab.graphs import FiniteGraph, canonical_form, empty_graph, enumerate_unlabeled, find_induced
 from radolab.largeness import WeightFunction, substantial_family, thickness
 from radolab.mc import _trial_graph_bits, mc_gfree_probability
 from radolab.oracle import EdgeOracle, type_keys
@@ -185,6 +186,36 @@ def test_find_induced_matches_exhaustive_search(g, pattern):
             assert find_induced(g.rows, full, pattern, nodes - 1) == (None, nodes)
     else:
         assert find_induced(g.rows, full, pattern, max(nodes, 1)) == (None, nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_on(1, 10),
+       st.one_of(graphs_on(1, 5), st.integers(1, 5).flatmap(lambda k: st.sampled_from(enumerate_unlabeled(k)))),
+       st.integers(0, 9), st.integers(0, 2**10 - 1))
+@example(from_upper_mask(9, 0), empty_graph(4), 8, 0)
+@example(from_upper_mask(10, 0x2B5A5A5A5A5), FiniteGraph.from_edges(5, [(0, 1), (2, 3)]), 3, 0x155)
+def test_anchored_find_induced_matches_the_subset_scan(g, pattern, anchor, within):
+    """Anchored listing gives every bad set of the r-subset scan, once per
+    automorphism of the pattern; an anchored search finds a copy exactly
+    when one inside ``within`` uses the anchor, and its copy does."""
+    n, r = g.order, pattern.order
+    bads = bad_subsets(g.rows, n, pattern)
+    automorphisms = sum(pattern.induced(perm) == pattern for perm in permutations(range(r)))
+    listed = []
+    for v in range(n):
+        copies = []
+        assert find_induced(g.rows, (2 << v) - 1, pattern, anchor=v, copies=copies)[0] is None
+        assert all(m.bit_length() - 1 == v for m in copies)
+        listed += copies
+    assert sorted(set(listed)) == sorted(bads) and len(listed) == len(bads) * automorphisms
+
+    anchor %= n
+    within = within & ((1 << n) - 1) | 1 << anchor
+    images, _ = find_induced(g.rows, within, pattern, anchor=anchor)
+    assert (images is not None) == any(m & within == m and m >> anchor & 1 for m in bads)
+    if images is not None:
+        assert anchor in images and len(set(images)) == r and all(within >> q & 1 for q in images)
+        assert g.induced(images) == pattern
 
 
 @settings(max_examples=200, deadline=None)
