@@ -3,7 +3,6 @@ arithmetic progressions, and forcing for the Π⁰₂ family of a weight functio
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -106,10 +105,32 @@ def density_profile(a: VertexSet, checkpoints: Sequence[int]) -> DensityReport:
 
 
 def weighted_sum(a: VertexSet, f: WeightFunction = WeightFunction()) -> float:
-    """Exact partial sum of f over the materialized prefix of A."""
+    """Partial sum of f over the materialized prefix of A, rounded once:
+    equal to ``math.fsum`` of the weights.
+
+    Each weight (a normal float in (0, 1]) is its 53-bit significand times
+    2^(exponent field - 1075).  Over each run of equal exponents the high
+    and low 26-bit halves of the significands are summed in int64, which
+    cannot overflow below 2^36 weights; the run sums are combined as Python
+    ints, and the one division by a power of two rounds correctly.  Runs
+    may come in any order; a sorted set has about one per binade.
+    """
     if len(a) == 0:
         return 0.0
-    return math.fsum(f.weights(a.as_array))
+    bits = f.weights(a.as_array).view(np.int64)
+    exps = bits >> 52
+    starts = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))
+    run_exps = exps[starts].tolist()
+    sig = bits & ((1 << 52) - 1)
+    sig |= 1 << 52
+    high = np.right_shift(sig, 26, out=exps)
+    sig &= (1 << 26) - 1
+    low = min(run_exps)
+    total = sum(
+        ((h << 26) + lo) << (e - low)
+        for h, lo, e in zip(np.add.reduceat(high, starts).tolist(), np.add.reduceat(sig, starts).tolist(), run_exps)
+    )
+    return total / (1 << (1075 - low))
 
 
 def thickness(a: VertexSet) -> tuple[int, int]:

@@ -34,6 +34,8 @@ MC_PATTERN_ORDER_CAP = 6
 MC_N_CAP = 32
 EXACT_N_CAP = 6
 FN_EXACT_CAP = 16
+# a refused row has f > 2^16, so its trials would need n > 2^16 vertices
+FN_POWER_BITS_CAP = 1 << 16
 MC_DENSITY_EDGE_CAP = 2 * 10**7  # trials * n * k * pool edge evaluations: about a second
 
 _FAIR_BIT_THRESHOLD = np.uint64(1 << 52)  # p = 1/2 over 53-bit uniforms
@@ -152,10 +154,16 @@ def mc_gfree_probability(
 
 
 def fn_size(n: int, n_param: int) -> int:
-    """ceil(N * log2 n): the pattern-free subset size the bound tracks."""
+    """ceil(N * log2 n), the pattern-free subset size the bound tracks, in
+    integers: the least m with 2^m >= n^N.  n^N may hold at most
+    FN_POWER_BITS_CAP bits."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return math.ceil(n_param * math.log2(n)) if n > 1 else 0
+    if n_param < 0:
+        raise ValueError("n_param must be >= 0")
+    if n_param * (n.bit_length() - 1) > FN_POWER_BITS_CAP:
+        raise ValueError("n^N = %d^%d exceeds FN_POWER_BITS_CAP = %d bits" % (n, n_param, FN_POWER_BITS_CAP))
+    return (n**n_param - 1).bit_length()
 
 
 def mc_fn_bound(

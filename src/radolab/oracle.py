@@ -171,15 +171,31 @@ class EdgeOracle:
 
 def stream_matrix(seed: int, tags: np.ndarray, count: int) -> np.ndarray:
     """Counter-based 53-bit uniforms, reproducible from (seed, tag, index),
-    one row of count values per tag; shape (len(tags), count).
+    one row of count values per tag; shape (len(tags), count).  Value j of
+    a row is mix64(key + (j + 1) * GOLDEN) >> 11.
 
     Independent of the ambient edge PRF: a different derivation chain is
-    used, so Monte Carlo trial graphs never alias ambient edges.
+    used, so Monte Carlo trial graphs never alias ambient edges.  Filled
+    in blocks of at most _CHUNK counters (rows x columns) through two
+    reused scratch arrays; every value depends only on its counter, so the
+    blocking leaves the matrix unchanged.
     """
     tags = np.asarray(tags, dtype=np.uint64)
     keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags * np.uint64(GOLDEN)))
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    return _mix64_np(keys[:, None] + idx[None, :] * np.uint64(GOLDEN)) >> np.uint64(11)
+    out = np.empty((len(tags), count), dtype=np.uint64)
+    cols = min(max(count, 1), _CHUNK)
+    rows = _CHUNK // cols
+    steps = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    # a block is whole rows (then it has every column) or part of one row,
+    # so each slice of the scratch below is contiguous
+    scratch = np.empty((2, min(rows, len(tags)), cols), dtype=np.uint64)
+    for r0 in range(0, len(tags), rows):
+        block_keys = keys[r0 : r0 + rows]
+        for lo in range(0, count, cols):
+            z, tmp = scratch[:, : len(block_keys), : count - lo]
+            np.add((block_keys + np.uint64(lo * GOLDEN & MASK64))[:, None], steps[: z.shape[1]], out=z)
+            np.right_shift(_mix64_np(z, tmp), np.uint64(11), out=out[r0 : r0 + len(block_keys), lo : lo + cols])
+    return out
 
 
 def stream_values(seed: int, tag: int, count: int) -> np.ndarray:
@@ -227,12 +243,19 @@ TYPE_KEY_BITS = 62
 def type_keys(oracle: EdgeOracle, base: Sequence[int], pool: np.ndarray) -> np.ndarray:
     """Type masks over ``base`` of every vertex of the sorted ``pool``, as
     int64 keys: bit i of a key is the edge to base[i].  One ``edge_grid``
-    evaluation; a pool vertex that lies in base gets an unspecified key."""
+    call per _CHUNK pool vertices, whose rows are ORed into that chunk's
+    keys through one reused scratch array; a pool vertex that lies in base
+    gets an unspecified key."""
     if len(base) > TYPE_KEY_BITS:
         raise ValueError("type keys hold at most %d base vertices" % TYPE_KEY_BITS)
     keys = np.zeros(len(pool), dtype=np.int64)
-    for i, row in enumerate(oracle.edge_grid(base, pool)):
-        keys |= row.astype(np.int64) << i
+    scratch = np.empty(min(len(pool), _CHUNK), dtype=np.int64)
+    for lo in range(0, len(pool), _CHUNK):
+        part = keys[lo : lo + _CHUNK]
+        t = scratch[: len(part)]
+        for i, row in enumerate(oracle.edge_grid(base, pool[lo : lo + _CHUNK])):
+            np.left_shift(row, i, out=t, dtype=np.int64)
+            part |= t
     return keys
 
 
@@ -271,12 +294,20 @@ def type_of(oracle: EdgeOracle, m: int, base: VertexSet) -> TypeSpec:
     return TypeSpec(base.elements, _bitset(oracle.edge_grid([m], base.as_array)[0]))
 
 
+# extension_check reports every one of the 2^|F| types: 2^20 is a report of
+# about a million entries, and the witness table alone is 8 MiB.
+EXTENSION_BASE_CAP = 20
+
+
 def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
-    """Least witness <= bound for each of the 2^|F| types over F.
+    """Least witness <= bound for each of the 2^|F| types over F, for
+    |F| <= EXTENSION_BASE_CAP.
 
     Passes iff every type is witnessed; absence of witnesses is data,
     not an error.
     """
+    if len(f) > EXTENSION_BASE_CAP:
+        raise ValueError("extension_check supports |F| <= EXTENSION_BASE_CAP = %d, not %d" % (EXTENSION_BASE_CAP, len(f)))
     if len(f) and f.as_array[-1] > bound:
         raise ValueError("base set must lie within [1, bound]")
     candidates = np.setdiff1d(np.arange(1, bound + 1, dtype=np.int64), f.as_array, assume_unique=True)

@@ -7,7 +7,26 @@ import numpy as np
 from radolab.constructions import ForcingFailed, TypeClassEmpty
 from radolab.graphs import FiniteGraph, pattern_orbit_table, rows_from_upper_bits
 from radolab.largeness import pi02_force
+from radolab.oracle import GOLDEN, _mix64_np
 from radolab.sets import VertexSet
+
+
+def whole_stream_matrix(seed: int, tags, count: int) -> np.ndarray:
+    """The counter streams in one pass over the whole (len(tags), count)
+    matrix: value j of a tag's row is mix64(key + (j + 1) * GOLDEN) >> 11."""
+    tags = np.asarray(tags, dtype=np.uint64)
+    keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags * np.uint64(GOLDEN)))
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    return _mix64_np(keys[:, None] + idx[None, :] * np.uint64(GOLDEN)) >> np.uint64(11)
+
+
+def row_type_keys(oracle, base, pool) -> np.ndarray:
+    """Type keys from one ``edge_grid`` over the whole pool, ORed in row by
+    row: bit i of a key is the edge to base[i]."""
+    keys = np.zeros(len(pool), dtype=np.int64)
+    for i, row in enumerate(oracle.edge_grid(base, pool)):
+        keys |= row.astype(np.int64) << i
+    return keys
 
 
 def subset_code(rows, sub) -> int:

@@ -250,6 +250,9 @@ def test_malformed_window_is_a_usage_error():
 def test_oversized_input_is_a_usage_error():
     out = run("extension", "--seed", "1", "--f", "1-45", "--bound", "100")
     assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: extension_check supports |F| <= EXTENSION_BASE_CAP = 20")
+    out = run("density", "--host", "all", "--prefix-bound", "10000000000000")
+    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
     assert out.stderr.startswith("error: input too large") and "TiB" in out.stderr
 
 

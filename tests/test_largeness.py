@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radolab.largeness import (
@@ -87,6 +88,32 @@ def test_weighted_sum_additive_over_disjoint_unions(xs, ys):
     u = VertexSet.from_iterable(set(xs) | set(ys))
     assert abs(weighted_sum(u) - (weighted_sum(a) + weighted_sum(b))) < 1e-12
     assert weighted_sum(u) >= weighted_sum(a)
+
+
+# vertices drawn from every binade below 2^63, so the weights span many exponents
+SPREAD = st.integers(0, 62).flatmap(lambda b: st.integers(1 << b, (1 << (b + 1)) - 1))
+EXPONENTS = st.floats(0, 1, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SPREAD, max_size=200), EXPONENTS)
+@example([], 1.0)
+@example([1], 1.0)
+@example([7], 0.3)
+@example([2**62 + 1], 1e-300)
+@example([1, 2**53], 1.0)  # 1 + 2^-53 is a tie and rounds to even, 1.0
+@example([1, 2**53, 2**54], 1.0)  # just above the tie, so 1 + 2^-52
+def test_weighted_sum_equals_fsum_exactly(xs, e):
+    a, w = VertexSet.from_iterable(xs), WeightFunction(e)
+    assert weighted_sum(a, w) == math.fsum(w.weights(a.as_array))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 2**40), st.integers(0, 2**32), EXPONENTS | st.just(1.0))
+def test_weighted_sum_equals_fsum_on_large_sets(lo, draw, e):
+    xs = np.random.default_rng(draw).integers(lo, 2 * lo + 10**5, 5000)
+    a, w = VertexSet.from_iterable(xs.tolist()), WeightFunction(e)
+    assert weighted_sum(a, w) == math.fsum(w.weights(a.as_array))
 
 
 def test_weight_validation():

@@ -8,6 +8,7 @@ from reference import complement
 
 from radolab.graphs import complete, empty_graph, enumerate_unlabeled, path, rows_from_upper_bits
 from radolab.mc import (
+    FN_POWER_BITS_CAP,
     _trial_graph_bits,
     exact_gfree_count,
     fn_size,
@@ -152,6 +153,24 @@ def test_fn_size_at_powers_of_two():
     for n_param in (1, 2, 3):
         for k in (1, 2, 3, 4):
             assert fn_size(2**k, n_param) == k * n_param
+
+
+def test_fn_size_is_the_least_power_of_two_above_n_to_the_n():
+    for n in range(2, 1 << 12):
+        m = 0
+        for n_param in range(33):
+            power = n**n_param
+            while (1 << m) < power:
+                m += 1
+            assert fn_size(n, n_param) == m
+    assert fn_size(1, 10**23) == 0
+
+
+def test_fn_size_refuses_negative_and_huge_exponents():
+    for n, n_param in ((8, -1), (3, 2**20), (2**64, 2**12)):
+        with pytest.raises(ValueError):
+            fn_size(n, n_param)
+    assert fn_size(2, FN_POWER_BITS_CAP) == FN_POWER_BITS_CAP
 
 
 def test_fn_degenerate_cases():

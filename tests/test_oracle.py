@@ -5,10 +5,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import row_type_keys, whole_stream_matrix
 
 from radolab.oracle import (
+    _CHUNK,
+    EXTENSION_BASE_CAP,
     EdgeOracle,
     TypeSpec,
     adjacency_rows,
@@ -198,6 +201,13 @@ def test_extension_overcrowded_base_reports_none():
     assert not rep["pass"] and missing >= 4096 - 4
 
 
+def test_extension_base_is_capped_before_any_allocation():
+    """A bound of 10^13 candidates could not be allocated: the cap is checked first."""
+    for size in (EXTENSION_BASE_CAP + 1, 45):
+        with pytest.raises(ValueError, match=r"\|F\| <= EXTENSION_BASE_CAP = 20, not %d" % size):
+            extension_check(EdgeOracle(1), VertexSet.interval(1, size), 10**13)
+
+
 def test_extension_base_outside_bound():
     with pytest.raises(ValueError):
         extension_check(EdgeOracle(1), VertexSet.from_iterable([100]), 10)
@@ -228,6 +238,48 @@ def test_streams_are_counter_based():
     mat = stream_matrix(5, np.array([77, 78]), 100)
     assert list(mat[0]) == list(whole)
     assert list(mat[1]) != list(whole)
+
+
+# counts and trial-row counts on either side of a block boundary
+CHUNK_EDGES = st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+TRIAL_ROWS = st.sampled_from([1, _CHUNK // 10 - 1, _CHUNK // 10, _CHUNK // 10 + 1, _CHUNK // 5 + 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+       CHUNK_EDGES | st.integers(0, 3 * _CHUNK))
+def test_stream_matrix_matches_whole_array_reference(seed, tags, count):
+    got = stream_matrix(seed, tags, count)
+    assert got.dtype == np.uint64 and got.shape == (len(tags), count)
+    assert np.array_equal(got, whole_stream_matrix(seed, tags, count))
+    assert np.array_equal(stream_values(seed, tags[-1], count), whole_stream_matrix(seed, tags[-1:], count)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), TRIAL_ROWS | st.integers(1, _CHUNK // 4), st.integers(0, 2**63))
+def test_stream_matrix_blocks_many_short_rows(seed, ntags, tag0):
+    """Ten columns a row, as in a trial matrix: a block holds many rows."""
+    tags = np.uint64(tag0) + np.arange(ntags, dtype=np.uint64)
+    assert np.array_equal(stream_matrix(seed, tags, 10), whole_stream_matrix(seed, tags, 10))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from(["1/2", "1/3"]), st.integers(1, 62),
+       CHUNK_EDGES | st.integers(0, 3 * _CHUNK), st.integers(0, 2**32), st.booleans())
+@example(1, "1/2", 62, _CHUNK + 1, 7, True)
+@example(1, "1/2", 1, _CHUNK, 7, False)
+def test_type_keys_match_whole_pool_reference(seed, p, k, size, draw, high):
+    """Pools straddle chunk boundaries; ``high`` puts the pool at 2^63 and
+    above, as uint64."""
+    rng = np.random.default_rng(draw)
+    lo = 2**64 - 4 * size - 66 if high else 1
+    pool = np.unique(rng.integers(lo, lo + 4 * size + 1, size, dtype=np.uint64 if high else np.int64))
+    base = rng.choice(np.arange(lo, lo + 4 * size + 64, dtype=pool.dtype), k, replace=False)
+    pool = np.setdiff1d(pool, base)
+    o = EdgeOracle(seed, p)
+    keys = type_keys(o, base, pool)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, row_type_keys(o, base, pool))
 
 
 def test_streams_do_not_alias_ambient_edges():
