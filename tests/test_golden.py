@@ -86,6 +86,10 @@ EXTRA = [
     "mc-fn --seed 3 --pattern p:4 --n-list 12,16 --n-param 1 --trials 20",
     "gfree-max --seed 1 --window 1-20 --pattern k:8",
     "mc-fn --seed 1 --pattern k:8 --n-list 12 --n-param 1 --trials 2",
+    "ap --seed 2 --host mup:1/2 --prefix-bound 9800",
+    "ap --seed 1 --host 1-3,10-12,20-22,31",
+    "ap --seed 1 --host 1,5,9,13,1000000",
+    "ap --seed 1 --host 2,4,6,11,13,15",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
