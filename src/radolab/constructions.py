@@ -204,7 +204,7 @@ def construct_thick_copy(
     if blocks > 0 and target.order < needed:
         raise ValueError("target must supply at least %d vertices" % needed)
     intervals, images = _place_blocks(oracle, target.rows.__getitem__, blocks, prefix_bound)
-    verify_embedding(oracle, target.induced(list(range(needed))), tuple(images))
+    verify_embedding(oracle, target, tuple(images))
     return ThickCopyResult(tuple(intervals), tuple(images), True)
 
 

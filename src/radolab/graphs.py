@@ -41,17 +41,6 @@ class FiniteGraph:
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
-    def induced(self, vertices: Sequence[int]) -> "FiniteGraph":
-        """Subgraph induced on the given vertex positions, in the given order."""
-        rows = []
-        for a in vertices:
-            r = 0
-            for q, b in enumerate(vertices):
-                if a != b and self.has_edge(a, b):
-                    r |= 1 << q
-            rows.append(r)
-        return FiniteGraph(len(vertices), tuple(rows))
-
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "FiniteGraph":
         rows = [0] * n

@@ -29,13 +29,6 @@ class WeightFunction:
         ns = np.asarray(ns, dtype=np.float64)
         return 1.0 / ns if self.exponent == 1.0 else ns ** -self.exponent
 
-    def force(self, level: int, prefix: VertexSet, horizon: int) -> int | None:
-        """The least k' <= horizon such that every superset of prefix ∩ [1,k']
-        agreeing with prefix below k' lies in the level's open set, or None
-        if the prefix does not force yet.  Stateless and monotone in the
-        prefix."""
-        return self.crossing(level, [prefix.restrict(1, horizon).as_array])
-
     def crossing(self, level: int, parts: Iterable[np.ndarray]) -> int | None:
         """The first element of the ascending concatenation of ``parts`` at
         which the running sum of weights exceeds the level, or None.  Parts
@@ -146,42 +139,32 @@ def longest_ap(a: VertexSet) -> tuple[int, int, int]:
     """A maximum-length arithmetic progression in A as (start, diff, length).
 
     Ties go to the smallest difference, then the smallest start.  Quadratic
-    dynamic program over element pairs; |A| is capped accordingly.
+    dynamic program over element pairs, one row of an int16 m x m table per
+    element; |A| is capped accordingly.
     """
     m = len(a)
     if m > AP_SIZE_LIMIT:
         raise ValueError("longest_ap supports at most %d elements" % AP_SIZE_LIMIT)
-    if m == 0:
-        return (0, 0, 0)
-    if m == 1:
-        return (int(a.as_array[0]), 0, 1)
+    if m < 2:
+        return (int(a.as_array[0]), 0, 1) if m else (0, 0, 0)
     vals = a.as_array
-    index_of = np.full(int(vals[-1]) + 2, -1, dtype=np.int64)
-    index_of[vals] = np.arange(m)
-    # ap_len[i, j] = length of the longest AP ending with (vals[i], vals[j])
-    ap_len = np.full((m, m), 2, dtype=np.int32)
-    for j in range(1, m):
-        k = np.arange(j + 1, m)
-        if len(k) == 0:
-            continue
-        prev_vals = 2 * vals[j] - vals[k]
-        valid = prev_vals >= 1
-        prev_idx = np.where(valid, index_of[np.where(valid, prev_vals, 1)], -1)
-        found = prev_idx >= 0
-        ap_len[j, k[found]] = ap_len[prev_idx[found], j] + 1
-    best_len = int(ap_len[np.triu_indices(m, k=1)].max()) if m >= 2 else 1
-    best: tuple[int, int, int] | None = None
-    js, ks = np.nonzero(ap_len == best_len)
-    for j, k in zip(js, ks):
-        if j >= k:
-            continue
-        d = int(vals[k] - vals[j])
-        start = int(vals[k]) - (best_len - 1) * d
-        cand = (d, start)
-        if best is None or cand < (best[1], best[0]):
-            best = (start, d, best_len)
-    assert best is not None
-    return best
+    # ap_len[j, k] = length of the longest AP ending with (vals[j], vals[k]), k > j
+    ap_len = np.zeros((m, m), dtype=np.int16)
+    best = (0, 0, 0)  # (-length, diff, start)
+    for j in range(m - 1):
+        top = vals[j + 1 :]
+        diffs = top - vals[j]
+        # vals[j] - diff cannot overflow where 2 * vals[j] - top could
+        prev = vals[j] - diffs
+        # prev < vals[j], so i <= j and vals[i] is in range
+        i = np.searchsorted(vals[:j], prev)
+        row = ap_len[j, j + 1 :]
+        np.add(np.where(vals[i] == prev, ap_len[i, j], 1), 1, out=row)
+        # diff grows along the row, so the leftmost longest has the least diff
+        k = int(np.argmax(row))
+        length, d = int(row[k]), int(diffs[k])
+        best = min(best, (-length, d, int(top[k]) - (length - 1) * d))
+    return (best[2], best[1], -best[0])
 
 
 def substantial_family() -> WeightFunction:
@@ -190,5 +173,8 @@ def substantial_family() -> WeightFunction:
 
 
 def pi02_force(family: WeightFunction, level: int, prefix: VertexSet, horizon: int) -> int | None:
-    """Least horizon k' at which the prefix forces the level's open set."""
-    return family.force(level, prefix, horizon)
+    """The least k' <= horizon such that every superset of prefix ∩ [1,k']
+    agreeing with prefix below k' lies in the family's level open set, or
+    None if the prefix does not force yet.  Stateless and monotone in the
+    prefix."""
+    return family.crossing(level, [prefix.restrict(1, horizon).as_array])

@@ -36,7 +36,8 @@ EXACT_N_CAP = 6
 FN_EXACT_CAP = 16
 # a refused row has f > 2^16, so its trials would need n > 2^16 vertices
 FN_POWER_BITS_CAP = 1 << 16
-MC_DENSITY_EDGE_CAP = 2 * 10**7  # trials * n * k * pool edge evaluations: about a second
+# trials * n * k * pool edge evaluations: about a second, and at most 10^7 bytes of one trial's grid
+MC_DENSITY_EDGE_CAP = 2 * 10**7
 
 _FAIR_BIT_THRESHOLD = np.uint64(1 << 52)  # p = 1/2 over 53-bit uniforms
 
@@ -60,10 +61,9 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
     pool = np.arange(n * k + 1, n * k + pool_size + 1, dtype=np.int64)
     fractions = []
     for t in range(trials):
-        oracle = EdgeOracle((seed + t) & MASK64)
-        avoid = np.ones(pool_size, dtype=bool)
-        for i in range(n):
-            avoid &= type_keys(oracle, np.arange(i * k + 1, (i + 1) * k + 1), pool) != (1 << k) - 1
+        grid = EdgeOracle((seed + t) & MASK64).edge_grid(np.arange(1, n * k + 1), pool)
+        # a pool vertex has base i's all-ones type when its k edges to base i all exist
+        avoid = ~grid.reshape(n, k, pool_size).all(axis=1).any(axis=0)
         fractions.append(float(avoid.mean()))
     arr = np.asarray(fractions)
     target = (1 - 0.5**k) ** n

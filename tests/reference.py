@@ -55,6 +55,18 @@ def complement(g: FiniteGraph) -> FiniteGraph:
     return FiniteGraph(g.order, tuple((~r & full & ~(1 << i)) for i, r in enumerate(g.rows)))
 
 
+def induced(g: FiniteGraph, vertices) -> FiniteGraph:
+    """Subgraph of g induced on the given vertex positions, in the given order."""
+    rows = []
+    for a in vertices:
+        r = 0
+        for q, b in enumerate(vertices):
+            if a != b and g.has_edge(a, b):
+                r |= 1 << q
+        rows.append(r)
+    return FiniteGraph(len(vertices), tuple(rows))
+
+
 def contains_induced_copy(g: FiniteGraph, pattern: FiniteGraph) -> bool:
     """Exhaustive check that g has an induced copy of the pattern."""
     r = pattern.order

@@ -268,3 +268,15 @@ def test_gfree_answer_is_reverified_on_every_subset(monkeypatch):
     monkeypatch.setattr(audit, "_greedy_gfree", lambda rows, n, pattern: planted)
     with pytest.raises(VerificationError):
         max_gfree_subset(o, (1, 100), k4, "greedy")
+
+
+def test_gfree_answer_is_reverified_through_its_last_vertex(monkeypatch):
+    """A maximal independent set and one later index: every edge of that
+    answer runs to its last vertex."""
+    o, k2 = EdgeOracle(1), complete(2)
+    chosen = audit._greedy_gfree(adjacency_rows(o, np.arange(1, 101)), 100, k2)
+    assert chosen[-1] < 99
+    planted = chosen + [chosen[-1] + 1]
+    monkeypatch.setattr(audit, "_greedy_gfree", lambda rows, n, pattern: planted)
+    with pytest.raises(VerificationError):
+        max_gfree_subset(o, (1, 100), k2, "greedy")

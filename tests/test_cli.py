@@ -188,6 +188,35 @@ def test_host_file_notation(tmp_path):
     assert json.loads(out.stdout)["interval"] == [1, 16]
 
 
+def test_ap_on_a_sparse_host_needs_no_table_sized_by_its_top():
+    # a lookup table as long as the largest element needed 7.28 TiB here
+    out = run("ap", "--host", "1,1000000000000")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["ap"] == [1, 999999999999, 2]
+
+
+def test_ap_on_5000_elements_without_3_term_ap_stays_small(tmp_path):
+    # the first 5000 numbers with base-3 digits 0 and 1 only (n in binary, read
+    # in base 3): no 3-term AP
+    host = [int(format(n, "b"), 3) for n in range(1, 5001)]
+    assert len(host) == 5000 and host[-1] == 559899
+    p = tmp_path / "host.txt"
+    p.write_text("\n".join(map(str, host)) + "\n")
+    # RUSAGE_CHILDREN would keep the peak of every earlier child, so the child reports its own
+    child = (
+        "import resource, sys\n"
+        "from radolab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child, "ap", "--host", "file:" + str(p)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["ap"] == [3, 1, 2]
+    assert int(out.stderr.split()[-1]) < 150 * 1024  # kB on Linux
+
+
 def test_floats_printed_with_12_significant_digits():
     out = run("sum", "--host", "1-3")
     rep = json.loads(out.stdout)

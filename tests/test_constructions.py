@@ -18,7 +18,7 @@ from radolab.constructions import (
 from radolab.graphs import FiniteGraph, complete, empty_graph, petersen, rows_from_upper_bits
 from radolab.largeness import WeightFunction, pi02_force, substantial_family, thickness, weighted_sum
 from radolab.mc import _trial_graph_bits
-from radolab.oracle import EdgeOracle
+from radolab.oracle import EdgeOracle, VerificationError
 from reference import pi02_full_class, place_blocks, scan_starts
 
 
@@ -121,6 +121,21 @@ def test_random_six_vertex_target_twenty_seeds():
             for j in range(i + 1, 6):
                 assert o.edge(im[i], im[j]) == target.has_edge(i, j)
     assert ok >= 18
+
+
+def test_thick_copy_verification_reads_the_last_pair(monkeypatch):
+    """Placed blocks checked against a target that differs from them only in
+    the last of their pairs; the target's vertices beyond them are ignored."""
+    o, target = EdgeOracle(1), petersen()
+    placed = constructions._place_blocks(o, target.rows.__getitem__, 3, 10**5)
+    rows = list(target.rows)
+    rows[4] ^= 1 << 5
+    rows[5] ^= 1 << 4
+    monkeypatch.setattr(constructions, "_place_blocks", lambda *args: placed)
+    images = placed[1]
+    with pytest.raises(VerificationError, match=r"pair \(%d, %d\)" % (images[4], images[5])):
+        construct_thick_copy(o, FiniteGraph(10, tuple(rows)), 3, 10**5)
+    assert construct_thick_copy(o, target, 3, 10**5).images == tuple(images)
 
 
 def test_copy_requires_enough_target_vertices():

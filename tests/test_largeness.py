@@ -174,7 +174,9 @@ def brute_ap(xs):
     return best_len, best
 
 
-@given(subsets_of_12)
+@given(st.one_of(subsets_of_12, st.sets(st.integers(1, 2**63 - 1), max_size=12)))
+@example({1, 2**62, 2**63 - 1})
+@example({2**63 - 3, 2**63 - 2, 2**63 - 1, 5})
 def test_thickness_and_ap_match_brute_force(xs):
     vs = VertexSet.from_iterable(xs)
     assert thickness(vs) == brute_thickness(xs)

@@ -24,7 +24,8 @@ from radolab.sets import VertexSet
 
 # --- density of type-avoiding vertices ---------------------------------------
 
-@pytest.mark.parametrize("k,n,target", [(1, 1, 0.5), (2, 2, 0.5625), (3, 1, 0.875)])
+# k = 64 is more base vertices than a type key holds
+@pytest.mark.parametrize("k,n,target", [(1, 1, 0.5), (2, 2, 0.5625), (3, 1, 0.875), (64, 1, 1.0)])
 def test_density_star_formula_targets(k, n, target):
     assert (1 - 0.5**k) ** n == pytest.approx(target)
     r = mc_density_star(1, k, n, 10**4, 20)

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import bad_subsets, contains_induced_copy, from_upper_mask, greedy_gfree, subset_code
+from reference import bad_subsets, contains_induced_copy, from_upper_mask, greedy_gfree, induced, subset_code
 
 import radolab.cli  # noqa: F401  (the tracer wraps every layer, cli included)
 from radolab.audit import _exact_gfree, _greedy_gfree
 from radolab.graphs import FiniteGraph, canonical_form, empty_graph, enumerate_unlabeled, find_induced
-from radolab.largeness import WeightFunction, substantial_family, thickness
+from radolab.largeness import WeightFunction, pi02_force, substantial_family, thickness
 from radolab.mc import _trial_graph_bits, mc_gfree_probability
 from radolab.oracle import EdgeOracle, type_keys
 from radolab.sets import VertexSet, format_runs, parse_runs
@@ -180,7 +180,7 @@ def test_find_induced_matches_exhaustive_search(g, pattern):
     assert (images is not None) == contains_induced_copy(g, pattern)
     if images is not None:
         assert len(set(images)) == pattern.order
-        assert g.induced(images) == pattern
+        assert induced(g, images) == pattern
         # a budget one short of the nodes used stops the search at budget + 1
         if nodes > 1:
             assert find_induced(g.rows, full, pattern, nodes - 1) == (None, nodes)
@@ -200,7 +200,7 @@ def test_anchored_find_induced_matches_the_subset_scan(g, pattern, anchor, withi
     when one inside ``within`` uses the anchor, and its copy does."""
     n, r = g.order, pattern.order
     bads = bad_subsets(g.rows, n, pattern)
-    automorphisms = sum(pattern.induced(perm) == pattern for perm in permutations(range(r)))
+    automorphisms = sum(induced(pattern, perm) == pattern for perm in permutations(range(r)))
     listed = []
     for v in range(n):
         copies = []
@@ -215,7 +215,7 @@ def test_anchored_find_induced_matches_the_subset_scan(g, pattern, anchor, withi
     assert (images is not None) == any(m & within == m and m >> anchor & 1 for m in bads)
     if images is not None:
         assert anchor in images and len(set(images)) == r and all(within >> q & 1 for q in images)
-        assert g.induced(images) == pattern
+        assert induced(g, images) == pattern
 
 
 @settings(max_examples=200, deadline=None)
@@ -232,7 +232,7 @@ def test_exact_gfree_is_the_lexicographically_largest_maximum(g, pattern):
     index before it leaves it out."""
     n, form = g.order, canonical_form(pattern)
     bad = [sum(1 << v for v in sub) for sub in combinations(range(n), pattern.order)
-           if canonical_form(g.induced(sub)) == form]
+           if canonical_form(induced(g, sub)) == form]
     free = [m for m in range(1 << n) if not any(b & m == b for b in bad)]
     top = max(m.bit_count() for m in free)
     want = max((m for m in free if m.bit_count() == top), key=lambda m: [m >> v & 1 for v in range(n)])
@@ -242,7 +242,7 @@ def test_exact_gfree_is_the_lexicographically_largest_maximum(g, pattern):
 @given(graphs_on(1, 9), st.data())
 def test_subset_code_matches_induced_subgraph(g, data):
     sub = data.draw(st.lists(st.integers(0, g.order - 1), unique=True))
-    h = g.induced(sub)
+    h = induced(g, sub)
     want = 0
     for b in range(len(sub)):
         for a in range(b):
@@ -282,7 +282,7 @@ def test_weighted_force_matches_one_full_cumsum(exponent, seed, density, horizon
         levels += [sums[i] for i in (pick % len(sums), 1023, 1024, 3071) if i < len(sums)]
     for level in levels:
         hits = np.flatnonzero(sums > level)
-        assert family.force(level, prefix, horizon) == (int(within[hits[0]]) if len(hits) else None)
+        assert pi02_force(family, level, prefix, horizon) == (int(within[hits[0]]) if len(hits) else None)
 
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
