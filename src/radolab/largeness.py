@@ -145,8 +145,10 @@ def longest_ap(a: VertexSet) -> tuple[int, int, int]:
     m = len(a)
     if m > AP_SIZE_LIMIT:
         raise ValueError("longest_ap supports at most %d elements" % AP_SIZE_LIMIT)
-    if m < 2:
-        return (int(a.as_array[0]), 0, 1) if m else (0, 0, 0)
+    if m == 0:
+        return (0, 0, 0)
+    if m == 1:
+        return (int(a.as_array[0]), 0, 1)
     vals = a.as_array
     # ap_len[j, k] = length of the longest AP ending with (vals[j], vals[k]), k > j
     ap_len = np.zeros((m, m), dtype=np.int16)

@@ -7,8 +7,7 @@ named tests with ``-x`` against the copy.  A row whose snippet no longer
 occurs fails the run, so a refactor has to update the table rather than skip
 a row silently.  pytest does not collect this file; run it from anywhere:
 
-    python tests/mutation.py          # every row
-    python tests/mutation.py 0 5      # rows by index
+    python tests/mutation.py
 """
 
 from __future__ import annotations
@@ -218,8 +217,8 @@ def check(mutant: Mutant, tmp: pathlib.Path) -> str | None:
     return "survived" if result.returncode == 0 else "pytest exit %d:\n%s" % (result.returncode, result.stdout[-2000:])
 
 
-def main(argv: list[str]) -> int:
-    rows = [int(a) for a in argv] or range(len(MUTANTS))
+def main() -> int:
+    rows = range(len(MUTANTS))
     failed = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="radolab-mutation-") as tmp:
@@ -236,4 +235,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
