@@ -57,8 +57,6 @@ def contains_induced(
         raise ValueError("pattern order capped at %d" % CONTAINS_ORDER_CAP)
     if node_budget < 1:
         raise ValueError("node budget must be >= 1")
-    if pattern.order == 0:
-        return SearchResult(FOUND, VertexSet.empty(), 0)
     images, nodes = find_induced(_LazyRows(oracle, host.as_array), (1 << len(host)) - 1, pattern, node_budget)
     if images is None:
         return SearchResult(BUDGET if nodes > node_budget else ABSENT, None, nodes)

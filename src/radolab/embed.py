@@ -49,7 +49,6 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Embedding:
-    target: FiniteGraph
     images: tuple[int, ...]
     steps: tuple[StepRecord, ...]
     verified: bool
@@ -130,16 +129,14 @@ def embed_target(
             # pigeonhole: every candidate starves some class within the pool
             return [(int(c), 0) for c in cands]
         base_keys = bits[alive][: len(scoring_pool)] @ (1 << np.arange(n_placed))
-        # row r of keys: the type keys over placed + [cands[r]], offset by r << n
-        rows = np.arange(len(cands))
-        keys = oracle.edge_grid(cands, scoring_pool).astype(np.int64)
-        keys <<= n_placed
-        keys |= base_keys
-        keys |= (rows << n)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=len(cands) << n)
         at = np.minimum(np.searchsorted(scoring_pool, cands), len(scoring_pool) - 1)
-        counts[keys[rows, at]] -= 1
-        scores = counts.reshape(len(cands), 1 << n).min(axis=1)
+        scores = np.zeros(len(cands), dtype=np.int64)
+        for r, row in enumerate(oracle.edge_grid(cands, scoring_pool)):
+            # the type keys over placed + [cands[r]], the candidate's bit on top
+            keys = base_keys | row.astype(np.int64) << n_placed
+            counts = np.bincount(keys, minlength=1 << n)
+            counts[keys[at[r]]] -= 1
+            scores[r] = counts.min()
         order = np.argsort(-scores, kind="stable")
         return list(zip(cands[order].tolist(), scores[order].tolist()))
 
@@ -170,4 +167,4 @@ def embed_target(
 
     images = tuple(placed)
     verify_embedding(oracle, target, images)
-    return Embedding(target=target, images=images, steps=tuple(records), verified=True)
+    return Embedding(images=images, steps=tuple(records), verified=True)

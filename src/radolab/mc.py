@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -79,14 +80,15 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
     }
 
 
+@lru_cache(maxsize=None)
 def _gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
-    """Boolean table over all labeled graphs on n vertices (upper-triangle
-    masks): True where the graph has no induced copy of the pattern."""
+    """Read-only table over all labeled graphs on n vertices (upper-triangle masks),
+    shared per (pattern, n): True where the graph has no induced copy of the pattern."""
     npairs = n * (n - 1) // 2
     masks = np.arange(1 << npairs, dtype=np.int64)
-    contains = np.zeros(len(masks), dtype=bool)
+    flags = np.ones(len(masks), dtype=bool)
     r = pattern.order
-    orbit = np.asarray(pattern_orbit_table(pattern), dtype=bool)
+    not_copy = ~np.asarray(pattern_orbit_table(pattern), dtype=bool)
     for sub in combinations(range(n), r):
         submask = np.zeros(len(masks), dtype=np.int64)
         bit = 0
@@ -95,8 +97,9 @@ def _gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
                 src = pair_index(sub[a], sub[b])
                 submask |= ((masks >> src) & 1) << bit
                 bit += 1
-        contains |= orbit[submask]
-    return ~contains
+        flags &= not_copy[submask]
+    flags.flags.writeable = False
+    return flags
 
 
 def exact_gfree_count(pattern: FiniteGraph, n: int) -> dict:
@@ -125,6 +128,8 @@ def mc_gfree_probability(
 ) -> dict:
     """Monte Carlo estimate of the pattern-free probability for uniform
     labeled n-vertex graphs, with the 2^(-c n^2) envelope when c is given."""
+    if pattern.order == 0:
+        raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
     if pattern.order > MC_PATTERN_ORDER_CAP:
         raise ValueError("pattern order capped at %d" % MC_PATTERN_ORDER_CAP)
     if not pattern.order <= n <= MC_N_CAP:
@@ -134,9 +139,8 @@ def mc_gfree_probability(
     npairs = n * (n - 1) // 2
     bits = _trial_graph_bits(seed, trials, npairs)
     if n <= EXACT_N_CAP:
-        flags = _gfree_flags(pattern, n)
         masks = bits @ (1 << np.arange(npairs, dtype=np.int64))
-        hits = flags[masks]
+        hits = _gfree_flags(pattern, n)[masks]
     else:
         hits = np.array([find_induced(rows_from_upper_bits(row, n), (1 << n) - 1, pattern)[0] is None for row in bits])
     est = float(hits.mean())

@@ -166,8 +166,15 @@ MUTANTS = [
     Mutant(
         "rank_candidates: a candidate's own entry not subtracted",
         "embed.py",
-        "counts[keys[rows, at]] -= 1",
-        "counts[keys[rows, at]] -= 0",
+        "counts[keys[at[r]]] -= 1",
+        "counts[keys[at[r]]] -= 0",
+        ("tests/test_embed.py::test_step_scores_match_reference",),
+    ),
+    Mutant(
+        "rank_candidates: the candidate's bit shifted by n, not n_placed",
+        "embed.py",
+        "row.astype(np.int64) << n_placed",
+        "row.astype(np.int64) << n",
         ("tests/test_embed.py::test_step_scores_match_reference",),
     ),
     Mutant(

@@ -397,6 +397,8 @@ def test_order_zero_patterns_are_refused_by_name():
         ["gfree-max", "--window", "1-10", "--pattern", "e:0", "--mode", "greedy"],
         ["dyadic-audit", "--pattern", "e:0", "--n-param", "1", "--k-from", "1", "--k-to", "3"],
         ["mc-fn", "--pattern", "e:0", "--n-list", "8", "--n-param", "1", "--trials", "5"],
+        ["mc-gfree", "--pattern", "e:0", "--n", "3"],
+        ["mc-gfree", "--pattern", "e:0", "--n", "8"],
     ):
         assert run_main([*argv, "--seed", "1"]) == (
             1, "", "error: a pattern-free subset needs a pattern with at least one vertex\n"

@@ -178,6 +178,19 @@ def test_type_bits_grow_with_the_placed_images():
     assert peak < 40 * 2**20
 
 
+def test_scoring_holds_one_key_row_at_a_time():
+    """Each candidate is scored on its own int64 key row: no key is held
+    per (candidate, scoring-pool vertex) pair on a 3 * 10^5-vertex host."""
+    tracemalloc.start()
+    try:
+        emb = embed_target(EdgeOracle(1), complete(4), VertexSet.interval(1, 300000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emb.images == (58, 4, 178, 257)
+    assert peak < 64 * 2**20
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EmbedConfig(candidate_cap=0)
