@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .embed import verify_embedding
-from .graphs import FiniteGraph, canonical_form, enumerate_unlabeled, find_induced, graph6_encode
+from .graphs import CATALOG_MAX_ORDER, FiniteGraph, canonical_form, enumerate_unlabeled, find_induced, graph6_encode
 from .oracle import EdgeOracle, VerificationError, adjacency_rows
 from .sets import VertexSet
 
@@ -85,8 +85,8 @@ def weak_universality(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict:
     """Witness every unlabeled graph of order <= k_max inside the host."""
-    if k_max > 7:
-        raise ValueError("weak universality sweep capped at k_max = 7")
+    if k_max > CATALOG_MAX_ORDER:
+        raise ValueError("weak universality sweep capped at k_max = %d" % CATALOG_MAX_ORDER)
     patterns = []
     for k in range(1, k_max + 1):
         for g in enumerate_unlabeled(k):

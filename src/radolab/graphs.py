@@ -52,13 +52,6 @@ class FiniteGraph:
         return cls(n, tuple(rows))
 
 
-def pair_index(i: int, j: int) -> int:
-    """Column-major upper-triangle position of the pair i < j."""
-    if not i < j:
-        raise ValueError("pair_index requires i < j")
-    return j * (j - 1) // 2 + i
-
-
 def rows_from_upper_bits(bits: Sequence[int], n: int) -> list[int]:
     """Bitset rows of the n-vertex graph whose column-major upper-triangle
     pairs are the truthy entries of ``bits``."""
@@ -176,6 +169,7 @@ def graph6_decode(text: str) -> FiniteGraph:
 # --- canonical form ---------------------------------------------------------
 
 CANONICAL_MAX_ORDER = 8
+CATALOG_MAX_ORDER = 7
 
 
 @lru_cache(maxsize=None)
@@ -199,19 +193,15 @@ def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
     return source, weights.T
 
 
-def _least_relabelings(bits: np.ndarray, n: int) -> np.ndarray:
-    """The least relabelling of each row of upper-triangle bits."""
-    source, weights = _relabelings(n)
-    return np.take_along_axis(bits, source[np.argmin(bits @ weights, axis=1)], axis=1)
-
-
 def canonical_form(g: FiniteGraph) -> str:
     """Order-prefixed minimal upper-triangle bitstring over all relabellings;
     two graphs are isomorphic iff their canonical forms are equal."""
     if g.order > CANONICAL_MAX_ORDER:
         raise ValueError("canonicalization bound exceeded (order %d > %d)" % (g.order, CANONICAL_MAX_ORDER))
-    bits = _least_relabelings(np.array([_upper_bits(g)], dtype=np.uint8), g.order)[0]
-    return "%d:%s" % (g.order, "".join(map(str, bits.tolist())))
+    source, weights = _relabelings(g.order)
+    bits = np.array(_upper_bits(g), dtype=np.uint8)
+    least = bits[source[np.argmin(bits @ weights)]]
+    return "%d:%s" % (g.order, "".join(map(str, least.tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -220,37 +210,24 @@ def enumerate_unlabeled(k: int) -> tuple[FiniteGraph, ...]:
     in the order of their canonical forms.
 
     Each (k-1)-class is extended by every neighborhood of a fresh vertex,
-    whose pairs are the last k - 1 columns; the batch is canonicalised at
-    once and the distinct rows kept.
+    whose pairs are the last k - 1 columns; the least code of every
+    extension is taken at once, and each distinct code is spelled out as
+    the bits of its representative.
     """
-    if not 1 <= k <= 7:
-        raise ValueError("unlabeled enumeration supported for 1 <= k <= 7")
+    if not 1 <= k <= CATALOG_MAX_ORDER:
+        raise ValueError("unlabeled enumeration supported for 1 <= k <= %d" % CATALOG_MAX_ORDER)
     if k == 1:
         return (FiniteGraph(1, (0,)),)
+    _, weights = _relabelings(k)
     fresh = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1) & 1).astype(np.uint8)
     batches = []
     for g in enumerate_unlabeled(k - 1):
         old = np.array([_upper_bits(g)] * len(fresh), dtype=np.uint8)
-        batches.append(_least_relabelings(np.hstack([old, fresh]), k))
-    forms = np.unique(np.concatenate(batches), axis=0)
+        batches.append((np.hstack([old, fresh]) @ weights).min(axis=1))
+    codes = np.sort(np.concatenate(batches)).astype(np.int64)
+    codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
+    forms = codes[:, None] >> np.arange(weights.shape[0])[::-1] & 1  # the first pair is the most significant bit
     return tuple(FiniteGraph(k, tuple(rows_from_upper_bits(bits, k))) for bits in forms.tolist())
-
-
-@lru_cache(maxsize=None)
-def pattern_orbit_table(pattern: FiniteGraph) -> tuple[bool, ...]:
-    """Boolean table over all upper-triangle masks of the pattern's order:
-    True where the mask is a labeled copy of the pattern.  Capped at order
-    7 to keep the table (2^C(r,2) entries) desk-sized; built once per
-    pattern and shared, hence immutable."""
-    r = pattern.order
-    if r > 7:
-        raise ValueError("orbit table supported up to order 7")
-    source, _ = _relabelings(r)
-    # the upper-triangle mask of every relabelling, the first pair as the least significant bit
-    codes = np.array(_upper_bits(pattern), dtype=np.int64)[source] @ (1 << np.arange(source.shape[1]))
-    table = np.zeros(1 << source.shape[1], dtype=bool)
-    table[codes] = True
-    return tuple(table.tolist())
 
 
 def find_induced(

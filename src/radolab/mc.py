@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
 from .audit import _exact_gfree, _greedy_gfree
-from .graphs import FiniteGraph, find_induced, pair_index, pattern_orbit_table, rows_from_upper_bits
+from .graphs import FiniteGraph, _relabelings, _upper_bits, enumerate_unlabeled, find_induced, rows_from_upper_bits
 from .oracle import (
     MASK64,
     TAG_MU_P,
@@ -82,22 +81,19 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
 
 @lru_cache(maxsize=None)
 def _gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
-    """Read-only table over all labeled graphs on n vertices (upper-triangle masks),
-    shared per (pattern, n): True where the graph has no induced copy of the pattern."""
-    npairs = n * (n - 1) // 2
-    masks = np.arange(1 << npairs, dtype=np.int64)
-    flags = np.ones(len(masks), dtype=bool)
-    r = pattern.order
-    not_copy = ~np.asarray(pattern_orbit_table(pattern), dtype=bool)
-    for sub in combinations(range(n), r):
-        submask = np.zeros(len(masks), dtype=np.int64)
-        bit = 0
-        for b in range(r):
-            for a in range(b):
-                src = pair_index(sub[a], sub[b])
-                submask |= ((masks >> src) & 1) << bit
-                bit += 1
-        flags &= not_copy[submask]
+    """Read-only table over all labeled graphs on n vertices (upper-triangle
+    masks, the first pair as the least significant bit), shared per
+    (pattern, n): True where the graph has no induced copy of the pattern.
+
+    One ``find_induced`` per isomorphism class of the catalog decides the
+    class; a pattern-free class marks the masks of all its relabellings.
+    """
+    source, _ = _relabelings(n)
+    place = 1 << np.arange(source.shape[1], dtype=np.int64)
+    flags = np.zeros(1 << source.shape[1], dtype=bool)
+    for g in enumerate_unlabeled(n):
+        if find_induced(g.rows, (1 << n) - 1, pattern)[0] is None:
+            flags[np.array(_upper_bits(g), dtype=np.int64)[source] @ place] = True
     flags.flags.writeable = False
     return flags
 

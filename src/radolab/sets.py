@@ -53,7 +53,10 @@ class VertexSet:
 
     @classmethod
     def from_iterable(cls, it: Iterable[int], prefix_bound: int | None = None) -> "VertexSet":
-        arr = np.unique(_int64_array(it))
+        arr = np.sort(_int64_array(it), axis=None)
+        first = np.ones(len(arr), dtype=bool)
+        first[1:] = arr[1:] != arr[:-1]
+        arr = arr[first]
         if prefix_bound is None:
             prefix_bound = int(arr[-1]) if len(arr) else 0
         return cls(arr, prefix_bound)
@@ -104,7 +107,7 @@ class VertexSet:
 
     def union(self, other: "VertexSet") -> "VertexSet":
         bound = max(self.prefix_bound, other.prefix_bound)
-        return VertexSet(np.union1d(self.as_array, other.as_array), bound)
+        return VertexSet.from_iterable(np.concatenate([self.as_array, other.as_array]), bound)
 
     def restrict(self, lo: int, hi: int) -> "VertexSet":
         """Elements within the inclusive interval [lo, hi]."""

@@ -145,9 +145,30 @@ MUTANTS = [
     Mutant(
         "canonical_form: the largest code, not the least",
         "graphs.py",
-        "np.argmin(bits @ weights, axis=1)",
-        "np.argmax(bits @ weights, axis=1)",
-        ("tests/test_graphs.py::test_catalog_digest_is_frozen",),
+        "np.argmin(bits @ weights)",
+        "np.argmax(bits @ weights)",
+        ("tests/test_graphs.py::test_relabelling_table_matches_permutation_scan",),
+    ),
+    Mutant(
+        "enumerate_unlabeled: repeated least codes kept",
+        "graphs.py",
+        "codes[np.r_[True, codes[1:] != codes[:-1]]]",
+        "codes[np.r_[True, codes[1:] >= codes[:-1]]]",
+        ("tests/test_graphs.py::test_enumerate_counts_match_brute_force",),
+    ),
+    Mutant(
+        "_gfree_flags: a pattern-free class marks its representative's mask only",
+        "mc.py",
+        "np.int64)[source] @ place",
+        "np.int64)[source[:1]] @ place",
+        ("tests/test_mc.py::test_catalog_table_matches_subset_scan",),
+    ),
+    Mutant(
+        "VertexSet.from_iterable: repeated elements kept",
+        "sets.py",
+        "first[1:] = arr[1:] != arr[:-1]",
+        "first[1:] = True",
+        ("tests/test_properties.py::test_from_iterable_matches_reference",),
     ),
     Mutant(
         "_greedy_gfree: every vertex kept",

@@ -1,11 +1,12 @@
 """Brute-force references that the tests compare the library against."""
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from radolab.constructions import ForcingFailed, TypeClassEmpty
-from radolab.graphs import FiniteGraph, pattern_orbit_table, rows_from_upper_bits
+from radolab.graphs import FiniteGraph, _relabelings, _upper_bits, rows_from_upper_bits
 from radolab.largeness import pi02_force
 from radolab.oracle import GOLDEN, _mix64_np
 from radolab.sets import VertexSet
@@ -42,6 +43,45 @@ def subset_code(rows, sub) -> int:
                 code |= bit
             bit <<= 1
     return code
+
+
+@lru_cache(maxsize=None)
+def pattern_orbit_table(pattern: FiniteGraph) -> tuple[bool, ...]:
+    """Boolean table over all upper-triangle masks of the pattern's order:
+    True where the mask is a labeled copy of the pattern.  Capped at order
+    7 to keep the table (2^C(r,2) entries) desk-sized; built once per
+    pattern and shared, hence immutable."""
+    r = pattern.order
+    if r > 7:
+        raise ValueError("orbit table supported up to order 7")
+    source, _ = _relabelings(r)
+    # the upper-triangle mask of every relabelling, the first pair as the least significant bit
+    codes = np.array(_upper_bits(pattern), dtype=np.int64)[source] @ (1 << np.arange(source.shape[1]))
+    table = np.zeros(1 << source.shape[1], dtype=bool)
+    table[codes] = True
+    return tuple(table.tolist())
+
+
+def gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
+    """True for each labeled n-vertex graph (upper-triangle masks, the first
+    pair as the least significant bit) with no induced copy of the pattern:
+    for each of the C(n, r) position subsets, that subset's code is read out
+    of all 2^C(n,2) masks at once and looked up in the orbit table."""
+    npairs = n * (n - 1) // 2
+    masks = np.arange(1 << npairs, dtype=np.int64)
+    flags = np.ones(len(masks), dtype=bool)
+    r = pattern.order
+    not_copy = ~np.asarray(pattern_orbit_table(pattern), dtype=bool)
+    for sub in combinations(range(n), r):
+        submask = np.zeros(len(masks), dtype=np.int64)
+        bit = 0
+        for b in range(r):
+            for a in range(b):
+                src = sub[b] * (sub[b] - 1) // 2 + sub[a]  # column-major position of the pair
+                submask |= ((masks >> src) & 1) << bit
+                bit += 1
+        flags &= not_copy[submask]
+    return flags
 
 
 def from_upper_mask(n: int, mask: int) -> FiniteGraph:

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from reference import subset_code
+from reference import pattern_orbit_table, subset_code
 
 from radolab import audit
 from radolab.audit import (
@@ -18,7 +18,7 @@ from radolab.audit import (
     weak_universality,
 )
 from radolab.constructions import construct_thick_edgeless
-from radolab.graphs import complete, cycle, empty_graph, path, pattern_orbit_table
+from radolab.graphs import complete, cycle, empty_graph, path
 from radolab.oracle import EdgeOracle, VerificationError, adjacency_rows, induced_subgraph
 from radolab.sets import VertexSet
 

@@ -217,6 +217,25 @@ def test_ap_on_5000_elements_without_3_term_ap_stays_small(tmp_path):
     assert int(out.stderr.split()[-1]) < 150 * 1024  # kB on Linux
 
 
+def test_common_commands_never_import_numpy_ma():
+    # numpy's first np.unique call imports numpy.ma, about 20 ms of a fresh process
+    child = (
+        "import contextlib, io, sys\n"
+        "from radolab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv.split()) for argv in sys.argv[1:]]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    argvs = [
+        "mc-gfree --seed 7 --pattern k:3 --n 5 --trials 1000",
+        "embed --seed 7 --target k:4 --host 1-4096",
+        "audit-weak --seed 7 --host 1-512 --kmax 4",
+        "extension --seed 7 --f 1-8 --bound 4096",
+    ]
+    out = subprocess.run([sys.executable, "-c", child, *argvs], capture_output=True, text=True, timeout=60)
+    assert out.stdout == "[0, 0, 0, 0] False\n", out.stderr
+
+
 def test_floats_printed_with_12_significant_digits():
     out = run("sum", "--host", "1-3")
     rep = json.loads(out.stdout)

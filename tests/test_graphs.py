@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference import contains_induced_copy, from_upper_mask, induced, subset_code
+from reference import contains_induced_copy, from_upper_mask, induced, pattern_orbit_table, subset_code
 
 from radolab.graphs import (
     FiniteGraph,
@@ -17,7 +17,6 @@ from radolab.graphs import (
     graph6_decode,
     graph6_encode,
     path,
-    pattern_orbit_table,
     petersen,
 )
 

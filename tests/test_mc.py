@@ -4,11 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from reference import complement
+from reference import complement, gfree_flags
 
-from radolab.graphs import complete, empty_graph, enumerate_unlabeled, path, rows_from_upper_bits
+from radolab.graphs import canonical_form, complete, empty_graph, enumerate_unlabeled, path, rows_from_upper_bits
 from radolab.mc import (
     FN_POWER_BITS_CAP,
+    _gfree_flags,
     _trial_graph_bits,
     exact_gfree_count,
     fn_size,
@@ -104,6 +105,16 @@ def test_exact_bounds():
         exact_gfree_count(complete(2), 7)
     with pytest.raises(ValueError):
         exact_gfree_count(complete(4), 3)
+
+
+@pytest.mark.parametrize("pattern", [g for k in range(1, 5) for g in enumerate_unlabeled(k)], ids=canonical_form)
+def test_catalog_table_matches_subset_scan(pattern):
+    for n in range(pattern.order, 7):
+        assert np.array_equal(_gfree_flags(pattern, n), gfree_flags(pattern, n))
+
+
+def test_triangle_free_counts_match_oeis_a006785():
+    assert [int(_gfree_flags(complete(3), n).sum()) for n in (5, 6, 7)] == [388, 5789, 133501]
 
 
 def test_complement_symmetry_all_order_four_patterns():

@@ -84,6 +84,16 @@ def test_construction_rejects_out_of_range_and_nested_input():
         parse_runs("1-99999999999999999999")
 
 
+@given(st.lists(st.integers(1, 40), max_size=30))
+@example([])
+@example([5, 3, 5, 1, 3])
+def test_from_iterable_matches_reference(xs):
+    got = VertexSet.from_iterable(xs)
+    assert got.elements == tuple(sorted(set(xs)))
+    assert got.prefix_bound == max(xs, default=0)
+    assert VertexSet.from_iterable(np.array(xs, dtype=np.int64), 50).elements == got.elements
+
+
 @given(sets_, sets_)
 def test_union_matches_reference(a, b):
     got = a.union(b)
