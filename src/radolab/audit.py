@@ -13,15 +13,18 @@ from fractions import Fraction
 import numpy as np
 
 from .embed import verify_embedding
-from .graphs import CATALOG_MAX_ORDER, FiniteGraph, canonical_form, enumerate_unlabeled, find_induced, graph6_encode
+from .graphs import FiniteGraph, canonical_form, enumerate_unlabeled, find_induced, graph6_encode
+from .limits import (
+    CATALOG_MAX_ORDER,
+    CONTAINS_ORDER_CAP,
+    DEFAULT_NODE_BUDGET,
+    EXACT_WINDOW_CAP,
+    GFREE_PATTERN_ORDER_CAP,
+    GFREE_WINDOW_CAP,
+    check_limit,
+)
 from .oracle import EdgeOracle, VerificationError, adjacency_rows
 from .sets import VertexSet
-
-DEFAULT_NODE_BUDGET = 10**6
-EXACT_WINDOW_CAP = 40
-# Longer pattern-free windows are refused before any adjacency row is built.
-GFREE_WINDOW_CAP = 1 << 14
-CONTAINS_ORDER_CAP = 10
 
 FOUND = "found"
 ABSENT = "absent"
@@ -53,8 +56,7 @@ def contains_induced(
     found witness is re-verified from raw oracle queries before it is
     returned.
     """
-    if pattern.order > CONTAINS_ORDER_CAP:
-        raise ValueError("pattern order capped at %d" % CONTAINS_ORDER_CAP)
+    check_limit(pattern.order, CONTAINS_ORDER_CAP, "CONTAINS_ORDER_CAP", "pattern order %d" % pattern.order)
     if node_budget < 1:
         raise ValueError("node budget must be >= 1")
     images, nodes = find_induced(_LazyRows(oracle, host.as_array), (1 << len(host)) - 1, pattern, node_budget)
@@ -85,8 +87,7 @@ def weak_universality(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict:
     """Witness every unlabeled graph of order <= k_max inside the host."""
-    if k_max > CATALOG_MAX_ORDER:
-        raise ValueError("weak universality sweep capped at k_max = %d" % CATALOG_MAX_ORDER)
+    check_limit(k_max, CATALOG_MAX_ORDER, "CATALOG_MAX_ORDER", "k_max %d" % k_max)
     patterns = []
     for k in range(1, k_max + 1):
         for g in enumerate_unlabeled(k):
@@ -109,17 +110,18 @@ def weak_universality(
     return {"k_max": k_max, "patterns": patterns, "verdict": verdict}
 
 
-def _check_gfree_order(pattern: FiniteGraph) -> None:
-    """Both pattern-free solvers refuse patterns of order above 7."""
-    if pattern.order > 7:
-        raise ValueError("pattern-free subsets supported up to pattern order 7")
+def _check_gfree_pattern(pattern: FiniteGraph, cap=GFREE_PATTERN_ORDER_CAP, name="GFREE_PATTERN_ORDER_CAP") -> None:
+    """Refuse a pattern of order 0, or above the limit ``cap`` called
+    ``name``, before any pattern-free work."""
+    if pattern.order == 0:
+        raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
+    check_limit(pattern.order, cap, name, "pattern order %d" % pattern.order)
 
 
 def _greedy_gfree(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
     """Take each index in turn unless the taken indices plus it induce the
     pattern; the taken set is pattern-free, so any copy uses the new index,
     and the search is anchored there."""
-    _check_gfree_order(pattern)
     taken = 0
     for v in range(n):
         if find_induced(rows, taken | 1 << v, pattern, anchor=v)[0] is None:
@@ -135,7 +137,6 @@ def _exact_gfree(rows: list[int], n: int, pattern: FiniteGraph, stop_at: int | N
     solution, and only strictly larger subsets replace the incumbent.
     ``stop_at`` ends the search as soon as a subset of that size is known.
     """
-    _check_gfree_order(pattern)
     # the vertex masks of the copies whose largest index is v
     bads_by_vertex: list[list[int]] = []
     for v in range(n):
@@ -193,12 +194,10 @@ def max_gfree_subset(
     n = hi - lo + 1
     if mode not in ("exact", "greedy"):
         raise ValueError("mode must be exact or greedy")
-    if pattern.order == 0:
-        raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
-    if n > GFREE_WINDOW_CAP:
-        raise ValueError("window length %d exceeds GFREE_WINDOW_CAP = %d" % (n, GFREE_WINDOW_CAP))
-    if mode == "exact" and n > EXACT_WINDOW_CAP:
-        raise ValueError("exact mode capped at window length %d" % EXACT_WINDOW_CAP)
+    _check_gfree_pattern(pattern)
+    check_limit(n, GFREE_WINDOW_CAP, "GFREE_WINDOW_CAP", "window length %d" % n)
+    if mode == "exact":
+        check_limit(n, EXACT_WINDOW_CAP, "EXACT_WINDOW_CAP", "exact-mode window length %d" % n)
     vertices = np.arange(lo, hi + 1, dtype=np.int64)
     rows = adjacency_rows(oracle, vertices)
     chosen = _exact_gfree(rows, n, pattern) if mode == "exact" else _greedy_gfree(rows, n, pattern)
@@ -228,8 +227,9 @@ def dyadic_audit(
     absence of one.
     """
     top = max(k_range[0], k_range[-1]) if k_range else 0
-    if top >= GFREE_WINDOW_CAP.bit_length():  # 2^top > GFREE_WINDOW_CAP
-        raise ValueError("window length 2^%d exceeds GFREE_WINDOW_CAP = %d" % (top, GFREE_WINDOW_CAP))
+    # 2^top, saturated just above the cap: a huge --k-to is refused without computing 2^top
+    window = 2 ** min(top, GFREE_WINDOW_CAP.bit_length())
+    check_limit(window, GFREE_WINDOW_CAP, "GFREE_WINDOW_CAP", "window length 2^%d" % top)
     rows_out = []
     for k in k_range:
         lo, hi = 2**k, 2 ** (k + 1) - 1

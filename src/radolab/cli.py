@@ -60,6 +60,7 @@ from .largeness import (
     thickness,
     weighted_sum,
 )
+from .limits import DEFAULT_NODE_BUDGET, PATTERN_ORDER_CAP, check_limit
 from .mc import (
     mc_density_star,
     mc_fn_bound,
@@ -98,17 +99,6 @@ def parse_probability(text: str) -> Fraction:
     return frac
 
 
-# Larger graph notation is refused before any quadratic-time graph build;
-# no command needs it (construct-thick-copy only beyond 44 blocks).
-PATTERN_ORDER_CAP = 1024
-
-
-def _capped_order(n: int) -> int:
-    if n > PATTERN_ORDER_CAP:
-        raise ValueError("graph order %d exceeds PATTERN_ORDER_CAP = %d" % (n, PATTERN_ORDER_CAP))
-    return n
-
-
 def parse_pattern(text: str) -> FiniteGraph:
     if text.startswith("g6:"):
         return graph6_decode(text[3:])
@@ -116,7 +106,8 @@ def parse_pattern(text: str) -> FiniteGraph:
         return petersen()
     m = re.fullmatch(r"(k|c|p|e):(\d+)", text)
     if m:
-        n = _capped_order(int(m.group(2)))
+        n = int(m.group(2))
+        check_limit(n, PATTERN_ORDER_CAP, "PATTERN_ORDER_CAP", "graph order %d" % n)
         return {"k": complete, "c": cycle, "p": path, "e": empty_graph}[m.group(1)](n)
     if text.startswith("file:"):
         return load_graph_file(text[5:])
@@ -137,7 +128,8 @@ def load_graph_file(path_: str) -> FiniteGraph:
         u, v = (int(x) for x in ln.split())
         edges.append((u, v))
         top = max(top, u, v)
-    return FiniteGraph.from_edges(_capped_order(top + 1), edges)
+    check_limit(top + 1, PATTERN_ORDER_CAP, "PATTERN_ORDER_CAP", "graph order %d" % (top + 1))
+    return FiniteGraph.from_edges(top + 1, edges)
 
 
 def _host(args, text: str) -> VertexSet:
@@ -386,19 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("embed", cmd_embed, "embed a target graph into a host set")
     p.add_argument("--target", required=True)
     p.add_argument("--host", required=True)
-    p.add_argument("--candidate-cap", type=int, default=64)
+    p.add_argument("--candidate-cap", type=int, default=EmbedConfig.candidate_cap)
     p.add_argument("--score-horizon", type=int, default=None)
     p.add_argument("--backtrack", action="store_true", help="retry next-best candidates on dead ends")
 
     p = command("audit-weak", cmd_audit_weak, "witness every unlabeled graph up to an order")
     p.add_argument("--host", required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
     p = command("contains", cmd_contains, "search a host for one induced pattern")
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
     p = command("gfree-max", cmd_gfree_max, "largest pattern-free subset of a window")
     p.add_argument("--window", required=True, help="inclusive interval a-b")

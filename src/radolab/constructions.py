@@ -16,6 +16,7 @@ import numpy as np
 from .embed import verify_embedding
 from .graphs import FiniteGraph, empty_graph
 from .largeness import WeightFunction, pi02_force
+from .limits import SCAN_PREFIX_CAP, check_limit
 from .oracle import EdgeOracle, VerificationError
 from .sets import VertexSet
 
@@ -23,11 +24,6 @@ from .sets import VertexSet
 # later one twice as many, up to _SCAN_CHUNK.  An early stop scans little,
 # and a long scan pays the fixed cost of each edge_pairs call rarely.
 _SCAN_CHUNK = 1 << 18
-
-# Every scan is linear in the prefix bound: at about 25 ns per start, the
-# cap is a scan of about a minute.  Larger bounds are refused before any
-# scan.
-SCAN_PREFIX_CAP = 2 * 10**9
 
 
 class PrefixExhausted(RuntimeError):
@@ -114,11 +110,6 @@ def _scan(oracle: EdgeOracle, scan_from: int, placed: list[int], rows: list[int]
             yield ks
 
 
-def _check_scan_bound(prefix_bound: int) -> None:
-    if prefix_bound > SCAN_PREFIX_CAP:
-        raise ValueError("prefix bound %d exceeds SCAN_PREFIX_CAP = %d" % (prefix_bound, SCAN_PREFIX_CAP))
-
-
 def _place_blocks(
     oracle: EdgeOracle, row: Callable[[int], int], blocks: int, prefix_bound: int
 ) -> tuple[list[tuple[int, int]], list[int]]:
@@ -134,7 +125,7 @@ def _place_blocks(
     """
     if blocks < 1:
         raise ValueError("need at least one block")
-    _check_scan_bound(prefix_bound)
+    check_limit(prefix_bound, SCAN_PREFIX_CAP, "SCAN_PREFIX_CAP", "prefix bound %d" % prefix_bound)
     intervals: list[tuple[int, int]] = []
     images: list[int] = []
     scan_from = 1
@@ -249,7 +240,7 @@ def construct_pi02_member(
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    _check_scan_bound(prefix_bound)
+    check_limit(prefix_bound, SCAN_PREFIX_CAP, "SCAN_PREFIX_CAP", "prefix bound %d" % prefix_bound)
     k_prev = 0
     ks: list[int] = []
     fs: list[tuple[int, ...]] = []

@@ -10,6 +10,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .limits import CANONICAL_MAX_ORDER, CATALOG_MAX_ORDER, GRAPH6_MAX_ORDER, check_limit
+
 
 @dataclass(frozen=True)
 class FiniteGraph:
@@ -114,12 +116,11 @@ class Graph6Error(ValueError):
 
 def graph6_encode(g: FiniteGraph) -> str:
     n = g.order
+    check_limit(n, GRAPH6_MAX_ORDER, "GRAPH6_MAX_ORDER", "graph6 order %d" % n)
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
-        head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
     else:
-        raise ValueError("graph6 encoding supported up to 258047 vertices")
+        head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
     bits = "".join(map(str, _upper_bits(g)))
     bits += "0" * (-len(bits) % 6)
     return head + "".join(chr(63 + int(bits[p : p + 6], 2)) for p in range(0, len(bits), 6))
@@ -168,10 +169,6 @@ def graph6_decode(text: str) -> FiniteGraph:
 
 # --- canonical form ---------------------------------------------------------
 
-CANONICAL_MAX_ORDER = 8
-CATALOG_MAX_ORDER = 7
-
-
 @lru_cache(maxsize=None)
 def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every relabelling of the n-vertex upper triangle, as (source, weights).
@@ -196,8 +193,7 @@ def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
 def canonical_form(g: FiniteGraph) -> str:
     """Order-prefixed minimal upper-triangle bitstring over all relabellings;
     two graphs are isomorphic iff their canonical forms are equal."""
-    if g.order > CANONICAL_MAX_ORDER:
-        raise ValueError("canonicalization bound exceeded (order %d > %d)" % (g.order, CANONICAL_MAX_ORDER))
+    check_limit(g.order, CANONICAL_MAX_ORDER, "CANONICAL_MAX_ORDER", "canonical-form order %d" % g.order)
     source, weights = _relabelings(g.order)
     bits = np.array(_upper_bits(g), dtype=np.uint8)
     least = bits[source[np.argmin(bits @ weights)]]
@@ -214,8 +210,9 @@ def enumerate_unlabeled(k: int) -> tuple[FiniteGraph, ...]:
     extension is taken at once, and each distinct code is spelled out as
     the bits of its representative.
     """
-    if not 1 <= k <= CATALOG_MAX_ORDER:
-        raise ValueError("unlabeled enumeration supported for 1 <= k <= %d" % CATALOG_MAX_ORDER)
+    if k < 1:
+        raise ValueError("catalog order %d is below 1" % k)
+    check_limit(k, CATALOG_MAX_ORDER, "CATALOG_MAX_ORDER", "catalog order %d" % k)
     if k == 1:
         return (FiniteGraph(1, (0,)),)
     _, weights = _relabelings(k)

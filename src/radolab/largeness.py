@@ -8,9 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .limits import AP_SIZE_LIMIT, check_limit
 from .sets import VertexSet
-
-AP_SIZE_LIMIT = 5000
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,7 @@ def longest_ap(a: VertexSet) -> tuple[int, int, int]:
     element; |A| is capped accordingly.
     """
     m = len(a)
-    if m > AP_SIZE_LIMIT:
-        raise ValueError("longest_ap supports at most %d elements" % AP_SIZE_LIMIT)
+    check_limit(m, AP_SIZE_LIMIT, "AP_SIZE_LIMIT", "longest_ap set size %d" % m)
     if m == 0:
         return (0, 0, 0)
     if m == 1:

@@ -15,8 +15,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audit import _exact_gfree, _greedy_gfree
+from .audit import _check_gfree_pattern, _exact_gfree, _greedy_gfree
 from .graphs import FiniteGraph, _relabelings, _upper_bits, enumerate_unlabeled, find_induced, rows_from_upper_bits
+from .limits import (
+    EXACT_N_CAP,
+    FN_EXACT_CAP,
+    FN_POWER_BITS_CAP,
+    MC_DENSITY_EDGE_CAP,
+    MC_N_CAP,
+    MC_PATTERN_ORDER_CAP,
+    check_limit,
+)
 from .oracle import (
     MASK64,
     TAG_MU_P,
@@ -29,15 +38,6 @@ from .oracle import (
     type_keys,
 )
 from .sets import VertexSet
-
-MC_PATTERN_ORDER_CAP = 6
-MC_N_CAP = 32
-EXACT_N_CAP = 6
-FN_EXACT_CAP = 16
-# a refused row has f > 2^16, so its trials would need n > 2^16 vertices
-FN_POWER_BITS_CAP = 1 << 16
-# trials * n * k * pool edge evaluations: about a second, and at most 10^7 bytes of one trial's grid
-MC_DENSITY_EDGE_CAP = 2 * 10**7
 
 _FAIR_BIT_THRESHOLD = np.uint64(1 << 52)  # p = 1/2 over 53-bit uniforms
 
@@ -56,8 +56,7 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
         raise ValueError("pool too small")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    if trials * n * k * pool_size > MC_DENSITY_EDGE_CAP:
-        raise ValueError("trials * n * k * pool exceeds MC_DENSITY_EDGE_CAP = %d" % MC_DENSITY_EDGE_CAP)
+    check_limit(trials * n * k * pool_size, MC_DENSITY_EDGE_CAP, "MC_DENSITY_EDGE_CAP", "trials * n * k * pool")
     pool = np.arange(n * k + 1, n * k + pool_size + 1, dtype=np.int64)
     fractions = []
     for t in range(trials):
@@ -100,8 +99,7 @@ def _gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
 
 def exact_gfree_count(pattern: FiniteGraph, n: int) -> dict:
     """Exact probability that a uniform labeled n-vertex graph is pattern-free."""
-    if not 1 <= n <= EXACT_N_CAP:
-        raise ValueError("exact enumeration capped at n = %d" % EXACT_N_CAP)
+    check_limit(n, EXACT_N_CAP, "EXACT_N_CAP", "exact-table order %d" % n)
     if not 1 <= pattern.order <= n:
         raise ValueError("pattern order must lie in [1, n]")
     flags = _gfree_flags(pattern, n)
@@ -124,12 +122,10 @@ def mc_gfree_probability(
 ) -> dict:
     """Monte Carlo estimate of the pattern-free probability for uniform
     labeled n-vertex graphs, with the 2^(-c n^2) envelope when c is given."""
-    if pattern.order == 0:
-        raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
-    if pattern.order > MC_PATTERN_ORDER_CAP:
-        raise ValueError("pattern order capped at %d" % MC_PATTERN_ORDER_CAP)
-    if not pattern.order <= n <= MC_N_CAP:
-        raise ValueError("n must lie in [pattern order, %d]" % MC_N_CAP)
+    _check_gfree_pattern(pattern, MC_PATTERN_ORDER_CAP, "MC_PATTERN_ORDER_CAP")
+    if n < pattern.order:
+        raise ValueError("n must be at least the pattern order")
+    check_limit(n, MC_N_CAP, "MC_N_CAP", "n %d" % n)
     if trials < 1:
         raise ValueError("need at least one trial")
     npairs = n * (n - 1) // 2
@@ -155,14 +151,14 @@ def mc_gfree_probability(
 
 def fn_size(n: int, n_param: int) -> int:
     """ceil(N * log2 n), the pattern-free subset size the bound tracks, in
-    integers: the least m with 2^m >= n^N.  n^N may hold at most
-    FN_POWER_BITS_CAP bits."""
+    integers: the least m with 2^m >= n^N.  An n^N of more than
+    FN_POWER_BITS_CAP bits is refused."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n_param < 0:
         raise ValueError("n_param must be >= 0")
-    if n_param * (n.bit_length() - 1) > FN_POWER_BITS_CAP:
-        raise ValueError("n^N = %d^%d exceeds FN_POWER_BITS_CAP = %d bits" % (n, n_param, FN_POWER_BITS_CAP))
+    bits = n_param * (n.bit_length() - 1)
+    check_limit(bits, FN_POWER_BITS_CAP, "FN_POWER_BITS_CAP", "n^N = %d^%d" % (n, n_param), " bits")
     return (n**n_param - 1).bit_length()
 
 
@@ -181,8 +177,6 @@ def mc_fn_bound(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if pattern.order == 0:
-        raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
     rows_out = []
     for n in n_list:
         f = fn_size(n, n_param)
@@ -192,6 +186,7 @@ def mc_fn_bound(
         elif f > n:
             row.update(estimate=0.0, stderr=0.0, mode="degenerate")
         else:
+            _check_gfree_pattern(pattern)
             npairs = n * (n - 1) // 2
             bits = _trial_graph_bits(seed, trials, npairs)
             wins = 0

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FiniteGraph
+from .limits import EXTENSION_BASE_CAP, TYPE_KEY_BITS, check_limit
 from .sets import VertexSet
 
 MASK64 = (1 << 64) - 1
@@ -237,17 +238,13 @@ def _bits(mask: int, k: int) -> str:
     return format(mask, "0%db" % k)[::-1] if k else ""
 
 
-TYPE_KEY_BITS = 62
-
-
 def type_keys(oracle: EdgeOracle, base: Sequence[int], pool: np.ndarray) -> np.ndarray:
     """Type masks over ``base`` of every vertex of the sorted ``pool``, as
     int64 keys: bit i of a key is the edge to base[i].  One ``edge_grid``
     call per _CHUNK pool vertices, whose rows are ORed into that chunk's
     keys through one reused scratch array; a pool vertex that lies in base
     gets an unspecified key."""
-    if len(base) > TYPE_KEY_BITS:
-        raise ValueError("type keys hold at most %d base vertices" % TYPE_KEY_BITS)
+    check_limit(len(base), TYPE_KEY_BITS, "TYPE_KEY_BITS", "type-key base size %d" % len(base))
     keys = np.zeros(len(pool), dtype=np.int64)
     scratch = np.empty(min(len(pool), _CHUNK), dtype=np.int64)
     for lo in range(0, len(pool), _CHUNK):
@@ -294,11 +291,6 @@ def type_of(oracle: EdgeOracle, m: int, base: VertexSet) -> TypeSpec:
     return TypeSpec(base.elements, _bitset(oracle.edge_grid([m], base.as_array)[0]))
 
 
-# extension_check reports every one of the 2^|F| types: 2^20 is a report of
-# about a million entries, and the witness table alone is 8 MiB.
-EXTENSION_BASE_CAP = 20
-
-
 def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
     """Least witness <= bound for each of the 2^|F| types over F, for
     |F| <= EXTENSION_BASE_CAP.
@@ -306,8 +298,7 @@ def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
     Passes iff every type is witnessed; absence of witnesses is data,
     not an error.
     """
-    if len(f) > EXTENSION_BASE_CAP:
-        raise ValueError("extension_check supports |F| <= EXTENSION_BASE_CAP = %d, not %d" % (EXTENSION_BASE_CAP, len(f)))
+    check_limit(len(f), EXTENSION_BASE_CAP, "EXTENSION_BASE_CAP", "extension base size %d" % len(f))
     if len(f) and f.as_array[-1] > bound:
         raise ValueError("base set must lie within [1, bound]")
     candidates = np.setdiff1d(np.arange(1, bound + 1, dtype=np.int64), f.as_array, assume_unique=True)

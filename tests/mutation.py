@@ -219,6 +219,13 @@ MUTANTS = [
         "GIVE_UPS[type(exc)](exc), EXIT_NEGATIVE",
         ("tests/test_cli.py::test_construct_thick_cli",),
     ),
+    Mutant(
+        "check_limit: a value one above its cap accepted",
+        "limits.py",
+        "if value > cap:",
+        "if value > cap + 1:",
+        ("tests/test_cli.py::test_limits_accept_the_cap_and_refuse_one_above_it",),
+    ),
 ]
 
 

@@ -206,6 +206,11 @@ def test_pattern_free_windows_are_capped_before_any_row_is_built(monkeypatch):
             max_gfree_subset(EdgeOracle(1), too_long, complete(3), mode)
     with pytest.raises(ValueError, match="GFREE_WINDOW_CAP"):
         dyadic_audit(EdgeOracle(1), complete(2), 1, range(1, 16))
+    for mode in ("exact", "greedy"):
+        with pytest.raises(ValueError, match="^pattern order 8 exceeds GFREE_PATTERN_ORDER_CAP = 7$"):
+            max_gfree_subset(EdgeOracle(1), (1, 20), complete(8), mode)
+    with pytest.raises(ValueError, match="^pattern order 8 exceeds GFREE_PATTERN_ORDER_CAP = 7$"):
+        dyadic_audit(EdgeOracle(1), complete(8), 1, range(13, 14))
 
 # --- dyadic audit ---------------------------------------------------------------
 

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radolab import limits
 from radolab.cli import main
 from radolab.graphs import graph6_decode
 from radolab.oracle import EdgeOracle
@@ -298,7 +300,7 @@ def test_malformed_window_is_a_usage_error():
 def test_oversized_input_is_a_usage_error():
     out = run("extension", "--seed", "1", "--f", "1-45", "--bound", "100")
     assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
-    assert out.stderr.startswith("error: extension_check supports |F| <= EXTENSION_BASE_CAP = 20")
+    assert out.stderr == "error: extension base size 45 exceeds EXTENSION_BASE_CAP = 20\n"
     out = run("density", "--host", "all", "--prefix-bound", "10000000000000")
     assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
     assert out.stderr.startswith("error: input too large") and "TiB" in out.stderr
@@ -431,7 +433,7 @@ def test_pattern_free_solvers_refuse_order_eight_by_name():
         ["mc-fn", "--pattern", "k:8", "--n-list", "12", "--n-param", "1", "--trials", "2"],
     ):
         assert run_main([*argv, "--seed", "1"]) == (
-            1, "", "error: pattern-free subsets supported up to pattern order 7\n"
+            1, "", "error: pattern order 8 exceeds GFREE_PATTERN_ORDER_CAP = 7\n"
         )
 
 
@@ -468,6 +470,20 @@ def test_construction_prefix_bounds_above_the_scan_cap_are_refused_fast():
         r = subprocess.run(BASE + argv, capture_output=True, text=True, timeout=2)
         assert (r.returncode, r.stdout) == (1, "")
         assert r.stderr == "error: prefix bound %s exceeds SCAN_PREFIX_CAP = 2000000000\n" % argv[-1]
+
+
+@pytest.mark.parametrize("argv, at_cap, above, what, name", [
+    (["mc-gfree", "--pattern", "k:3", "--trials", "10", "--n"], "32", "33", "n 33", "MC_N_CAP"),
+    (["contains", "--host", "1-64", "--budget", "1000", "--pattern"], "k:10", "k:11", "pattern order 11",
+     "CONTAINS_ORDER_CAP"),
+    (["typefreq", "--bound", "100", "--f"], "1-62", "1-63", "type-key base size 63", "TYPE_KEY_BITS"),
+])
+def test_limits_accept_the_cap_and_refuse_one_above_it(argv, at_cap, above, what, name):
+    code, out, err = run_main([*argv, at_cap, "--seed", "1"])
+    assert code != 1 and out and err == ""
+    assert run_main([*argv, above, "--seed", "1"]) == (
+        1, "", "error: %s exceeds %s = %d\n" % (what, name, getattr(limits, name))
+    )
 
 
 # Bounded argv for every subcommand: valid flag values, then at most one

@@ -1,5 +1,6 @@
 import hashlib
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -122,6 +123,12 @@ def test_graph6_large_order_header():
     s = graph6_encode(g)
     assert s.startswith("~")
     assert graph6_decode(s).order == 100
+
+
+def test_graph6_encoding_is_refused_above_the_four_byte_header():
+    # only the order is read before the refusal, so no graph of that size is built
+    with pytest.raises(ValueError, match="^graph6 order 258048 exceeds GRAPH6_MAX_ORDER = 258047$"):
+        graph6_encode(SimpleNamespace(order=258048))
 
 
 # --- canonical form ---------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from reference import complement, gfree_flags
 
 from radolab.graphs import canonical_form, complete, empty_graph, enumerate_unlabeled, path, rows_from_upper_bits
+from radolab.limits import FN_POWER_BITS_CAP
 from radolab.mc import (
-    FN_POWER_BITS_CAP,
     _gfree_flags,
     _trial_graph_bits,
     exact_gfree_count,

@@ -5,13 +5,15 @@ The induced-pattern matcher (the induced-copy search, anchored or not and
 listing every copy, and the Monte Carlo estimate built on it) is checked
 against exhaustive search, and so are greedy and exact pattern-free
 growth.  Also pins the names the benchmark tracer wraps by name, every
-radolab name the benchmark reads, and that every library name has a
-caller."""
+radolab name the benchmark reads, that every library name has a caller,
+and that every limit is defined once, in radolab.limits, and listed in the
+README with its value."""
 
 import ast
 import importlib.util
 import inspect
 import pathlib
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from reference import bad_subsets, contains_induced_copy, from_upper_mask, greedy_gfree, induced, subset_code
 
 import radolab.cli  # noqa: F401  (the tracer wraps every layer, cli included)
+from radolab import limits
 from radolab.audit import _exact_gfree, _greedy_gfree
 from radolab.graphs import FiniteGraph, canonical_form, empty_graph, enumerate_unlabeled, find_induced
 from radolab.largeness import WeightFunction, pi02_force, substantial_family, thickness
@@ -378,3 +381,39 @@ def test_every_library_name_has_a_caller():
                 names = []
             unread += ["%s.%s" % (path.stem, name) for name in names if name not in reads]
     assert unread == []
+
+
+LIMIT_NAME = re.compile(r"[A-Z][A-Z0-9_]*_(CAP|LIMIT|MAX_ORDER|BITS)")
+OLD_REFUSALS = ("capped at", "supported up to", "supports at most", "hold at most", "bound exceeded")
+
+
+def test_every_limit_is_defined_once_in_the_limits_table():
+    """No module but limits.py assigns a *_CAP, *_LIMIT, *_MAX_ORDER or
+    *_BITS name; no string literal refuses in an old phrasing; every limit
+    named in a string is in the table; and a call that passes a limit and
+    then a name (``check_limit``) names that limit."""
+    table = {k: v for k, v in vars(limits).items() if k.isupper()}
+    assert table and all(type(v) is int for v in table.values())
+    package = pathlib.Path(radolab.cli.__file__).parent
+    assigned, phrased, named, misnamed = [], [], set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and path.name != "limits.py":
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += ["%s.%s" % (path.stem, e.id) for t in targets for e in ast.walk(t)
+                             if isinstance(e, ast.Name) and LIMIT_NAME.fullmatch(e.id)]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                phrased += [(path.stem, p) for p in OLD_REFUSALS if p in node.value]
+                named.update(w for w in re.findall(r"[A-Z][A-Z0-9_]+", node.value) if LIMIT_NAME.fullmatch(w))
+            elif isinstance(node, ast.Call):
+                misnamed += [(a.id, b.value) for a, b in zip(node.args, node.args[1:])
+                             if isinstance(a, ast.Name) and a.id in table and isinstance(b, ast.Constant)
+                             and isinstance(b.value, str) and b.value != a.id]
+    assert assigned == [] and phrased == [] and misnamed == []
+    assert sorted(named - set(table)) == []
+
+
+def test_readme_lists_every_limit_with_its_value():
+    readme = (BENCH.parent / "README.md").read_text(encoding="utf-8")
+    table = {k: v for k, v in vars(limits).items() if k.isupper()}
+    assert [k for k, v in table.items() if readme.count("| `%s` | %d |" % (k, v)) != 1] == []
