@@ -24,7 +24,7 @@ from .limits import (
     check_limit,
 )
 from .oracle import EdgeOracle, VerificationError, adjacency_rows
-from .sets import VertexSet
+from .sets import Report, VertexSet
 
 FOUND = "found"
 ABSENT = "absent"
@@ -32,17 +32,10 @@ BUDGET = "budget"
 
 
 @dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Report):
     status: str
     witness: VertexSet | None
     nodes: int
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": self.witness.as_array.tolist() if self.witness is not None else None,
-            "nodes": self.nodes,
-        }
 
 
 def contains_induced(
@@ -226,7 +219,9 @@ def dyadic_audit(
     get the greedy lower bound, which can certify a violation but never
     absence of one.
     """
-    top = max(k_range[0], k_range[-1]) if k_range else 0
+    low, top = sorted((k_range[0], k_range[-1])) if k_range else (0, 0)
+    if low < 0:
+        raise ValueError("k must be >= 0, not %d" % low)
     # 2^top, saturated just above the cap: a huge --k-to is refused without computing 2^top
     window = 2 ** min(top, GFREE_WINDOW_CAP.bit_length())
     check_limit(window, GFREE_WINDOW_CAP, "GFREE_WINDOW_CAP", "window length 2^%d" % top)
@@ -249,11 +244,10 @@ def dyadic_audit(
                 "confirmed": mode == "exact" or violation,
             }
         )
-    m0 = min(k_range) if len(k_range) else 0
     return {
         "pattern": graph6_encode(pattern),
         "n_param": n_param,
         "rows": rows_out,
         "violations": [r["k"] for r in rows_out if r["violation"]],
-        "majorant": reciprocal_tail_majorant(m0, n_param),
+        "majorant": reciprocal_tail_majorant(low, n_param),
     }

@@ -18,7 +18,7 @@ from .graphs import FiniteGraph, empty_graph
 from .largeness import WeightFunction, pi02_force
 from .limits import SCAN_PREFIX_CAP, check_limit
 from .oracle import EdgeOracle, VerificationError
-from .sets import VertexSet
+from .sets import Report, VertexSet
 
 # Starts per scan chunk: the first chunk holds _SCAN_CHUNK >> 6 and each
 # later one twice as many, up to _SCAN_CHUNK.  An early stop scans little,
@@ -147,17 +147,10 @@ def _place_blocks(
 
 
 @dataclass(frozen=True)
-class ThickResult:
+class ThickResult(Report):
     intervals: tuple[tuple[int, int], ...]  # (start, length)
     union: VertexSet
     verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "intervals": [[s, l] for s, l in self.intervals],
-            "union": self.union.as_array.tolist(),
-            "verified": self.verified,
-        }
 
 
 def construct_thick_edgeless(oracle: EdgeOracle, blocks: int, prefix_bound: int) -> ThickResult:
@@ -170,17 +163,10 @@ def construct_thick_edgeless(oracle: EdgeOracle, blocks: int, prefix_bound: int)
 
 
 @dataclass(frozen=True)
-class ThickCopyResult:
+class ThickCopyResult(Report):
     intervals: tuple[tuple[int, int], ...]
     images: tuple[int, ...]
     verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "intervals": [[s, l] for s, l in self.intervals],
-            "images": list(self.images),
-            "verified": self.verified,
-        }
 
 
 def construct_thick_copy(
@@ -200,21 +186,12 @@ def construct_thick_copy(
 
 
 @dataclass(frozen=True)
-class Pi02Result:
+class Pi02Result(Report):
     ks: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
     union: VertexSet
     certificates: dict
     verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "ks": list(self.ks),
-            "blocks": [list(b) for b in self.blocks],
-            "union": self.union.as_array.tolist(),
-            "certificates": self.certificates,
-            "verified": self.verified,
-        }
 
 
 def construct_pi02_member(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .graphs import FiniteGraph
 from .oracle import EdgeOracle, TypeSpec, VerificationError
-from .sets import VertexSet
+from .sets import Report, VertexSet
 
 
 @dataclass(frozen=True)
@@ -32,33 +32,18 @@ class EmbedConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Report):
     index: int
     required_type: str
     chosen: int
     score: int
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "required_type": self.required_type,
-            "chosen": self.chosen,
-            "score": self.score,
-        }
-
 
 @dataclass(frozen=True)
-class Embedding:
+class Embedding(Report):
     images: tuple[int, ...]
     steps: tuple[StepRecord, ...]
     verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "images": list(self.images),
-            "verified": self.verified,
-            "steps": [s.to_json() for s in self.steps],
-        }
 
 
 class DeadEnd(RuntimeError):
@@ -118,7 +103,8 @@ def embed_target(
     def rank_candidates(req: TypeSpec) -> list[tuple[int, int]]:
         """(vertex, score) of the capped candidates of type req, best first."""
         n_placed = len(placed)
-        want = np.frombuffer(req.bits.encode(), dtype=np.uint8) == ord("1")
+        mask = np.frombuffer(req.mask.to_bytes(n_placed // 8 + 1, "little"), dtype=np.uint8)
+        want = np.unpackbits(mask, count=n_placed, bitorder="little") == 1
         cands = pool[alive & (bits == want).all(axis=1)][: cfg.candidate_cap]
         # one vertex beyond the horizon stands in for a candidate outside it
         scoring_pool = pool[alive]

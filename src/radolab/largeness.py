@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .limits import AP_SIZE_LIMIT, check_limit
-from .sets import VertexSet
+from .sets import Report, VertexSet
 
 
 @dataclass(frozen=True)
@@ -31,34 +31,27 @@ class WeightFunction:
     def crossing(self, level: int, parts: Iterable[np.ndarray]) -> int | None:
         """The first element of the ascending concatenation of ``parts`` at
         which the running sum of weights exceeds the level, or None.  Parts
-        are read only until then, each in pieces of doubling length."""
-        # cumsum is sequential, so carrying the running total from piece to
-        # piece gives the sums of one cumsum over the whole bit for bit
+        are read only until then."""
+        # cumsum is sequential, so carrying the running total from part to
+        # part gives the sums of one cumsum over the whole bit for bit
         total = 0.0
         for part in parts:
-            lo, hi = 0, 1024
-            while lo < len(part):
-                sums = np.cumsum(np.concatenate(([total], self.weights(part[lo:hi]))))[1:]
-                hits = np.flatnonzero(sums > level)
-                if len(hits):
-                    return int(part[lo + hits[0]])
-                total, lo, hi = sums[-1], hi, 2 * hi
+            if len(part) == 0:
+                continue
+            sums = np.cumsum(np.concatenate(([total], self.weights(part))))[1:]
+            hits = np.flatnonzero(sums > level)
+            if len(hits):
+                return int(part[hits[0]])
+            total = sums[-1]
         return None
 
 
 @dataclass(frozen=True)
-class DensityReport:
-    prefix_densities: tuple[tuple[int, float], ...]
+class DensityReport(Report):
+    checkpoints: tuple[int, ...]
+    densities: tuple[float, ...]
     sup_density: float
     final_density: float
-
-    def to_json(self) -> dict:
-        return {
-            "checkpoints": [n for n, _ in self.prefix_densities],
-            "densities": [d for _, d in self.prefix_densities],
-            "sup_density": self.sup_density,
-            "final_density": self.final_density,
-        }
 
 
 def dyadic_checkpoints(bound: int) -> list[int]:
@@ -88,12 +81,8 @@ def density_profile(a: VertexSet, checkpoints: Sequence[int]) -> DensityReport:
         if n > a.prefix_bound:
             raise ValueError("checkpoint %d beyond prefix bound %d" % (n, a.prefix_bound))
         prev = n
-    densities = tuple((n, a.count_upto(n) / n) for n in checkpoints)
-    return DensityReport(
-        prefix_densities=densities,
-        sup_density=max(d for _, d in densities),
-        final_density=densities[-1][1],
-    )
+    densities = tuple(a.count_upto(n) / n for n in checkpoints)
+    return DensityReport(tuple(checkpoints), densities, max(densities), densities[-1])
 
 
 def weighted_sum(a: VertexSet, f: WeightFunction = WeightFunction()) -> float:

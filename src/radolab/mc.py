@@ -39,7 +39,7 @@ from .oracle import (
 )
 from .sets import VertexSet
 
-_FAIR_BIT_THRESHOLD = np.uint64(1 << 52)  # p = 1/2 over 53-bit uniforms
+_FAIR_BIT_THRESHOLD = np.uint64(probability_threshold(Fraction(1, 2)))
 
 
 def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> dict:
@@ -128,6 +128,8 @@ def mc_gfree_probability(
     check_limit(n, MC_N_CAP, "MC_N_CAP", "n %d" % n)
     if trials < 1:
         raise ValueError("need at least one trial")
+    if c is not None and not math.isfinite(c):
+        raise ValueError("c must be finite, not %r" % c)
     npairs = n * (n - 1) // 2
     bits = _trial_graph_bits(seed, trials, npairs)
     if n <= EXACT_N_CAP:

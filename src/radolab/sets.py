@@ -1,8 +1,9 @@
-"""Finite vertex sets: sorted positive integers below a materialized prefix bound."""
+"""Finite vertex sets below a prefix bound, and the JSON rule of the reports that hold them."""
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -123,6 +124,27 @@ class VertexSet:
             return arr, arr
         breaks = np.flatnonzero(np.diff(arr) != 1)
         return arr[np.append(0, breaks + 1)], arr[np.append(breaks, len(arr) - 1)]
+
+
+def _json_value(value):
+    """A report value in JSON form: a nested report becomes its dict, a
+    vertex set or a tuple a list, and a dict is walked."""
+    if isinstance(value, Report):
+        return value.to_json()
+    if isinstance(value, VertexSet):
+        return value.as_array.tolist()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value
+
+
+class Report:
+    """Base of the result dataclasses: a report's JSON keys are its fields."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def format_runs(vs: VertexSet) -> str:

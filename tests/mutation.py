@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 
 AP_BRUTE = "tests/test_largeness.py::test_thickness_and_ap_match_brute_force"
 AP_EXAMPLES = "tests/test_largeness.py::test_longest_ap_examples"
+REPORT_JSON = "tests/test_sets.py::test_every_report_is_strict_json_keyed_by_its_fields"
 
 MUTANTS = [
     Mutant(
@@ -169,6 +170,20 @@ MUTANTS = [
         "first[1:] = arr[1:] != arr[:-1]",
         "first[1:] = True",
         ("tests/test_properties.py::test_from_iterable_matches_reference",),
+    ),
+    Mutant(
+        "Report.to_json: a tuple kept as a tuple",
+        "sets.py",
+        "return [_json_value(v) for v in value]",
+        "return tuple(_json_value(v) for v in value)",
+        (REPORT_JSON,),
+    ),
+    Mutant(
+        "Report.to_json: a vertex set left unconverted",
+        "sets.py",
+        "return value.as_array.tolist()",
+        "return value",
+        (REPORT_JSON,),
     ),
     Mutant(
         "_greedy_gfree: every vertex kept",

@@ -233,6 +233,19 @@ def test_dyadic_greedy_beyond_exact_cap():
     assert all(r["mode"] == "greedy" for r in rep["rows"])
 
 
+def test_dyadic_refuses_a_negative_k_before_any_row_is_built(monkeypatch):
+    """2^k is no window for k < 0: the refusal names k, not a window.  k = 0
+    is the one-vertex window [1, 1]."""
+    rep = dyadic_audit(EdgeOracle(1), complete(2), 1, range(0, 1))
+    assert rep["rows"] == [
+        {"k": 0, "window": [1, 1], "mode": "exact", "size": 1, "bound": 0, "violation": True, "confirmed": True}
+    ]
+    monkeypatch.setattr(audit, "adjacency_rows", None)  # any row build would fail with a TypeError
+    for k_range in (range(-3, 0), range(-1, 2), range(2, -2, -1)):
+        with pytest.raises(ValueError, match="^k must be >= 0, not %d$" % min(k_range)):
+            dyadic_audit(EdgeOracle(1), complete(2), 1, k_range)
+
+
 def test_majorant_closed_form_vs_direct_summation():
     got = reciprocal_tail_majorant(4, 3)
     tail_direct = sum(k * 3 / 2**k for k in range(4, 400))

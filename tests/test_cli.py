@@ -573,6 +573,15 @@ def argvs(draw):
 @example(["edge", "-u", "1", "-v", "2"], "zz")
 @example(["mc-fn", "--pattern", "k:3", "--n-list", "5", "--n-param", "1", "--trials", "0"], None)
 @example(["embed", "--seed", "1", "--target", "e:30000", "--host", "1-10"], None)
+@example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "nan"], None)
 def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
-    code, _, err = run_main(argv, rado_seed)
+    """No argv ends in a traceback, and every report is strict JSON: no NaN
+    or Infinity."""
+    code, out, err = run_main(argv, rado_seed)
     assert code in range(5) and "Traceback" not in err
+    if code in (0, 2, 3) and "csv" not in argv:
+        json.loads(out, parse_constant=_not_json)
+
+
+def _not_json(constant):
+    raise ValueError("%s is not JSON" % constant)

@@ -25,14 +25,14 @@ subsets_of_12 = st.sets(st.integers(1, 12))
 def test_density_full_interval():
     a = VertexSet.interval(1, 100)
     rep = density_profile(a, [10, 50, 100])
-    assert all(d == 1.0 for _, d in rep.prefix_densities)
+    assert all(d == 1.0 for d in rep.densities)
     assert rep.sup_density == rep.final_density == 1.0
 
 
 def test_density_evens():
     a = VertexSet(tuple(range(2, 1001, 2)), 1000)
     rep = density_profile(a, [10, 100, 1000])
-    assert [d for _, d in rep.prefix_densities] == [0.5, 0.5, 0.5]
+    assert list(rep.densities) == [0.5, 0.5, 0.5]
 
 
 def test_density_alternating_dyadic_blocks():
@@ -41,7 +41,8 @@ def test_density_alternating_dyadic_blocks():
     a = VertexSet(tuple(elems), 2**14)
     points = dyadic_checkpoints(2**14)
     rep = density_profile(a, points)
-    for n, d in rep.prefix_densities:
+    assert rep.checkpoints == tuple(points)
+    for n, d in zip(rep.checkpoints, rep.densities):
         assert d == sum(1 for e in elems if e <= n) / n
     assert rep.sup_density >= 0.5
     assert rep.final_density <= 2 / 3

@@ -1,7 +1,23 @@
+import json
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radolab.audit import SearchResult, contains_induced
+from radolab.constructions import (
+    Pi02Result,
+    ThickCopyResult,
+    ThickResult,
+    construct_pi02_member,
+    construct_thick_copy,
+    construct_thick_edgeless,
+)
+from radolab.embed import Embedding, StepRecord, embed_target
+from radolab.graphs import complete, empty_graph, path
+from radolab.largeness import DensityReport, density_profile, substantial_family
+from radolab.oracle import EdgeOracle
 from radolab.sets import VertexSet, format_runs, load_vertex_set, parse_notation, parse_runs
 
 
@@ -59,3 +75,27 @@ def test_file_roundtrip(tmp_path):
     q.write_text("# comment\n5\n2\n11\n")
     assert load_vertex_set(str(q)).elements == (2, 5, 11)
     assert parse_notation("file:" + str(p), None).elements == vs.elements
+
+
+def test_every_report_is_strict_json_keyed_by_its_fields():
+    """Each result type, built by the library, turns into strict JSON whose
+    keys are its dataclass fields: no tuple, vertex set or NaN is left."""
+    o = EdgeOracle(1)
+    emb = embed_target(o, path(3), VertexSet.interval(1, 64))
+    reports = [
+        contains_induced(o, VertexSet.interval(1, 20), path(3)),
+        contains_induced(o, VertexSet.interval(1, 3), complete(4)),
+        emb,
+        emb.steps[0],
+        construct_thick_edgeless(o, 2, 10**4),
+        construct_thick_copy(o, empty_graph(3), 2, 10**4),
+        construct_pi02_member(o, substantial_family(), 2, 10**5),
+        density_profile(VertexSet((2, 4, 6), 8), [2, 8]),
+    ]
+    assert {type(r) for r in reports} == {
+        SearchResult, Embedding, StepRecord, ThickResult, ThickCopyResult, Pi02Result, DensityReport
+    }
+    for r in reports:
+        js = r.to_json()
+        assert set(js) == {f.name for f in fields(r)}
+        assert json.loads(json.dumps(js, allow_nan=False)) == js
