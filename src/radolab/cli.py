@@ -100,8 +100,6 @@ def parse_probability(text: str) -> Fraction:
 
 
 def parse_pattern(text: str) -> FiniteGraph:
-    if text.startswith("g6:"):
-        return graph6_decode(text[3:])
     if text == "petersen":
         return petersen()
     m = re.fullmatch(r"(k|c|p|e):(\d+)", text)
@@ -109,9 +107,11 @@ def parse_pattern(text: str) -> FiniteGraph:
         n = int(m.group(2))
         check_limit(n, PATTERN_ORDER_CAP, "PATTERN_ORDER_CAP", "graph order %d" % n)
         return {"k": complete, "c": cycle, "p": path, "e": empty_graph}[m.group(1)](n)
-    if text.startswith("file:"):
-        return load_graph_file(text[5:])
-    raise ValueError("bad graph notation %r (use g6:, k:, c:, p:, e:, petersen, file:)" % text)
+    if not text.startswith(("g6:", "file:")):
+        raise ValueError("bad graph notation %r (use g6:, k:, c:, p:, e:, petersen, file:)" % text)
+    g = graph6_decode(text[3:]) if text.startswith("g6:") else load_graph_file(text[5:])  # text length bounds it
+    check_limit(g.order, PATTERN_ORDER_CAP, "PATTERN_ORDER_CAP", "graph order %d" % g.order)
+    return g
 
 
 def load_graph_file(path_: str) -> FiniteGraph:

@@ -8,6 +8,7 @@ first, so outputs are deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -136,7 +137,7 @@ def _place_blocks(
         first = next(_scan(oracle, scan_from, images, rows, prefix_bound), None)
         if first is None:
             ones = sum((r & ((1 << offset + d) - 1)).bit_count() for d, r in enumerate(rows))
-            zeros = j * (j - 1) // 2 + j * offset - ones
+            zeros = math.comb(j, 2) + j * offset - ones
             prob = p**ones * (1 - p) ** zeros
             raise PrefixExhausted(j, prefix_bound, prob, VertexSet(images, prefix_bound))
         k = int(first[0])

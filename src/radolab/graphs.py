@@ -1,9 +1,11 @@
 """Finite simple graphs: bitset adjacency, graph6 I/O, canonical forms,
-and the catalog of unlabeled graphs on up to seven vertices."""
+and the catalog of unlabeled graphs on up to seven vertices, all through
+one pair order, one code and one row packer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
@@ -13,25 +15,47 @@ import numpy as np
 from .limits import CANONICAL_MAX_ORDER, CATALOG_MAX_ORDER, GRAPH6_MAX_ORDER, check_limit
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> np.ndarray:
+    """The pair order, as a read-only (n, n) boolean mask: ``matrix[_pairs(n)]``
+    lists pair (i, j), i < j, column by column (j ascending, then i)."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """The row packer: Python-int bitsets of the rows of a 2-D boolean
+    array, bit j of row i being bits[i, j]."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
-    """A finite simple graph; ``rows[i]`` is the neighbor bitmask of vertex i."""
+    """A finite simple graph; ``rows[i]`` is the neighbor bitmask of vertex i, ``matrix`` the adjacency."""
 
     order: int
     rows: tuple[int, ...]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.rows) != self.order:
+        n = self.order
+        if len(self.rows) != n:
             raise ValueError("adjacency rows must match order")
-        full = (1 << self.order) - 1
-        for i, r in enumerate(self.rows):
-            if r & ~full:
+        full, width = (1 << n) - 1, -(-n // 8)
+        data = np.frombuffer(b"".join((r & full).to_bytes(width, "little") for r in self.rows), dtype=np.uint8)
+        m = np.unpackbits(data.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+        wide = [r >> n != 0 for r in self.rows]
+        if any(wide) or m.diagonal().any() or m.tobytes() != m.T.tobytes():
+            odd = m != m.T
+            i = int((odd.any(axis=1) | m.diagonal() | wide).argmax())  # the first bad row, and its first defect
+            if wide[i]:
                 raise ValueError("row %d has bits outside the vertex range" % i)
-            if r >> i & 1:
+            if m[i, i]:
                 raise ValueError("diagonal must be zero (vertex %d)" % i)
-            for j in range(self.order):
-                if (r >> j & 1) != (self.rows[j] >> i & 1):
-                    raise ValueError("adjacency must be symmetric (%d,%d)" % (i, j))
+            raise ValueError("adjacency must be symmetric (%d,%d)" % (i, int(odd[i].argmax())))
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -54,23 +78,20 @@ class FiniteGraph:
         return cls(n, tuple(rows))
 
 
-def rows_from_upper_bits(bits: Sequence[int], n: int) -> list[int]:
-    """Bitset rows of the n-vertex graph whose column-major upper-triangle
-    pairs are the truthy entries of ``bits``."""
-    rows = [0] * n
-    p = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[p]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            p += 1
-    return rows
+def rows_from_upper_bits(bits: Sequence[int] | np.ndarray, n: int) -> list[int]:
+    """Bitset rows of the n-vertex graph whose pairs, in the pair order, are
+    the truthy entries of ``bits``; a (graphs, pairs) array gives the n
+    rows of each graph in turn."""
+    bits = np.asarray(bits, dtype=bool)
+    m = np.zeros(bits.shape[:-1] + (n, n), dtype=bool)
+    m[..., _pairs(n)] = bits
+    m |= np.swapaxes(m, -1, -2)
+    return pack_rows(m.reshape(math.prod(bits.shape[:-1]) * n, n))
 
 
-def _upper_bits(g: FiniteGraph) -> list[int]:
-    """The column-major upper-triangle bits of g, the first pair first."""
-    return [g.rows[j] >> i & 1 for j in range(1, g.order) for i in range(j)]
+def _upper_bits(g: FiniteGraph) -> np.ndarray:
+    """The pair bits of g, in the pair order."""
+    return g.matrix[_pairs(g.order)]
 
 
 # --- named graphs -----------------------------------------------------------
@@ -104,6 +125,7 @@ def petersen() -> FiniteGraph:
 # --- graph6 -----------------------------------------------------------------
 
 GRAPH6_HEADER = ">>graph6<<"
+_SIX_BITS = np.arange(5, -1, -1, dtype=np.uint8)  # six pair bits per graph6 byte, the first most significant
 
 
 class Graph6Error(ValueError):
@@ -121,9 +143,10 @@ def graph6_encode(g: FiniteGraph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
-    bits = "".join(map(str, _upper_bits(g)))
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join(chr(63 + int(bits[p : p + 6], 2)) for p in range(0, len(bits), 6))
+    bits = _upper_bits(g)
+    six = np.zeros(-(-len(bits) // 6) * 6, dtype=np.uint8)
+    six[: len(bits)] = bits
+    return head + (six.reshape(-1, 6) @ (1 << _SIX_BITS) + 63).tobytes().decode("ascii")
 
 
 def graph6_decode(text: str) -> FiniteGraph:
@@ -132,72 +155,54 @@ def graph6_decode(text: str) -> FiniteGraph:
         s = s[len(GRAPH6_HEADER) :]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = [ord(c) for c in s]
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error("byte out of range", off)
-    pos = 0
-    if data[0] != 126:
-        n = data[0] - 63
-        pos = 1
-    elif len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise Graph6Error("truncated size block", len(data))
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        pos = 4
-    else:
-        if len(data) < 8:
-            raise Graph6Error("truncated size block", len(data))
-        n = 0
-        for k in range(2, 8):
-            n = n << 6 | (data[k] - 63)
-        pos = 8
+    data = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+    out_of_range = (data < 63) | (data > 126)
+    if out_of_range.any():
+        raise Graph6Error("byte out of range", int(out_of_range.argmax()))
+    pos = 1 if data[0] != 126 else 4 if len(data) >= 2 and data[1] != 126 else 8
+    if len(data) < pos:
+        raise Graph6Error("truncated size block", len(data))
+    n = 0
+    for byte in data[pos // 3 : pos].tolist():  # the size bytes after zero, one or two '~'
+        n = n << 6 | (byte - 63)
     npairs = n * (n - 1) // 2
-    nbytes = (npairs + 5) // 6
-    if len(data) - pos != nbytes:
+    if len(data) - pos != -(-npairs // 6):
         raise Graph6Error("edge block has wrong length", pos)
-    bits = []
-    for k in range(pos, len(data)):
-        v = data[k] - 63
-        for shift in range(5, -1, -1):
-            bits.append(v >> shift & 1)
-    for extra in range(npairs, len(bits)):
-        if bits[extra]:
-            raise Graph6Error("nonzero padding bit", pos + extra // 6)
-    return FiniteGraph(n, tuple(rows_from_upper_bits(bits, n)))
+    bits = ((data[pos:, None] - 63).astype(np.uint8) >> _SIX_BITS & 1).ravel()
+    if bits[npairs:].any():
+        raise Graph6Error("nonzero padding bit", pos + npairs // 6)
+    return FiniteGraph(n, tuple(rows_from_upper_bits(bits[:npairs], n)))
 
 
 # --- canonical form ---------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every relabelling of the n-vertex upper triangle, as (source, weights).
+def _relabelings(n: int) -> np.ndarray:
+    """The read-only (C(n,2), n!) weights of every relabelling of n vertices.
 
-    ``source[t, p]`` is the original pair that pair p of relabelling t
-    reads (pairs column-major): relabelling t puts old vertex perm[q] at q
-    for the t-th permutation perm.  ``bits @ weights`` is the code of every
-    relabelling of the bit rows ``bits`` at once, the first pair as the most
-    significant bit, so the least code is the lexicographically least
-    bitstring.  Codes stay below 2^28 for n <= 8: float64 is exact.
+    ``bits @ weights`` is the code of every relabelling of the pair bits
+    ``bits`` at once: the pair that old pair q becomes under a relabelling
+    weighs 2^(C(n,2) - 1 - its position), so the first pair is the most
+    significant bit and the least code is the lexicographically least
+    bitstring.  Column 0 is the identity, so ``bits @ weights[:, 0]`` is
+    a graph's own code.  Codes stay below 2^28 for n <= 8: float64 is exact.
     """
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
-    j, i = np.tril_indices(n, -1)  # the pairs i < j, column-major
-    lo, hi = np.minimum(perms[:, i], perms[:, j]), np.maximum(perms[:, i], perms[:, j])
-    source = hi * (hi - 1) // 2 + lo
-    weights = np.zeros(source.shape)
-    np.put_along_axis(weights, source, 2.0 ** np.arange(len(i))[::-1], axis=1)
-    source.flags.writeable = weights.flags.writeable = False  # shared by every caller
-    return source, weights.T
+    j, i = np.nonzero(_pairs(n))
+    exponent = np.zeros((n, n), dtype=np.intp)
+    exponent[j, i] = exponent[i, j] = np.arange(len(j))[::-1]
+    weights = 2.0 ** exponent[perms[:, j], perms[:, i]]
+    weights.flags.writeable = False  # shared by every caller
+    return weights.T
 
 
 def canonical_form(g: FiniteGraph) -> str:
-    """Order-prefixed minimal upper-triangle bitstring over all relabellings;
-    two graphs are isomorphic iff their canonical forms are equal."""
+    """Order-prefixed least code over all relabellings, spelled out as its
+    pair bits; two graphs are isomorphic iff their canonical forms are equal."""
     check_limit(g.order, CANONICAL_MAX_ORDER, "CANONICAL_MAX_ORDER", "canonical-form order %d" % g.order)
-    source, weights = _relabelings(g.order)
-    bits = np.array(_upper_bits(g), dtype=np.uint8)
-    least = bits[source[np.argmin(bits @ weights)]]
-    return "%d:%s" % (g.order, "".join(map(str, least.tolist())))
+    weights = _relabelings(g.order)
+    least = int((_upper_bits(g) @ weights).min())
+    return "%d:%s" % (g.order, format(least | 1 << len(weights), "b")[1:])
 
 
 @lru_cache(maxsize=None)
@@ -207,24 +212,24 @@ def enumerate_unlabeled(k: int) -> tuple[FiniteGraph, ...]:
 
     Each (k-1)-class is extended by every neighborhood of a fresh vertex,
     whose pairs are the last k - 1 columns; the least code of every
-    extension is taken at once, and each distinct code is spelled out as
-    the bits of its representative.
+    extension is taken at once, and the distinct codes are spelled out as
+    the bits of their representatives, whose rows are packed in one batch.
     """
     if k < 1:
         raise ValueError("catalog order %d is below 1" % k)
     check_limit(k, CATALOG_MAX_ORDER, "CATALOG_MAX_ORDER", "catalog order %d" % k)
     if k == 1:
         return (FiniteGraph(1, (0,)),)
-    _, weights = _relabelings(k)
-    fresh = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1) & 1).astype(np.uint8)
+    weights = _relabelings(k)
+    fresh = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1) & 1).astype(bool)
     batches = []
     for g in enumerate_unlabeled(k - 1):
-        old = np.array([_upper_bits(g)] * len(fresh), dtype=np.uint8)
+        old = np.broadcast_to(_upper_bits(g), (len(fresh), len(weights) - (k - 1)))
         batches.append((np.hstack([old, fresh]) @ weights).min(axis=1))
     codes = np.sort(np.concatenate(batches)).astype(np.int64)
     codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
-    forms = codes[:, None] >> np.arange(weights.shape[0])[::-1] & 1  # the first pair is the most significant bit
-    return tuple(FiniteGraph(k, tuple(rows_from_upper_bits(bits, k))) for bits in forms.tolist())
+    rows = rows_from_upper_bits(codes[:, None] >> np.arange(len(weights))[::-1] & 1, k)
+    return tuple(FiniteGraph(k, tuple(rows[c : c + k])) for c in range(0, len(rows), k))
 
 
 def find_induced(

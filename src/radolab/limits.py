@@ -6,7 +6,7 @@ the CLI prints it as ``error: ...`` and exits 1.
 """
 
 DEFAULT_NODE_BUDGET = 10**6  # search nodes per induced-copy search (--budget): a spent budget is exit 3, not absence
-PATTERN_ORDER_CAP = 1024  # vertices of k:n, c:n, p:n, e:n and file graphs (quadratic builds); no command needs more
+PATTERN_ORDER_CAP = 1024  # vertices of k:n, c:n, p:n, e:n, g6: and file: graphs (quadratic builds); no command needs more
 CONTAINS_ORDER_CAP = 10  # pattern vertices of contains: the induced-copy search is exponential in them
 GFREE_PATTERN_ORDER_CAP = 7  # pattern vertices of the pattern-free solvers: copies per anchor grow as n^(order-1)
 GFREE_WINDOW_CAP = 1 << 14  # window vertices of gfree-max and dyadic-audit: refused before any adjacency row is built

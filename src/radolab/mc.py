@@ -80,19 +80,18 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
 
 @lru_cache(maxsize=None)
 def _gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
-    """Read-only table over all labeled graphs on n vertices (upper-triangle
-    masks, the first pair as the least significant bit), shared per
-    (pattern, n): True where the graph has no induced copy of the pattern.
+    """Read-only table over all labeled graphs on n vertices, indexed by
+    their codes (the first pair most significant), shared per (pattern,
+    n): True where the graph has no induced copy of the pattern.
 
     One ``find_induced`` per isomorphism class of the catalog decides the
-    class; a pattern-free class marks the masks of all its relabellings.
+    class; a pattern-free class marks the codes of all its relabellings.
     """
-    source, _ = _relabelings(n)
-    place = 1 << np.arange(source.shape[1], dtype=np.int64)
-    flags = np.zeros(1 << source.shape[1], dtype=bool)
+    weights = _relabelings(n)
+    flags = np.zeros(1 << len(weights), dtype=bool)
     for g in enumerate_unlabeled(n):
         if find_induced(g.rows, (1 << n) - 1, pattern)[0] is None:
-            flags[np.array(_upper_bits(g), dtype=np.int64)[source] @ place] = True
+            flags[(_upper_bits(g) @ weights).astype(np.intp)] = True
     flags.flags.writeable = False
     return flags
 
@@ -130,11 +129,11 @@ def mc_gfree_probability(
         raise ValueError("need at least one trial")
     if c is not None and not math.isfinite(c):
         raise ValueError("c must be finite, not %r" % c)
-    npairs = n * (n - 1) // 2
-    bits = _trial_graph_bits(seed, trials, npairs)
-    if n <= EXACT_N_CAP:
-        masks = bits @ (1 << np.arange(npairs, dtype=np.int64))
-        hits = _gfree_flags(pattern, n)[masks]
+    if c is not None and -c * n * n >= 1024:
+        raise ValueError("envelope 2^(-c n^2) = 2^%g at c = %g, n = %d exceeds the largest float" % (-c * n * n, c, n))
+    bits = _trial_graph_bits(seed, trials, n * (n - 1) // 2)
+    if n <= EXACT_N_CAP:  # a trial's code is that of its identity relabelling
+        hits = _gfree_flags(pattern, n)[(bits @ _relabelings(n)[:, 0]).astype(np.intp)]
     else:
         hits = np.array([find_induced(rows_from_upper_bits(row, n), (1 << n) - 1, pattern)[0] is None for row in bits])
     est = float(hits.mean())
@@ -189,11 +188,10 @@ def mc_fn_bound(
             row.update(estimate=0.0, stderr=0.0, mode="degenerate")
         else:
             _check_gfree_pattern(pattern)
-            npairs = n * (n - 1) // 2
-            bits = _trial_graph_bits(seed, trials, npairs)
+            rows = rows_from_upper_bits(_trial_graph_bits(seed, trials, n * (n - 1) // 2), n)
             wins = 0
-            for t in range(trials):
-                g_rows = rows_from_upper_bits(bits[t], n)
+            for t in range(0, len(rows), n):
+                g_rows = rows[t : t + n]
                 if n <= FN_EXACT_CAP:
                     ok = len(_exact_gfree(g_rows, n, pattern, stop_at=f)) >= f
                 else:

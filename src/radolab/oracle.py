@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, pack_rows
 from .limits import EXTENSION_BASE_CAP, TYPE_KEY_BITS, check_limit
 from .sets import VertexSet
 
@@ -256,11 +256,6 @@ def type_keys(oracle: EdgeOracle, base: Sequence[int], pool: np.ndarray) -> np.n
     return keys
 
 
-def _bitset(bits: np.ndarray) -> int:
-    """A boolean vector as a Python-int bitset: bit i is bits[i]."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 # Adjacency rows per edge_grid call: the boolean block stays small however
 # many vertices the rows span.
 _ROW_BLOCK = 256
@@ -276,7 +271,7 @@ def adjacency_rows(oracle: EdgeOracle, vertices: np.ndarray, which: Sequence[int
         part = which[lo : lo + _ROW_BLOCK]
         grid = oracle.edge_grid(vertices[part], vertices)
         grid[np.arange(len(part)), part] = False
-        rows.extend(map(_bitset, grid))
+        rows.extend(pack_rows(grid))
     return rows
 
 
@@ -288,7 +283,7 @@ def type_of(oracle: EdgeOracle, m: int, base: VertexSet) -> TypeSpec:
         raise ValueError("type_of requires a vertex m < 2^64, not %d" % m)
     if m in base:
         raise ValueError("vertex %d lies inside the base set" % m)
-    return TypeSpec(base.elements, _bitset(oracle.edge_grid([m], base.as_array)[0]))
+    return TypeSpec(base.elements, pack_rows(oracle.edge_grid([m], base.as_array))[0])
 
 
 def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:

@@ -146,9 +146,16 @@ MUTANTS = [
     Mutant(
         "canonical_form: the largest code, not the least",
         "graphs.py",
-        "np.argmin(bits @ weights)",
-        "np.argmax(bits @ weights)",
+        "(_upper_bits(g) @ weights).min()",
+        "(_upper_bits(g) @ weights).max()",
         ("tests/test_graphs.py::test_relabelling_table_matches_permutation_scan",),
+    ),
+    Mutant(
+        "_pairs: the upper triangle read row by row",
+        "graphs.py",
+        "mask = np.tri(n, k=-1, dtype=bool)",
+        "mask = np.tri(n, k=-1, dtype=bool).T",
+        ("tests/test_graphs.py::test_graph6_matches_the_reference_codec",),
     ),
     Mutant(
         "enumerate_unlabeled: repeated least codes kept",
@@ -158,10 +165,10 @@ MUTANTS = [
         ("tests/test_graphs.py::test_enumerate_counts_match_brute_force",),
     ),
     Mutant(
-        "_gfree_flags: a pattern-free class marks its representative's mask only",
+        "_gfree_flags: a pattern-free class marks its representative's code only",
         "mc.py",
-        "np.int64)[source] @ place",
-        "np.int64)[source[:1]] @ place",
+        "flags[(_upper_bits(g) @ weights).astype(np.intp)] = True",
+        "flags[(_upper_bits(g) @ weights[:, :1]).astype(np.intp)] = True",
         ("tests/test_mc.py::test_catalog_table_matches_subset_scan",),
     ),
     Mutant(
@@ -223,8 +230,8 @@ MUTANTS = [
     Mutant(
         "_place_blocks: give-up probability counts C(j+1, 2) internal pairs",
         "constructions.py",
-        "zeros = j * (j - 1) // 2 + j * offset - ones",
-        "zeros = j * (j + 1) // 2 + j * offset - ones",
+        "zeros = math.comb(j, 2) + j * offset - ones",
+        "zeros = math.comb(j + 1, 2) + j * offset - ones",
         ("tests/test_constructions.py::test_empty_copy_gives_up_with_the_edgeless_probability",),
     ),
     Mutant(

@@ -1,12 +1,12 @@
 """Brute-force references that the tests compare the library against."""
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from radolab.constructions import ForcingFailed, TypeClassEmpty
-from radolab.graphs import FiniteGraph, _relabelings, _upper_bits, rows_from_upper_bits
+from radolab.graphs import GRAPH6_HEADER, FiniteGraph, Graph6Error
 from radolab.largeness import pi02_force
 from radolab.oracle import GOLDEN, _mix64_np
 from radolab.sets import VertexSet
@@ -47,26 +47,33 @@ def subset_code(rows, sub) -> int:
 
 @lru_cache(maxsize=None)
 def pattern_orbit_table(pattern: FiniteGraph) -> tuple[bool, ...]:
-    """Boolean table over all upper-triangle masks of the pattern's order:
-    True where the mask is a labeled copy of the pattern.  Capped at order
-    7 to keep the table (2^C(r,2) entries) desk-sized; built once per
-    pattern and shared, hence immutable."""
+    """Boolean table over all subset codes (``subset_code``) of the
+    pattern's order: True where the code is a labeled copy of the pattern,
+    gathered from the pattern's adjacency under every permutation.  Capped
+    at order 7 to keep the table (2^C(r,2) entries) desk-sized; built once
+    per pattern and shared, hence immutable."""
     r = pattern.order
     if r > 7:
         raise ValueError("orbit table supported up to order 7")
-    source, _ = _relabelings(r)
-    # the upper-triangle mask of every relabelling, the first pair as the least significant bit
-    codes = np.array(_upper_bits(pattern), dtype=np.int64)[source] @ (1 << np.arange(source.shape[1]))
-    table = np.zeros(1 << source.shape[1], dtype=bool)
+    perms = np.array(list(permutations(range(r))), dtype=np.intp)
+    adjacent = np.array([[pattern.has_edge(u, v) for v in range(r)] for u in range(r)], dtype=np.int64)
+    codes = np.zeros(len(perms), dtype=np.int64)
+    bit = 0
+    for b in range(r):
+        for a in range(b):
+            codes |= adjacent[perms[:, a], perms[:, b]] << bit
+            bit += 1
+    table = np.zeros(1 << bit, dtype=bool)
     table[codes] = True
     return tuple(table.tolist())
 
 
 def gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
-    """True for each labeled n-vertex graph (upper-triangle masks, the first
-    pair as the least significant bit) with no induced copy of the pattern:
-    for each of the C(n, r) position subsets, that subset's code is read out
-    of all 2^C(n,2) masks at once and looked up in the orbit table."""
+    """True for each labeled n-vertex graph (indexed by its code: pair p of
+    the column-major upper triangle is bit C(n,2) - 1 - p) with no induced
+    copy of the pattern: for each of the C(n, r) position subsets, that
+    subset's code is read out of all 2^C(n,2) codes at once and looked up
+    in the orbit table."""
     npairs = n * (n - 1) // 2
     masks = np.arange(1 << npairs, dtype=np.int64)
     flags = np.ones(len(masks), dtype=bool)
@@ -78,7 +85,7 @@ def gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
         for b in range(r):
             for a in range(b):
                 src = sub[b] * (sub[b] - 1) // 2 + sub[a]  # column-major position of the pair
-                submask |= ((masks >> src) & 1) << bit
+                submask |= ((masks >> (npairs - 1 - src)) & 1) << bit
                 bit += 1
         flags &= not_copy[submask]
     return flags
@@ -87,7 +94,99 @@ def gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
 def from_upper_mask(n: int, mask: int) -> FiniteGraph:
     """The n-vertex graph whose column-major upper-triangle pair p is bit p of mask."""
     bits = [mask >> p & 1 for p in range(n * (n - 1) // 2)]
-    return FiniteGraph(n, tuple(rows_from_upper_bits(bits, n)))
+    return FiniteGraph(n, tuple(rows_from_pair_bits(bits, n)))
+
+
+# --- the graph codec, pair by pair ------------------------------------------
+
+def rows_from_pair_bits(bits, n: int) -> list[int]:
+    """Bitset rows of the n-vertex graph whose column-major upper-triangle
+    pairs are the truthy entries of ``bits``."""
+    rows = [0] * n
+    p = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[p]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            p += 1
+    return rows
+
+
+def pair_bits(g: FiniteGraph) -> list[int]:
+    """The column-major upper-triangle bits of g, the first pair first."""
+    return [g.rows[j] >> i & 1 for j in range(1, g.order) for i in range(j)]
+
+
+def row_defect(order: int, rows) -> str | None:
+    """The message of the first defect of bitset rows as a graph, row by
+    row and pair by pair, or None for a simple graph."""
+    if len(rows) != order:
+        return "adjacency rows must match order"
+    full = (1 << order) - 1
+    for i, r in enumerate(rows):
+        if r & ~full:
+            return "row %d has bits outside the vertex range" % i
+        if r >> i & 1:
+            return "diagonal must be zero (vertex %d)" % i
+        for j in range(order):
+            if (r >> j & 1) != (rows[j] >> i & 1):
+                return "adjacency must be symmetric (%d,%d)" % (i, j)
+    return None
+
+
+def graph6_text(g: FiniteGraph) -> str:
+    """graph6 of g, six pair bits per byte."""
+    n = g.order
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
+    bits = "".join(map(str, pair_bits(g)))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(63 + int(bits[p : p + 6], 2)) for p in range(0, len(bits), 6))
+
+
+def graph6_rows(text: str) -> tuple[int, list[int]]:
+    """(order, rows) of graph6 text, or the library's Graph6Error at the
+    same offset, read byte by byte."""
+    s = text.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER) :]
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    data = [ord(c) for c in s]
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise Graph6Error("byte out of range", off)
+    pos = 0
+    if data[0] != 126:
+        n = data[0] - 63
+        pos = 1
+    elif len(data) >= 2 and data[1] != 126:
+        if len(data) < 4:
+            raise Graph6Error("truncated size block", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        pos = 4
+    else:
+        if len(data) < 8:
+            raise Graph6Error("truncated size block", len(data))
+        n = 0
+        for k in range(2, 8):
+            n = n << 6 | (data[k] - 63)
+        pos = 8
+    npairs = n * (n - 1) // 2
+    if len(data) - pos != (npairs + 5) // 6:
+        raise Graph6Error("edge block has wrong length", pos)
+    bits = []
+    for k in range(pos, len(data)):
+        v = data[k] - 63
+        for shift in range(5, -1, -1):
+            bits.append(v >> shift & 1)
+    for extra in range(npairs, len(bits)):
+        if bits[extra]:
+            raise Graph6Error("nonzero padding bit", pos + extra // 6)
+    return n, rows_from_pair_bits(bits, n)
 
 
 def complement(g: FiniteGraph) -> FiniteGraph:

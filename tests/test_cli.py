@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from radolab import limits
 from radolab.cli import main
-from radolab.graphs import graph6_decode
+from radolab.graphs import empty_graph, graph6_decode, graph6_encode
 from radolab.oracle import EdgeOracle
 
 BASE = [sys.executable, "-m", "radolab"]
@@ -411,6 +411,30 @@ def test_graph_orders_above_the_cap_are_usage_errors(tmp_path):
         assert (code, out) == (1, "") and err == "error: graph order 1025 exceeds PATTERN_ORDER_CAP = 1024\n"
 
 
+def test_graph6_patterns_are_held_to_the_order_cap(tmp_path):
+    for n in (1024, 1025):
+        text = graph6_encode(empty_graph(n))
+        line = tmp_path / ("e%d.g6" % n)
+        line.write_text(text + "\n", encoding="ascii")
+        for target in ("g6:" + text, "file:%s" % line):
+            code, out, err = run_main(["embed", "--seed", "1", "--target", target, "--host", "1-3"])
+            if n == 1024:
+                assert code == 3 and json.loads(out)["error"] == "dead end" and err == ""
+            else:
+                assert (code, out, err) == (1, "", "error: graph order 1025 exceeds PATTERN_ORDER_CAP = 1024\n")
+
+
+def test_an_envelope_a_float_cannot_hold_is_refused_before_any_trial():
+    argv = ["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c"]
+    with mock.patch("radolab.mc._trial_graph_bits") as trials:
+        assert run_main([*argv, "-1000"]) == (
+            1, "", "error: envelope 2^(-c n^2) = 2^25000 at c = -1000, n = 5 exceeds the largest float\n"
+        )
+    trials.assert_not_called()
+    code, out, err = run_main([*argv, "1000"])  # underflows to 0.0
+    assert (code, err) == (0, "") and json.loads(out)["envelope"] == 0.0
+
+
 
 def test_order_zero_patterns_are_refused_by_name():
     for argv in (
@@ -574,6 +598,7 @@ def argvs(draw):
 @example(["mc-fn", "--pattern", "k:3", "--n-list", "5", "--n-param", "1", "--trials", "0"], None)
 @example(["embed", "--seed", "1", "--target", "e:30000", "--host", "1-10"], None)
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "nan"], None)
+@example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "-1000"], None)
 def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
     """No argv ends in a traceback, and every report is strict JSON: no NaN
     or Infinity."""

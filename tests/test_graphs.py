@@ -1,15 +1,29 @@
 import hashlib
 from itertools import permutations
+from math import comb
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import contains_induced_copy, from_upper_mask, induced, pattern_orbit_table, subset_code
+from reference import (
+    contains_induced_copy,
+    from_upper_mask,
+    graph6_rows,
+    graph6_text,
+    induced,
+    pair_bits,
+    pattern_orbit_table,
+    row_defect,
+    rows_from_pair_bits,
+    subset_code,
+)
 
 from radolab.graphs import (
     FiniteGraph,
     Graph6Error,
+    _relabelings,
     canonical_form,
     complete,
     cycle,
@@ -19,6 +33,7 @@ from radolab.graphs import (
     graph6_encode,
     path,
     petersen,
+    rows_from_upper_bits,
 )
 
 
@@ -38,6 +53,61 @@ def brute_isomorphic(g: FiniteGraph, h: FiniteGraph) -> bool:
 
 def graphs_of_order(n):
     return st.integers(0, 2 ** (n * (n - 1) // 2) - 1).map(lambda m: from_upper_mask(n, m))
+
+
+def random_bits(n: int, seed: int, density: float) -> list[bool]:
+    return (np.random.default_rng(seed).random(comb(n, 2)) < density).tolist()
+
+
+def random_graphs(max_order: int):
+    """Graphs built by the reference codec from seeded random pair bits."""
+    return st.builds(
+        lambda n, seed, density: FiniteGraph(n, tuple(rows_from_pair_bits(random_bits(n, seed, density), n))),
+        st.integers(0, max_order), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    )
+
+
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.5, 0.9]), st.integers(1, 3))
+def test_rows_from_upper_bits_match_the_reference(n, seed, density, graphs):
+    batch = [random_bits(n, seed + t, density) for t in range(graphs)]
+    want = [rows_from_pair_bits(bits, n) for bits in batch]
+    assert [rows_from_upper_bits(bits, n) for bits in batch] == want
+    assert rows_from_upper_bits(np.array(batch, dtype=bool).reshape(graphs, comb(n, 2)), n) == sum(want, [])
+
+
+@st.composite
+def damaged_rows(draw):
+    """Rows of a random graph of order <= 12 with a few bits flipped (at
+    most two places above the order), maybe one row negated and maybe one
+    row too many or too few."""
+    n = draw(st.integers(0, 12))
+    rows = list(rows_from_pair_bits(random_bits(n, draw(st.integers(0, 2**32 - 1)), 0.5), n))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        rows[draw(st.integers(0, n - 1))] ^= 1 << draw(st.integers(0, n + 1))
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i] = ~rows[i]
+    rows += [0] * draw(st.sampled_from([0, 0, 0, 1]))
+    if rows and draw(st.sampled_from([False, False, False, True])):
+        rows.pop()
+    return n, tuple(rows)
+
+
+@given(damaged_rows())
+@example((2, (1, 0)))
+@example((1, (1,)))
+@example((2, (4, 0)))
+@example((3, (2, 5, 8)))
+def test_finite_graph_names_the_first_defect_like_the_reference(case):
+    n, rows = case
+    want = row_defect(n, rows)
+    if want is None:
+        g = FiniteGraph(n, rows)
+        assert g.matrix.tolist() == [[g.has_edge(i, j) for j in range(n)] for i in range(n)]
+    else:
+        with pytest.raises(ValueError) as refused:
+            FiniteGraph(n, rows)
+        assert str(refused.value) == want
 
 
 def test_finite_graph_validation():
@@ -103,6 +173,65 @@ def test_graph6_malformed():
         graph6_decode("")
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(300))
+@example(empty_graph(0))
+@example(complete(62))
+@example(complete(63))
+@example(path(300))
+def test_graph6_matches_the_reference_codec(g):
+    text = graph6_encode(g)
+    assert text == graph6_text(g)
+    assert len(text) == (1 if g.order <= 62 else 4) + -(-comb(g.order, 2) // 6)
+    assert graph6_decode(text) == g
+
+
+def library_rows(text: str) -> tuple[int, list[int]]:
+    g = graph6_decode(text)
+    return g.order, list(g.rows)
+
+
+def decoded(decode, text):
+    """(order, rows) of the decoded text, or the message of its Graph6Error."""
+    try:
+        return decode(text)
+    except Graph6Error as e:
+        return str(e)
+
+
+@st.composite
+def damaged_graph6(draw):
+    """graph6 text of a random graph of order <= 80, with a few characters
+    replaced (non-ASCII included), deleted or inserted."""
+    text = list(graph6_text(draw(random_graphs(80))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        char = draw(st.one_of(st.sampled_from("?@_{|~>\x7f \u00e9"), st.characters()))
+        if edit == "insert":
+            text.insert(at, char)
+        elif at < len(text):
+            text[at : at + 1] = [char] if edit == "replace" else []
+    return "".join(text)
+
+
+@given(damaged_graph6())
+@example("")
+@example("A" + chr(200))  # byte out of range
+@example("D?{\u00e9")  # non-ASCII
+@example("D\udc80{")  # a lone surrogate
+@example("~")  # truncated size blocks
+@example("~?")
+@example("~~?????")
+@example("D?")  # edge block too short, then too long
+@example("D?{{")
+@example("~??~" + "?" * 10)
+@example("D?|")  # nonzero padding bit
+@example(">>graph6<<A@")
+def test_graph6_decode_matches_the_reference_codec(text):
+    assert decoded(library_rows, text) == decoded(graph6_rows, text)
+
+
 @given(st.integers(1, 7).flatmap(graphs_of_order))
 def test_graph6_roundtrip(g):
     assert graph6_decode(graph6_encode(g)) == g
@@ -164,9 +293,12 @@ def upper_string(g: FiniteGraph, perm) -> str:
 
 
 def check_against_reference(g: FiniteGraph) -> None:
-    """Canonical form and orbit table against a scan of every permutation."""
-    form = "%d:%s" % (g.order, min(upper_string(g, p) for p in permutations(range(g.order))))
-    assert canonical_form(g) == form
+    """Relabelling codes, canonical form and orbit table against a scan of
+    every permutation."""
+    strings = [upper_string(g, p) for p in permutations(range(g.order))]
+    codes = np.array(pair_bits(g)) @ _relabelings(g.order)
+    assert sorted(codes.astype(int).tolist()) == sorted(int(s or "0", 2) for s in strings)
+    assert canonical_form(g) == "%d:%s" % (g.order, min(strings))
     if g.order <= 5:
         codes = {subset_code(g.rows, p) for p in permutations(range(g.order))}
         assert pattern_orbit_table(g) == tuple(c in codes for c in range(1 << (g.order * (g.order - 1) // 2)))
