@@ -1,10 +1,10 @@
 """Command-line surface: every operation behind one dispatcher, with seeds,
 JSON/CSV reports, and a fixed exit-code taxonomy.
 
-Each ``cmd_*`` handler only computes and returns ``(fields, code)``: the
-report fields and the exit code.  ``main`` is the one report path: it adds
-the run header, emits the report, and maps exceptions to exit codes, each
-give-up to its exit-3 record through ``GIVE_UPS``.
+Each ``cmd_*`` handler only computes and returns ``(result, code)``: the
+library's result as it is, and the exit code.  ``main`` is the one report
+path: it emits the run header and the result, and maps exceptions to exit
+codes, each give-up to its exit-3 record through ``GIVE_UPS``.
 
 Exit codes: 0 verified success, 1 usage error, 2 certified negative
 finding (a completed search or check that failed), 3 budget or prefix
@@ -69,7 +69,7 @@ from .mc import (
     type_frequency_check,
 )
 from .oracle import EdgeOracle, TypeSpec, VerificationError, extension_check, induced_subgraph, type_of
-from .sets import VertexSet, format_runs, parse_notation
+from .sets import VertexSet, _json_value, format_runs, parse_notation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,20 +141,15 @@ def _host(args, text: str) -> VertexSet:
     return parse_notation(text, args.prefix_bound)
 
 
-def _rounded(obj):
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float("%.12g" % obj)
-    if hasattr(obj, "item"):  # numpy scalars
-        return _rounded(obj.item())
-    return obj
+def _printed(value):
+    """A report leaf as printed: floats to 12 significant digits, Fractions as text."""
+    if isinstance(value, float):
+        return float("%.12g" % value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if hasattr(value, "item"):  # numpy scalars
+        return _printed(value.item())
+    return value
 
 
 def _cell(v) -> str:
@@ -171,9 +166,12 @@ def _csv(fields: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(args, payload: dict) -> None:
-    csv = getattr(args, "format", "json") == "csv"
-    text = _csv(payload) if csv else json.dumps(_rounded(payload), sort_keys=True) + "\n"
+def emit(args, header: dict, result) -> None:
+    """Print the header and the result: both walked once into JSON, or the raw result as CSV."""
+    if getattr(args, "format", "json") == "csv":
+        text = _csv(result)
+    else:
+        text = json.dumps({**_json_value(header, _printed), **_json_value(result, _printed)}, sort_keys=True) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -182,11 +180,7 @@ def emit(args, payload: dict) -> None:
 
 
 def _header(args) -> dict:
-    cfg = {
-        k: (str(v) if isinstance(v, Fraction) else v)
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "output", "format") and v is not None
-    }
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "output", "format") and v is not None}
     return {"seed": args.seed, "version": __version__, "config": cfg}
 
 
@@ -211,7 +205,7 @@ def _prefix_bound(args) -> int:
     return args.prefix_bound
 
 
-# --- handlers: each returns (report fields, exit code) ----------------------
+# --- handlers: each returns (result, exit code) ------------------------------
 
 def cmd_edge(args) -> tuple[dict, int]:
     return {"edge": bool(_oracle(args).edge(args.u, args.v))}, EXIT_OK
@@ -224,7 +218,7 @@ def cmd_adj(args) -> tuple[dict, int]:
 
 def cmd_type(args) -> tuple[dict, int]:
     base = _host(args, args.base)
-    return {"base": base.as_array.tolist(), "mask": type_of(_oracle(args), args.m, base).bits}, EXIT_OK
+    return {"base": base, "mask": type_of(_oracle(args), args.m, base).bits}, EXIT_OK
 
 
 def cmd_extension(args) -> tuple[dict, int]:
@@ -235,7 +229,7 @@ def cmd_extension(args) -> tuple[dict, int]:
 def cmd_embed(args) -> tuple[dict, int]:
     host, target = _host(args, args.host), parse_pattern(args.target)
     cfg = EmbedConfig(candidate_cap=args.candidate_cap, score_horizon=args.score_horizon, fail_fast=not args.backtrack)
-    return embed_target(_oracle(args), target, host, cfg).to_json(), EXIT_OK
+    return embed_target(_oracle(args), target, host, cfg), EXIT_OK
 
 
 def cmd_audit_weak(args) -> tuple[dict, int]:
@@ -246,7 +240,7 @@ def cmd_audit_weak(args) -> tuple[dict, int]:
 def cmd_contains(args) -> tuple[dict, int]:
     host, pattern = _host(args, args.host), parse_pattern(args.pattern)
     result = contains_induced(_oracle(args), host, pattern, args.budget)
-    return result.to_json(), {FOUND: EXIT_OK, ABSENT: EXIT_NEGATIVE, BUDGET: EXIT_EXHAUSTED}[result.status]
+    return result, {FOUND: EXIT_OK, ABSENT: EXIT_NEGATIVE, BUDGET: EXIT_EXHAUSTED}[result.status]
 
 
 def cmd_gfree_max(args) -> tuple[dict, int]:
@@ -255,7 +249,7 @@ def cmd_gfree_max(args) -> tuple[dict, int]:
         raise ValueError("--window must be an inclusive interval a-b, not %r" % args.window)
     lo, hi = int(m.group(1)), int(m.group(2))
     subset = max_gfree_subset(_oracle(args), (lo, hi), parse_pattern(args.pattern), args.mode)
-    return {"window": [lo, hi], "mode": args.mode, "size": len(subset), "elements": subset.as_array.tolist()}, EXIT_OK
+    return {"window": [lo, hi], "mode": args.mode, "size": len(subset), "elements": subset}, EXIT_OK
 
 
 def cmd_dyadic_audit(args) -> tuple[dict, int]:
@@ -268,7 +262,7 @@ def cmd_density(args) -> tuple[dict, int]:
     _fair_coin(args, _NO_EDGES)
     host, dyadic = _host(args, args.host), args.checkpoints == "dyadic"
     points = dyadic_checkpoints(host.prefix_bound) if dyadic else [int(x) for x in args.checkpoints.split(",")]
-    return density_profile(host, points).to_json(), EXIT_OK
+    return density_profile(host, points), EXIT_OK
 
 
 def _weight(text: str, name: str, default: str) -> WeightFunction:
@@ -289,26 +283,26 @@ def cmd_sum(args) -> tuple[dict, int]:
 
 def cmd_thick(args) -> tuple[dict, int]:
     _fair_coin(args, _NO_EDGES)
-    return {"interval": list(thickness(_host(args, args.host)))}, EXIT_OK
+    return {"interval": thickness(_host(args, args.host))}, EXIT_OK
 
 
 def cmd_ap(args) -> tuple[dict, int]:
     _fair_coin(args, _NO_EDGES)
-    return {"ap": list(longest_ap(_host(args, args.host)))}, EXIT_OK
+    return {"ap": longest_ap(_host(args, args.host))}, EXIT_OK
 
 
 def cmd_construct_thick(args) -> tuple[dict, int]:
-    return construct_thick_edgeless(_oracle(args), args.blocks, _prefix_bound(args)).to_json(), EXIT_OK
+    return construct_thick_edgeless(_oracle(args), args.blocks, _prefix_bound(args)), EXIT_OK
 
 
 def cmd_construct_thick_copy(args) -> tuple[dict, int]:
     target = parse_pattern(args.target)
-    return construct_thick_copy(_oracle(args), target, args.blocks, _prefix_bound(args)).to_json(), EXIT_OK
+    return construct_thick_copy(_oracle(args), target, args.blocks, _prefix_bound(args)), EXIT_OK
 
 
 def cmd_construct_pi02(args) -> tuple[dict, int]:
     family = _weight(args.family, "family", "substantial")
-    return construct_pi02_member(_oracle(args), family, args.levels, _prefix_bound(args)).to_json(), EXIT_OK
+    return construct_pi02_member(_oracle(args), family, args.levels, _prefix_bound(args)), EXIT_OK
 
 
 def cmd_mc_density(args) -> tuple[dict, int]:
@@ -353,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help_):
         p = sub.add_parser(name, help=help_)
+        # argparse's private negative-number pattern (3.11) has no exponent or infinity, so it took "--c -1e-3"'s
+        # value for an option where "--c=-1e-3" parses; this one has both
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
         p.set_defaults(func=handler)
         p.add_argument("--seed", type=parse_seed, default=None, help="decimal or 0x-hex 64-bit seed")
         p.add_argument("--probability", type=parse_probability, default=Fraction(1, 2), help="ambient edge probability")
@@ -486,10 +483,10 @@ def main(argv: "list[str] | None" = None) -> int:
             return EXIT_USAGE
     try:
         try:
-            fields, code = args.func(args)
+            result, code = args.func(args)
         except tuple(GIVE_UPS) as exc:
-            fields, code = GIVE_UPS[type(exc)](exc), EXIT_EXHAUSTED
-        emit(args, {**_header(args), **fields})
+            result, code = GIVE_UPS[type(exc)](exc), EXIT_EXHAUSTED
+        emit(args, _header(args), result)
         return code
     except (ValueError, OSError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -100,11 +100,10 @@ def embed_target(
     placed: list[int] = []
     records: list[StepRecord] = []
 
-    def rank_candidates(req: TypeSpec) -> list[tuple[int, int]]:
-        """(vertex, score) of the capped candidates of type req, best first."""
+    def rank_candidates() -> list[tuple[int, int]]:
+        """(vertex, score) of the capped candidates of the next required type, best first."""
         n_placed = len(placed)
-        mask = np.frombuffer(req.mask.to_bytes(n_placed // 8 + 1, "little"), dtype=np.uint8)
-        want = np.unpackbits(mask, count=n_placed, bitorder="little") == 1
+        want = target.matrix[n_placed, :n_placed]
         cands = pool[alive & (bits == want).all(axis=1)][: cfg.candidate_cap]
         # one vertex beyond the horizon stands in for a candidate outside it
         scoring_pool = pool[alive]
@@ -137,7 +136,7 @@ def embed_target(
     alternatives, last_req = iter(()), None
     while len(placed) < target.order:
         req = required_type(target, tuple(placed))
-        ranked = rank_candidates(req)
+        ranked = rank_candidates()
         if ranked:
             alternatives, last_req = iter(ranked[1:]), req
             place(*ranked[0], req)

@@ -165,7 +165,7 @@ def graph6_decode(text: str) -> FiniteGraph:
     n = 0
     for byte in data[pos // 3 : pos].tolist():  # the size bytes after zero, one or two '~'
         n = n << 6 | (byte - 63)
-    npairs = n * (n - 1) // 2
+    npairs = math.comb(n, 2)
     if len(data) - pos != -(-npairs // 6):
         raise Graph6Error("edge block has wrong length", pos)
     bits = ((data[pos:, None] - 63).astype(np.uint8) >> _SIX_BITS & 1).ravel()

@@ -131,7 +131,7 @@ def mc_gfree_probability(
         raise ValueError("c must be finite, not %r" % c)
     if c is not None and -c * n * n >= 1024:
         raise ValueError("envelope 2^(-c n^2) = 2^%g at c = %g, n = %d exceeds the largest float" % (-c * n * n, c, n))
-    bits = _trial_graph_bits(seed, trials, n * (n - 1) // 2)
+    bits = _trial_graph_bits(seed, trials, math.comb(n, 2))
     if n <= EXACT_N_CAP:  # a trial's code is that of its identity relabelling
         hits = _gfree_flags(pattern, n)[(bits @ _relabelings(n)[:, 0]).astype(np.intp)]
     else:
@@ -188,7 +188,7 @@ def mc_fn_bound(
             row.update(estimate=0.0, stderr=0.0, mode="degenerate")
         else:
             _check_gfree_pattern(pattern)
-            rows = rows_from_upper_bits(_trial_graph_bits(seed, trials, n * (n - 1) // 2), n)
+            rows = rows_from_upper_bits(_trial_graph_bits(seed, trials, math.comb(n, 2)), n)
             wins = 0
             for t in range(0, len(rows), n):
                 g_rows = rows[t : t + n]

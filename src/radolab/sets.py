@@ -9,6 +9,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+_PLAIN = frozenset((str, int, bool, type(None)))  # kept as they are by every JSON form, tested by exact type
+
 
 def _int64_array(values) -> np.ndarray:
     """A fresh int64 array of the given integers."""
@@ -126,25 +128,26 @@ class VertexSet:
         return arr[np.append(0, breaks + 1)], arr[np.append(breaks, len(arr) - 1)]
 
 
-def _json_value(value):
-    """A report value in JSON form: a nested report becomes its dict, a
-    vertex set or a tuple a list, and a dict is walked."""
+def _json_value(value, leaf=None):
+    """A result in JSON form, in one walk: a report becomes the dict of its
+    fields, a vertex set or a tuple a list; a value that is not ``_PLAIN``
+    goes through ``leaf``, if given."""
+    if isinstance(value, dict):
+        return {k: v if type(v) in _PLAIN else _json_value(v, leaf) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [v if type(v) in _PLAIN else _json_value(v, leaf) for v in value]
     if isinstance(value, Report):
-        return value.to_json()
+        return _json_value({f.name: getattr(value, f.name) for f in fields(value)}, leaf)
     if isinstance(value, VertexSet):
         return value.as_array.tolist()
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
-    return value
+    return value if leaf is None else leaf(value)
 
 
 class Report:
     """Base of the result dataclasses: a report's JSON keys are its fields."""
 
     def to_json(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        return _json_value(self)
 
 
 def format_runs(vs: VertexSet) -> str:

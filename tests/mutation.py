@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 AP_BRUTE = "tests/test_largeness.py::test_thickness_and_ap_match_brute_force"
 AP_EXAMPLES = "tests/test_largeness.py::test_longest_ap_examples"
 REPORT_JSON = "tests/test_sets.py::test_every_report_is_strict_json_keyed_by_its_fields"
+EMISSION = "tests/test_cli.py::test_emission_matches_the_rounded_reference"
 
 MUTANTS = [
     Mutant(
@@ -179,18 +180,32 @@ MUTANTS = [
         ("tests/test_properties.py::test_from_iterable_matches_reference",),
     ),
     Mutant(
-        "Report.to_json: a tuple kept as a tuple",
+        "_json_value: a tuple kept as a tuple",
         "sets.py",
-        "return [_json_value(v) for v in value]",
-        "return tuple(_json_value(v) for v in value)",
+        "return [v if type(v) in _PLAIN else _json_value(v, leaf) for v in value]",
+        "return tuple(v if type(v) in _PLAIN else _json_value(v, leaf) for v in value)",
         (REPORT_JSON,),
     ),
     Mutant(
-        "Report.to_json: a vertex set left unconverted",
+        "_json_value: a vertex set left unconverted",
         "sets.py",
         "return value.as_array.tolist()",
         "return value",
         (REPORT_JSON,),
+    ),
+    Mutant(
+        "_json_value: a report's fields walked without the CLI leaf, so its floats print unrounded",
+        "sets.py",
+        "for f in fields(value)}, leaf)",
+        "for f in fields(value)})",
+        (EMISSION,),
+    ),
+    Mutant(
+        "_printed: floats printed with 13 significant digits",
+        "cli.py",
+        'return float("%.12g" % value)',
+        'return float("%.13g" % value)',
+        ("tests/test_cli.py::test_floats_printed_with_12_significant_digits", EMISSION),
     ),
     Mutant(
         "_greedy_gfree: every vertex kept",

@@ -1,5 +1,6 @@
 """Brute-force references that the tests compare the library against."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -298,3 +299,22 @@ def pi02_full_class(oracle, family, levels: int, prefix_bound: int):
         str(n): {"k": k, "forced_at": pi02_force(family, n, union.restrict(1, k), k)} for n, k in enumerate(ks, 1)
     }
     return tuple(ks), tuple(blocks), certificates
+
+
+def rounded(obj):
+    """The CLI's printed form of a JSON-ready value, one call per value:
+    floats to 12 significant digits, a Fraction as its text and a numpy
+    scalar as its Python value; tuples become lists."""
+    if isinstance(obj, dict):
+        return {k: rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [rounded(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float("%.12g" % obj)
+    if hasattr(obj, "item"):  # numpy scalars
+        return rounded(obj.item())
+    return obj

@@ -1,19 +1,27 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radolab import limits
-from radolab.cli import main
+from radolab.audit import SearchResult
+from radolab.cli import emit, main
+from radolab.embed import Embedding, StepRecord
 from radolab.graphs import empty_graph, graph6_decode, graph6_encode
+from radolab.largeness import DensityReport
 from radolab.oracle import EdgeOracle
+from radolab.sets import Report, VertexSet
+from reference import rounded
 
 BASE = [sys.executable, "-m", "radolab"]
 
@@ -242,6 +250,65 @@ def test_floats_printed_with_12_significant_digits():
     out = run("sum", "--host", "1-3")
     rep = json.loads(out.stdout)
     assert rep["sum"] == float("%.12g" % (1 + 0.5 + 1 / 3))
+
+
+def _reports_to_json(value):
+    """Every report as its ``to_json()`` and every vertex set as a list."""
+    if isinstance(value, Report):
+        return value.to_json()
+    if isinstance(value, VertexSet):
+        return list(value)
+    if isinstance(value, dict):
+        return {k: _reports_to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reports_to_json(v) for v in value]
+    return value
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from([5e-324, 1e-300, -1 / 3, -2.5e17, 1e300]))
+NUMPY_SCALARS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32), st.booleans().map(np.bool_),
+)
+VERTEX_SETS = st.lists(st.integers(1, 10**12), max_size=4).map(VertexSet.from_iterable)
+STEPS = st.builds(StepRecord, st.integers(0, 9), st.text(max_size=3), st.integers(1, 99), st.integers(0, 9))
+REPORTS = st.one_of(
+    st.builds(SearchResult, st.text(max_size=3), st.none() | VERTEX_SETS, st.integers(0, 99)),
+    st.builds(Embedding, st.lists(st.integers(1, 99), max_size=3).map(tuple), st.lists(STEPS, max_size=2).map(tuple),
+              st.booleans()),
+    st.builds(DensityReport, st.lists(st.integers(), max_size=3).map(tuple), st.lists(FLOATS, max_size=3).map(tuple),
+              FLOATS, NUMPY_SCALARS),
+)
+LEAVES = st.one_of(
+    st.integers(-(2**70), 2**70), st.booleans(), st.none(), st.text(max_size=4), FLOATS, st.fractions(),
+    NUMPY_SCALARS, VERTEX_SETS, REPORTS,
+)
+PAYLOADS = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=3), st.lists(kids, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=3), kids, max_size=3),
+), max_leaves=12)
+FIELDS = st.dictionaries(st.text(max_size=3), PAYLOADS, max_size=4)
+
+
+@given(FIELDS, st.one_of(FIELDS, REPORTS))
+@example({"config": {"probability": Fraction(1, 3), "c": 0.1 + 0.2}}, DensityReport((3,), (1 / 3,), 1 / 3, 1 / 3))
+@example({"seed": np.uint64(7)}, {"runs": [{"z": np.float64(2 / 3)}], "in": (DensityReport((3,), (), 0.1 + 0.2, 0),)})
+def test_emission_matches_the_rounded_reference(header, result):
+    """One walk prints every report the way that converting the reports with
+    ``to_json`` and then rounding value by value prints it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(argparse.Namespace(), header, result)
+    expected = rounded({**_reports_to_json(header), **_reports_to_json(result)})
+    assert out.getvalue() == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_negative_exponents_parse_with_and_without_an_equals_sign():
+    argv = ["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10"]
+    for value in ("-1e-3", "-2.5E+1", "-.5e1", "-inf"):
+        assert run_main([*argv, "--c", value]) == run_main([*argv, "--c=" + value])
+    code, out, err = run_main([*argv, "--c", "-1e-3"])
+    assert (code, err) == (0, "") and json.loads(out)["config"]["c"] == -0.001
 
 
 def test_adj_beyond_64_vertices_matches_scalar_edges():
@@ -599,6 +666,7 @@ def argvs(draw):
 @example(["embed", "--seed", "1", "--target", "e:30000", "--host", "1-10"], None)
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "nan"], None)
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "-1000"], None)
+@example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "-1e-3"], None)
 def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
     """No argv ends in a traceback, and every report is strict JSON: no NaN
     or Infinity."""

@@ -413,22 +413,28 @@ def test_every_limit_is_defined_once_in_the_limits_table():
     assert sorted(named - set(table)) == []
 
 
-# The pair order spelled out, and rows packed by hand with numpy's packbits
-# (unpackbits does not match).
-PAIR_ORDER_SPELLINGS = (r"tril_indices", r"np\.tri\(", r"for i in range\(j\)", r"j \* \(j - 1\) // 2", r"\bpackbits")
-CODEC_HELPERS = {"_pairs": "np.tri(", "pack_rows": "np.packbits("}
+# The pair order or pair count spelled out, rows packed by hand with numpy's
+# packbits, and bitsets unpacked by hand with its unpackbits.
+PAIR_ORDER_SPELLINGS = (
+    r"tril_indices", r"np\.tri\(", r"for i in range\(j\)", r"\b(\w+) \* \(\1 - 1\) // 2", r"\bpackbits", r"\bunpackbits"
+)
+CODEC_HELPERS = {"_pairs": "np.tri(", "pack_rows": "np.packbits(", "FiniteGraph.__post_init__": "np.unpackbits("}
 
 
 def test_the_pair_order_and_the_row_packer_are_written_once():
-    """Outside the codec helpers graphs._pairs and graphs.pack_rows, no
-    module of radolab spells out the pair order or packs rows itself."""
+    """Outside the codec helpers graphs._pairs, graphs.pack_rows and
+    FiniteGraph's unpacking, no module of radolab spells out the pair order
+    or packs or unpacks rows itself."""
     package = pathlib.Path(radolab.cli.__file__).parent
     spelled = []
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name == "graphs.py":
-            helpers = {node.name: ast.get_source_segment(text, node) for node in ast.parse(text).body
-                       if isinstance(node, ast.FunctionDef) and node.name in CODEC_HELPERS}
+            body = ast.parse(text).body
+            defs = [("", n) for n in body]
+            defs += [(c.name + ".", n) for c in body if isinstance(c, ast.ClassDef) for n in c.body]
+            helpers = {prefix + n.name: ast.get_source_segment(text, n) for prefix, n in defs
+                       if isinstance(n, ast.FunctionDef) and prefix + n.name in CODEC_HELPERS}
             assert all(CODEC_HELPERS[name] in helpers.get(name, "") for name in CODEC_HELPERS)
             for segment in helpers.values():
                 text = text.replace(segment, "")

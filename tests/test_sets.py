@@ -99,3 +99,6 @@ def test_every_report_is_strict_json_keyed_by_its_fields():
         js = r.to_json()
         assert set(js) == {f.name for f in fields(r)}
         assert json.loads(json.dumps(js, allow_nan=False)) == js
+    # unrounded: only the CLI rounds floats, when it prints them
+    thirds = density_profile(VertexSet((2, 4, 6), 8), [3, 8]).to_json()
+    assert thirds["densities"] == [1 / 3, 3 / 8]
