@@ -80,6 +80,8 @@ def weak_universality(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict:
     """Witness every unlabeled graph of order <= k_max inside the host."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0, not %d" % k_max)
     check_limit(k_max, CATALOG_MAX_ORDER, "CATALOG_MAX_ORDER", "k_max %d" % k_max)
     patterns = []
     for k in range(1, k_max + 1):
@@ -219,7 +221,9 @@ def dyadic_audit(
     get the greedy lower bound, which can certify a violation but never
     absence of one.
     """
-    low, top = sorted((k_range[0], k_range[-1])) if k_range else (0, 0)
+    if not k_range:
+        raise ValueError("k range %d to %d is empty" % (k_range.start, k_range.stop - k_range.step))
+    low, top = sorted((k_range[0], k_range[-1]))
     if low < 0:
         raise ValueError("k must be >= 0, not %d" % low)
     # 2^top, saturated just above the cap: a huge --k-to is refused without computing 2^top

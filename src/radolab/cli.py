@@ -1,10 +1,15 @@
 """Command-line surface: every operation behind one dispatcher, with seeds,
 JSON/CSV reports, and a fixed exit-code taxonomy.
 
-Each ``cmd_*`` handler only computes and returns ``(result, code)``: the
-library's result as it is, and the exit code.  ``main`` is the one report
-path: it emits the run header and the result, and maps exceptions to exit
-codes, each give-up to its exit-3 record through ``GIVE_UPS``.
+Each subcommand is declared once, as a ``Command`` row of the table in
+``_commands``.  A command gets only the common options its row reads, so
+argparse refuses any option that the report's ``config`` would echo
+unread, and ``main`` refuses a --probability other than 1/2 for a
+fixed-coin row.  Each ``cmd_*`` handler only computes and returns
+``(result, code)``: the library's result as it is, and the exit code.
+``main`` is the one report path: it emits the run header and the result,
+and maps exceptions to exit codes, each give-up to its exit-3 record
+through ``GIVE_UPS``.
 
 Exit codes: 0 verified success, 1 usage error, 2 certified negative
 finding (a completed search or check that failed), 3 budget or prefix
@@ -22,6 +27,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .audit import (
@@ -180,23 +186,12 @@ def emit(args, header: dict, result) -> None:
 
 
 def _header(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "output", "format") and v is not None}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("row", "output", "format") and v is not None}
     return {"seed": args.seed, "version": __version__, "config": cfg}
 
 
-def _fair_coin(args, reason: str = "samples at probability 1/2 only") -> None:
-    """Refuse a --probability other than 1/2 where it would be ignored: the
-    mc trial streams draw every edge at p = 1/2, and the set commands
-    query no edge at all."""
-    if args.probability != Fraction(1, 2):
-        raise ValueError("%s %s, not %s" % (args.command, reason, args.probability))
-
-
-_NO_EDGES = "queries no edges, so --probability must be 1/2"
-
-
 def _oracle(args) -> EdgeOracle:
-    return EdgeOracle(args.seed, getattr(args, "probability", Fraction(1, 2)))
+    return EdgeOracle(args.seed, args.probability)
 
 
 def _prefix_bound(args) -> int:
@@ -259,7 +254,6 @@ def cmd_dyadic_audit(args) -> tuple[dict, int]:
 
 
 def cmd_density(args) -> tuple[dict, int]:
-    _fair_coin(args, _NO_EDGES)
     host, dyadic = _host(args, args.host), args.checkpoints == "dyadic"
     points = dyadic_checkpoints(host.prefix_bound) if dyadic else [int(x) for x in args.checkpoints.split(",")]
     return density_profile(host, points), EXIT_OK
@@ -276,18 +270,15 @@ def _weight(text: str, name: str, default: str) -> WeightFunction:
 
 
 def cmd_sum(args) -> tuple[dict, int]:
-    _fair_coin(args, _NO_EDGES)
     host = _host(args, args.host)
     return {"sum": weighted_sum(host, _weight(args.weight, "weight", "reciprocal"))}, EXIT_OK
 
 
 def cmd_thick(args) -> tuple[dict, int]:
-    _fair_coin(args, _NO_EDGES)
     return {"interval": thickness(_host(args, args.host))}, EXIT_OK
 
 
 def cmd_ap(args) -> tuple[dict, int]:
-    _fair_coin(args, _NO_EDGES)
     return {"ap": longest_ap(_host(args, args.host))}, EXIT_OK
 
 
@@ -306,24 +297,20 @@ def cmd_construct_pi02(args) -> tuple[dict, int]:
 
 
 def cmd_mc_density(args) -> tuple[dict, int]:
-    _fair_coin(args)
     return mc_density_star(args.seed, args.k, args.n, args.pool, args.trials), EXIT_OK
 
 
 def cmd_mc_gfree(args) -> tuple[dict, int]:
-    _fair_coin(args)
     return mc_gfree_probability(parse_pattern(args.pattern), args.n, args.trials, args.seed, args.c), EXIT_OK
 
 
 def cmd_mc_fn(args) -> tuple[dict, int]:
-    _fair_coin(args)
     pattern = parse_pattern(args.pattern)
     n_list = [int(x) for x in args.n_list.split(",")]
     return {"rows": mc_fn_bound(pattern, n_list, args.n_param, args.trials, args.seed)}, EXIT_OK
 
 
 def cmd_sample_mup(args) -> tuple[dict, int]:
-    _fair_coin(args, _NO_EDGES)
     vs = sample_mu_p(_fraction(args.p), _prefix_bound(args), args.seed)
     return {"count": len(vs), "elements": format_runs(vs)}, EXIT_OK
 
@@ -335,7 +322,90 @@ def cmd_typefreq(args) -> tuple[dict, int]:
     return report, EXIT_OK if report["band_ok"] else EXIT_NEGATIVE
 
 
-# --- parser -----------------------------------------------------------------
+# --- the command table ------------------------------------------------------
+
+class Command(NamedTuple):
+    """One subcommand: its own options as (flag, add_argument keywords)
+    pairs, the common options it reads besides --seed, --probability and
+    --output, and, for a fixed-coin command, why --probability must be 1/2."""
+
+    name: str
+    run: Callable[[argparse.Namespace], tuple]
+    help: str
+    args: tuple = ()
+    common: tuple = ()
+    coin: str = ""
+
+
+# The mc trial streams draw every edge at p = 1/2; the set commands query no edge at all.
+_MC_COIN = "samples at probability 1/2 only"
+_SET_COIN = "queries no edges, so --probability must be 1/2"
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_PREFIX_BOUND = ("--prefix-bound",)
+_FORMAT = ("--format",)
+
+
+def _commands() -> tuple:
+    """The table, built when the parser is: each row reaches its handler
+    through the module-level ``cmd_*`` name at that moment."""
+    host, pattern, target = ("--host", _REQUIRED), ("--pattern", _REQUIRED), ("--target", _REQUIRED)
+    budget = ("--budget", {"type": int, "default": DEFAULT_NODE_BUDGET})
+    return (
+        Command("edge", cmd_edge, "query one ambient edge", (("-u", _REQUIRED_INT), ("-v", _REQUIRED_INT))),
+        Command("adj", cmd_adj, "materialize the induced subgraph on a host set", (host,), _PREFIX_BOUND),
+        Command("type", cmd_type, "the type of a vertex over a base set",
+                (("--m", _REQUIRED_INT), ("--base", _REQUIRED)), _PREFIX_BOUND),
+        Command("extension", cmd_extension, "witness every type over F below a bound",
+                (("--f", _REQUIRED), ("--bound", _REQUIRED_INT)), _PREFIX_BOUND),
+        Command("embed", cmd_embed, "embed a target graph into a host set", (
+            target, host, ("--candidate-cap", {"type": int, "default": EmbedConfig.candidate_cap}),
+            ("--score-horizon", {"type": int}),
+            ("--backtrack", {"action": "store_true", "help": "retry next-best candidates on dead ends"}),
+        ), _PREFIX_BOUND),
+        Command("audit-weak", cmd_audit_weak, "witness every unlabeled graph up to an order",
+                (host, ("--kmax", _REQUIRED_INT), budget), _PREFIX_BOUND),
+        Command("contains", cmd_contains, "search a host for one induced pattern",
+                (host, pattern, budget), _PREFIX_BOUND),
+        Command("gfree-max", cmd_gfree_max, "largest pattern-free subset of a window", (
+            ("--window", {"required": True, "help": "inclusive interval a-b"}), pattern,
+            ("--mode", {"choices": ("exact", "greedy"), "default": "exact"}),
+        )),
+        Command("dyadic-audit", cmd_dyadic_audit, "pattern-free sizes over dyadic windows vs k*N", (
+            pattern, ("--n-param", _REQUIRED_INT), ("--k-from", _REQUIRED_INT), ("--k-to", _REQUIRED_INT),
+        )),
+        Command("density", cmd_density, "prefix densities at checkpoints",
+                (host, ("--checkpoints", {"default": "dyadic"})), _PREFIX_BOUND, _SET_COIN),
+        Command("sum", cmd_sum, "weighted sum over a host set",
+                (host, ("--weight", {"default": "reciprocal"})), _PREFIX_BOUND, _SET_COIN),
+        Command("thick", cmd_thick, "longest contained interval", (host,), _PREFIX_BOUND, _SET_COIN),
+        Command("ap", cmd_ap, "longest contained arithmetic progression", (host,), _PREFIX_BOUND, _SET_COIN),
+        Command("construct-thick", cmd_construct_thick, "edgeless union of growing intervals",
+                (("--blocks", _REQUIRED_INT),), _PREFIX_BOUND),
+        Command("construct-thick-copy", cmd_construct_thick_copy, "interval blocks inducing a target",
+                (target, ("--blocks", _REQUIRED_INT)), _PREFIX_BOUND),
+        Command("construct-pi02", cmd_construct_pi02, "family member with finite components",
+                (("--family", {"default": "substantial"}), ("--levels", _REQUIRED_INT)), _PREFIX_BOUND),
+        Command("mc-density", cmd_mc_density, "type-avoiding density vs the analytic formula", (
+            ("--k", _REQUIRED_INT), ("--n", _REQUIRED_INT), ("--pool", {"type": int, "default": 10**4}),
+            ("--trials", {"type": int, "default": 20}),
+        ), _FORMAT, _MC_COIN),
+        Command("mc-gfree", cmd_mc_gfree, "pattern-free probability of random graphs", (
+            pattern, ("--n", _REQUIRED_INT), ("--trials", {"type": int, "default": 10**4}),
+            ("--c", {"type": float, "help": "envelope constant for 2^(-c n^2)"}),
+        ), _FORMAT, _MC_COIN),
+        Command("mc-fn", cmd_mc_fn, "probability of a log-sized pattern-free subset", (
+            pattern, ("--n-list", {"required": True, "help": "comma-separated n values"}),
+            ("--n-param", _REQUIRED_INT), ("--trials", {"type": int, "default": 200}),
+        ), _FORMAT, _MC_COIN),
+        Command("sample-mup", cmd_sample_mup, "product-measure sample of the integers",
+                (("--p", _REQUIRED),), _PREFIX_BOUND, _SET_COIN),
+        Command("typefreq", cmd_typefreq, "empirical type frequency with 3-sigma band", (
+            ("--f", _REQUIRED), ("--bound", _REQUIRED_INT),
+            ("--mask", {"help": "type mask bits, first base vertex leftmost"}),
+        ), _PREFIX_BOUND),
+    )
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -344,116 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version="radolab " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_):
-        p = sub.add_parser(name, help=help_)
+    common = {
+        "--seed": {"type": parse_seed, "help": "decimal or 0x-hex 64-bit seed"},
+        "--probability": {"type": parse_probability, "default": Fraction(1, 2), "help": "ambient edge probability"},
+        "--prefix-bound": {"type": int, "help": "materialization bound for host notation"},
+        "--output": {"help": "write the report here instead of stdout"},
+        "--format": {"choices": ("json", "csv"), "default": "json"},
+    }
+    for row in _commands():
+        p = sub.add_parser(row.name, help=row.help)
         # argparse's private negative-number pattern (3.11) has no exponent or infinity, so it took "--c -1e-3"'s
         # value for an option where "--c=-1e-3" parses; this one has both
         p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
-        p.set_defaults(func=handler)
-        p.add_argument("--seed", type=parse_seed, default=None, help="decimal or 0x-hex 64-bit seed")
-        p.add_argument("--probability", type=parse_probability, default=Fraction(1, 2), help="ambient edge probability")
-        p.add_argument("--prefix-bound", type=int, default=None, help="materialization bound for host notation")
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
-        return p
-
-    p = command("edge", cmd_edge, "query one ambient edge")
-    p.add_argument("-u", type=int, required=True)
-    p.add_argument("-v", type=int, required=True)
-
-    p = command("adj", cmd_adj, "materialize the induced subgraph on a host set")
-    p.add_argument("--host", required=True)
-
-    p = command("type", cmd_type, "the type of a vertex over a base set")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--base", required=True)
-
-    p = command("extension", cmd_extension, "witness every type over F below a bound")
-    p.add_argument("--f", required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = command("embed", cmd_embed, "embed a target graph into a host set")
-    p.add_argument("--target", required=True)
-    p.add_argument("--host", required=True)
-    p.add_argument("--candidate-cap", type=int, default=EmbedConfig.candidate_cap)
-    p.add_argument("--score-horizon", type=int, default=None)
-    p.add_argument("--backtrack", action="store_true", help="retry next-best candidates on dead ends")
-
-    p = command("audit-weak", cmd_audit_weak, "witness every unlabeled graph up to an order")
-    p.add_argument("--host", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-
-    p = command("contains", cmd_contains, "search a host for one induced pattern")
-    p.add_argument("--host", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-
-    p = command("gfree-max", cmd_gfree_max, "largest pattern-free subset of a window")
-    p.add_argument("--window", required=True, help="inclusive interval a-b")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-
-    p = command("dyadic-audit", cmd_dyadic_audit, "pattern-free sizes over dyadic windows vs k*N")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n-param", type=int, required=True)
-    p.add_argument("--k-from", type=int, required=True)
-    p.add_argument("--k-to", type=int, required=True)
-
-    p = command("density", cmd_density, "prefix densities at checkpoints")
-    p.add_argument("--host", required=True)
-    p.add_argument("--checkpoints", default="dyadic")
-
-    p = command("sum", cmd_sum, "weighted sum over a host set")
-    p.add_argument("--host", required=True)
-    p.add_argument("--weight", default="reciprocal")
-
-    p = command("thick", cmd_thick, "longest contained interval")
-    p.add_argument("--host", required=True)
-
-    p = command("ap", cmd_ap, "longest contained arithmetic progression")
-    p.add_argument("--host", required=True)
-
-    p = command("construct-thick", cmd_construct_thick, "edgeless union of growing intervals")
-    p.add_argument("--blocks", type=int, required=True)
-
-    p = command("construct-thick-copy", cmd_construct_thick_copy, "interval blocks inducing a target")
-    p.add_argument("--target", required=True)
-    p.add_argument("--blocks", type=int, required=True)
-
-    p = command("construct-pi02", cmd_construct_pi02, "family member with finite components")
-    p.add_argument("--family", default="substantial")
-    p.add_argument("--levels", type=int, required=True)
-
-    p = command("mc-density", cmd_mc_density, "type-avoiding density vs the analytic formula")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pool", type=int, default=10**4)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = command("mc-gfree", cmd_mc_gfree, "pattern-free probability of random graphs")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10**4)
-    p.add_argument("--c", type=float, default=None, help="envelope constant for 2^(-c n^2)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = command("mc-fn", cmd_mc_fn, "probability of a log-sized pattern-free subset")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n-list", required=True, help="comma-separated n values")
-    p.add_argument("--n-param", type=int, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = command("sample-mup", cmd_sample_mup, "product-measure sample of the integers")
-    p.add_argument("--p", required=True)
-
-    p = command("typefreq", cmd_typefreq, "empirical type frequency with 3-sigma band")
-    p.add_argument("--f", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--mask", default=None, help="type mask bits, first base vertex leftmost")
-
+        p.set_defaults(row=row)
+        for flag in ("--seed", "--probability", *row.common, "--output"):
+            p.add_argument(flag, **common[flag])
+        for flag, keywords in row.args:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -481,9 +458,12 @@ def main(argv: "list[str] | None" = None) -> int:
         except (argparse.ArgumentTypeError, ValueError):
             print("bad RADO_SEED value %r" % env, file=sys.stderr)
             return EXIT_USAGE
+    row = args.row
     try:
+        if row.coin and args.probability != Fraction(1, 2):
+            raise ValueError("%s %s, not %s" % (row.name, row.coin, args.probability))
         try:
-            result, code = args.func(args)
+            result, code = row.run(args)
         except tuple(GIVE_UPS) as exc:
             result, code = GIVE_UPS[type(exc)](exc), EXIT_EXHAUSTED
         emit(args, _header(args), result)

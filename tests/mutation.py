@@ -257,6 +257,13 @@ MUTANTS = [
         ("tests/test_cli.py::test_construct_thick_cli",),
     ),
     Mutant(
+        "main: the fixed-coin check skipped for the commands that query no edges",
+        "cli.py",
+        "if row.coin and args.probability",
+        "if row.coin == _MC_COIN and args.probability",
+        ("tests/test_cli.py::test_set_commands_refuse_other_probabilities",),
+    ),
+    Mutant(
         "check_limit: a value one above its cap accepted",
         "limits.py",
         "if value > cap:",

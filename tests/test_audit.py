@@ -246,6 +246,12 @@ def test_dyadic_refuses_a_negative_k_before_any_row_is_built(monkeypatch):
             dyadic_audit(EdgeOracle(1), complete(2), 1, k_range)
 
 
+def test_dyadic_refuses_an_empty_k_range_by_both_ends():
+    for k_range, ends in ((range(4, 4), "4 to 3"), (range(0, 0), "0 to -1"), (range(2, 3, -1), "2 to 4")):
+        with pytest.raises(ValueError, match="^k range %s is empty$" % ends):
+            dyadic_audit(EdgeOracle(1), complete(2), 1, k_range)
+
+
 def test_majorant_closed_form_vs_direct_summation():
     got = reciprocal_tail_majorant(4, 3)
     tail_direct = sum(k * 3 / 2**k for k in range(4, 400))

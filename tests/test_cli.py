@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from radolab import limits
 from radolab.audit import SearchResult
-from radolab.cli import emit, main
+from radolab.cli import _commands, emit, main
 from radolab.embed import Embedding, StepRecord
 from radolab.graphs import empty_graph, graph6_decode, graph6_encode
 from radolab.largeness import DensityReport
@@ -426,6 +426,19 @@ def test_mc_fn_needs_a_trial():
         assert run_main(argv) == (1, "", "error: need at least one trial\n")
 
 
+def test_audit_weak_refuses_a_negative_order():
+    # --kmax -1 swept no order at all and passed
+    assert run_main(["audit-weak", "--host", "1-10", "--kmax", "-1"]) == (1, "", "error: k_max must be >= 0, not -1\n")
+    code, out, err = run_main(["audit-weak", "--host", "1-10", "--kmax", "0"])
+    assert (code, err) == (0, "") and json.loads(out)["patterns"] == []
+
+
+def test_dyadic_audit_refuses_an_empty_k_range():
+    # --k-from above --k-to audited no window and passed
+    argv = ["dyadic-audit", "--pattern", "k:2", "--n-param", "1", "--k-from", "4", "--k-to", "3"]
+    assert run_main(argv) == (1, "", "error: k range 4 to 3 is empty\n")
+
+
 def test_type_needs_a_positive_vertex():
     for m in ("0", "-3"):
         code, out, err = run_main(["type", "--m", m, "--base", "1-5"])
@@ -577,6 +590,63 @@ def test_limits_accept_the_cap_and_refuse_one_above_it(argv, at_cap, above, what
     )
 
 
+# One working argv per subcommand, without a common option or with the
+# prefix bound it needs.  Where a command queries no edge, a mup: host makes
+# the seed matter; even and mup: hosts make the prefix bound matter.
+HONOURED = {
+    "edge": "-u 5 -v 6",
+    "adj": "--host mup:1/2 --prefix-bound 40",
+    "type": "--m 100 --base even --prefix-bound 20",
+    "extension": "--f even --prefix-bound 8 --bound 300",
+    "embed": "--target k:3 --host mup:1/2 --prefix-bound 300",
+    "audit-weak": "--host mup:1/2 --prefix-bound 512 --kmax 3",
+    "contains": "--host mup:1/2 --prefix-bound 64 --pattern c:5",
+    "gfree-max": "--window 1-16 --pattern k:3",
+    "dyadic-audit": "--pattern k:2 --n-param 3 --k-from 2 --k-to 5",
+    "density": "--host mup:1/2 --prefix-bound 1000",
+    "sum": "--host mup:1/2 --prefix-bound 1000",
+    "thick": "--host mup:1/2 --prefix-bound 1000",
+    "ap": "--host mup:1/2 --prefix-bound 1000",
+    "construct-thick": "--blocks 3 --prefix-bound 200000",
+    "construct-thick-copy": "--target petersen --blocks 3 --prefix-bound 100000",
+    "construct-pi02": "--levels 2 --prefix-bound 100000",
+    "mc-density": "--k 2 --n 3 --pool 500 --trials 5",
+    "mc-gfree": "--pattern k:3 --n 8 --trials 200",
+    "mc-fn": "--pattern k:3 --n-list 12 --n-param 2 --trials 20",
+    "sample-mup": "--p 1/2 --prefix-bound 2000",
+    "typefreq": "--f even --prefix-bound 8 --bound 100000",
+}
+AWAY_FROM_DEFAULT = {"--seed": "1", "--probability": "1/3", "--prefix-bound": "12", "--format": "csv"}
+
+
+def _report(code, out):
+    """A run's exit code and report without ``config`` and ``seed``, which echo every option."""
+    try:
+        fields = json.loads(out)
+    except ValueError:
+        return code, out  # CSV
+    return code, {k: v for k, v in fields.items() if k not in ("config", "seed")}
+
+
+@pytest.mark.parametrize("name", [row.name for row in _commands()])
+def test_every_common_option_a_command_accepts_is_honoured(name, tmp_path):
+    """Every common option set away from its default changes the report
+    outside the config echo, or exits 1 naming the option; --output moves
+    the same report from stdout to its file."""
+    argv = [name, *HONOURED[name].split()]
+    code, out, err = run_main(argv)
+    assert code != 1 and out and err == ""
+    for flag, value in AWAY_FROM_DEFAULT.items():
+        got = run_main([*argv, flag, value])
+        if got[0] == 1:
+            assert got[1] == "" and flag.lstrip("-") in got[2], (flag, got[2])
+        else:
+            assert _report(*got[:2]) != _report(code, out), "%s %s is echoed but not read" % (flag, value)
+    target = tmp_path / "report"
+    assert run_main([*argv, "--output", str(target)]) == (code, "", "")
+    assert target.read_text(encoding="ascii") == out
+
+
 # Bounded argv for every subcommand: valid flag values, then at most one
 # flag dropped or replaced by a malformed value.  Sizes stay small: prefix
 # bound <= 10^4 (<= 300 where a whole host becomes an adjacency matrix),
@@ -610,44 +680,46 @@ MC = {"--format": maybe(words("json", "csv")), "--trials": TRIALS}
 COMMANDS = {
     "edge": {"-u": ints(-2, 2**70), "-v": ints(-2, 2**70)},
     "adj": {"--host": HOST, "--prefix-bound": SMALL_BOUND},
-    "type": {"--m": ints(-3, 10**4), "--base": HOST, "--prefix-bound": BOUND},
+    "type": {"--m": ints(-3, 10**4), "--base": HOST},
     "extension": {"--f": F_SET, "--bound": BOUND},
     "embed": {
-        "--target": PATTERN, "--host": HOST, "--prefix-bound": BOUND, "--candidate-cap": maybe(ints(0, 64)),
+        "--target": PATTERN, "--host": HOST, "--candidate-cap": maybe(ints(0, 64)),
         "--score-horizon": maybe(ints(0, 64)), "--backtrack": maybe(st.just(True)),
     },
-    "audit-weak": {"--host": HOST, "--kmax": ints(0, 4), "--budget": ints(0, 5000), "--prefix-bound": SMALL_BOUND},
+    "audit-weak": {"--host": HOST, "--kmax": ints(-3, 4), "--budget": ints(0, 5000), "--prefix-bound": SMALL_BOUND},
     "contains": {"--host": HOST, "--pattern": PATTERN, "--budget": ints(0, 5000), "--prefix-bound": SMALL_BOUND},
     "gfree-max": {
         "--window": st.tuples(st.integers(0, 40), st.integers(0, 20)).map(lambda t: "%d-%d" % (t[0], t[0] + t[1])),
         "--pattern": PATTERN, "--mode": maybe(words("exact", "greedy")),
     },
     "dyadic-audit": {"--pattern": PATTERN, "--n-param": ints(0, 3), "--k-from": ints(0, 5), "--k-to": ints(0, 5)},
-    "density": {"--host": HOST, "--prefix-bound": BOUND, "--checkpoints": maybe(words("10,50", "64"))},
-    "sum": {"--host": HOST, "--prefix-bound": BOUND, "--weight": maybe(words("reciprocal", "power:0.5"))},
-    "thick": {"--host": HOST, "--prefix-bound": BOUND},
-    "ap": {"--host": HOST, "--prefix-bound": BOUND},
-    "construct-thick": {"--blocks": ints(1, 6), "--prefix-bound": BOUND},
-    "construct-thick-copy": {"--target": PATTERN, "--blocks": ints(1, 4), "--prefix-bound": BOUND},
-    "construct-pi02": {
-        "--levels": ints(1, 3), "--family": maybe(words("substantial", "power:0.5")), "--prefix-bound": BOUND,
-    },
+    "density": {"--host": HOST, "--checkpoints": maybe(words("10,50", "64"))},
+    "sum": {"--host": HOST, "--weight": maybe(words("reciprocal", "power:0.5"))},
+    "thick": {"--host": HOST},
+    "ap": {"--host": HOST},
+    "construct-thick": {"--blocks": ints(1, 6)},
+    "construct-thick-copy": {"--target": PATTERN, "--blocks": ints(1, 4)},
+    "construct-pi02": {"--levels": ints(1, 3), "--family": maybe(words("substantial", "power:0.5"))},
     "mc-density": {"--k": ints(1, 4), "--n": ints(1, 4), "--pool": ints(1, 10**4), **MC},
     "mc-gfree": {"--pattern": MC_PATTERN, "--n": ints(1, 12), "--c": maybe(words("0.1", "-1000", "nan", "inf")), **MC},
     "mc-fn": {
         "--pattern": MC_PATTERN, "--n-param": ints(0, 2), **MC,
         "--n-list": st.lists(st.integers(1, 20), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
     },
-    "sample-mup": {"--p": words("1/2", "1/3", "0.9"), "--prefix-bound": BOUND},
+    "sample-mup": {"--p": words("1/2", "1/3", "0.9")},
     "typefreq": {"--f": F_SET, "--bound": BOUND, "--mask": maybe(words("1", "101", "111", "000"))},
 }
-COMMON = {"--seed": ints(0, 2**64 - 1), "--probability": maybe(words("1/2", "0.5", "1/3", "1"))}
+# Every command draws the common options, and refuses those it does not read.
+COMMON = {
+    "--seed": ints(0, 2**64 - 1), "--probability": maybe(words("1/2", "0.5", "1/3", "1")),
+    "--prefix-bound": maybe(BOUND),
+}
 
 
 @st.composite
 def argvs(draw):
     name = draw(st.sampled_from(sorted(COMMANDS)))
-    flags = {**COMMANDS[name], **COMMON}
+    flags = {**COMMON, **COMMANDS[name]}
     values = {flag: draw(strategy) for flag, strategy in flags.items()}
     broken = draw(maybe(st.sampled_from(sorted(flags))))
     if broken is not None:
@@ -667,6 +739,8 @@ def argvs(draw):
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "nan"], None)
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "-1000"], None)
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "-1e-3"], None)
+@example(["edge", "-u", "1", "-v", "2", "--prefix-bound", "7"], None)
+@example(["gfree-max", "--window", "1-10", "--pattern", "k:3", "--prefix-bound", "7"], None)
 def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
     """No argv ends in a traceback, and every report is strict JSON: no NaN
     or Infinity."""
