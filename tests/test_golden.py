@@ -90,6 +90,8 @@ EXTRA = [
     "ap --seed 1 --host 1-3,10-12,20-22,31",
     "ap --seed 1 --host 1,5,9,13,1000000",
     "ap --seed 1 --host 2,4,6,11,13,15",
+    "typefreq --seed 1 --probability 1/3 --f 2,5,9 --mask 010 --bound 50000",
+    "typefreq --seed 1 --probability 3/4 --f 1-6 --bound 20000",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
