@@ -18,7 +18,7 @@ from .embed import verify_embedding
 from .graphs import FiniteGraph, empty_graph
 from .largeness import WeightFunction, pi02_force
 from .limits import SCAN_PREFIX_CAP, check_limit
-from .oracle import EdgeOracle, VerificationError
+from .oracle import EdgeOracle, VerificationError, type_class
 from .sets import Report, VertexSet
 
 # Starts per scan chunk: the first chunk holds _SCAN_CHUNK >> 6 and each
@@ -82,12 +82,13 @@ def _scan(oracle: EdgeOracle, scan_from: int, placed: list[int], rows: list[int]
     window vertices settles every (d, d+1) pair at once through shifted
     views; every other pair runs on the compacted survivors only
     (``np.compress``: boolean indexing costs about four times as much on
-    masks this random).  A consumer that stops early scans only the chunks
-    it has read."""
+    masks this random).  The pairs with the placed images are ``type_class``
+    filters, one per window offset.  A consumer that stops early scans only
+    the chunks it has read."""
     offset, length = len(placed), len(rows)
     diagonal = [bool(rows[d + 1] >> (offset + d) & 1) for d in range(length - 1)]
     internal = [(d1, d2, bool(rows[d2] >> (offset + d1) & 1)) for d2 in range(2, length) for d1 in range(d2 - 1)]
-    cross = [(u, d, bool(rows[d] >> i & 1)) for i, u in enumerate(placed) for d in range(length)]
+    low_bits = (1 << offset) - 1
     last_start = prefix_bound - length + 1
     start, size = scan_from, max(_SCAN_CHUNK >> 6, 1)
     while start <= last_start:
@@ -102,10 +103,10 @@ def _scan(oracle: EdgeOracle, scan_from: int, placed: list[int], rows: list[int]
             ks = np.compress(keep, ks)
         for d1, d2, want in internal:
             ks = np.compress(oracle.edge_pairs(ks + d1, ks + d2) == want, ks)
-        for u, d, want in cross:
-            if not len(ks):
+        for d in range(length):
+            if not (placed and len(ks)):
                 break
-            ks = np.compress(oracle.edge_pairs(u, ks + d) == want, ks)
+            ks = type_class(oracle, placed, rows[d] & low_bits, ks + d) - d
         start, size = start + count, min(2 * size, _SCAN_CHUNK)
         if len(ks):
             yield ks

@@ -76,6 +76,8 @@ def density_profile(a: VertexSet, checkpoints: Sequence[int]) -> DensityReport:
         raise ValueError("at least one checkpoint is required")
     prev = 0
     for n in checkpoints:
+        if n < 1:
+            raise ValueError("checkpoints must be >= 1, not %d" % n)
         if n <= prev:
             raise ValueError("checkpoints must be strictly increasing")
         if n > a.prefix_bound:

@@ -17,7 +17,7 @@ GRAPH6_MAX_ORDER = 258047  # vertices graph6_encode writes: the largest order of
 AP_SIZE_LIMIT = 5000  # elements of a longest_ap input (ap): its dynamic program is quadratic in them
 SCAN_PREFIX_CAP = 2 * 10**9  # prefix bound of the construct-* scans: linear, about a minute at 25 ns per start
 EXTENSION_BASE_CAP = 20  # vertices of extension's base F: 2^20 types are about a million entries, 8 MiB of witnesses
-TYPE_KEY_BITS = 62  # base vertices of a type key (typefreq --f): one bit each of an int64 key
+TYPE_KEY_BITS = 62  # base vertices of a type_keys key, one bit each of an int64; typefreq --f keeps it, though its type_class filter packs no key
 MC_PATTERN_ORDER_CAP = 6  # pattern vertices of mc-gfree: at most EXACT_N_CAP, so the order itself has an exact table
 MC_N_CAP = 32  # vertices of an mc-gfree trial graph: above EXACT_N_CAP each trial is one induced-copy search
 EXACT_N_CAP = 6  # vertices up to which mc-gfree reads all 2^15 labelled graphs' exact table (and reports exact)

@@ -24,6 +24,7 @@ from .limits import (
     MC_DENSITY_EDGE_CAP,
     MC_N_CAP,
     MC_PATTERN_ORDER_CAP,
+    TYPE_KEY_BITS,
     check_limit,
 )
 from .oracle import (
@@ -35,7 +36,7 @@ from .oracle import (
     probability_threshold,
     stream_matrix,
     stream_values,
-    type_keys,
+    type_class,
 )
 from .sets import VertexSet
 
@@ -227,7 +228,9 @@ def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: i
     total = len(pool)
     if total == 0:
         raise ValueError("no vertices beyond the base within the bound")
-    indicator = type_keys(oracle, f.as_array, pool) == t.mask
+    check_limit(len(f), TYPE_KEY_BITS, "TYPE_KEY_BITS", "type-key base size %d" % len(f))
+    indicator = np.zeros(total, dtype=bool)
+    indicator[type_class(oracle, f.as_array, t.mask, pool) - start] = True
     count = int(indicator.sum())
     freq = count / total
     # class probability is a product over mask bits (2^-|F| at p = 1/2)

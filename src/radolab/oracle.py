@@ -53,15 +53,21 @@ def rotl64(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & MASK64
 
 
+# The finalizer's (shift, multiplier) steps as numpy scalars, made once: on
+# the short arrays of a type_class filter, making them per call costs more
+# than a pass.
+_MIX_STEPS = ((np.uint64(30), np.uint64(_MIX_MUL_1)), (np.uint64(27), np.uint64(_MIX_MUL_2)), (np.uint64(31), None))
+
+
 def _mix64_np(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array, in place, with an optional
     scratch array of z's shape; returns z."""
     tmp = np.empty_like(z) if tmp is None else tmp
-    for shift, mul in ((30, _MIX_MUL_1), (27, _MIX_MUL_2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=tmp)
+    for shift, mul in _MIX_STEPS:
+        np.right_shift(z, shift, out=tmp)
         z ^= tmp
         if mul is not None:
-            z *= np.uint64(mul)
+            z *= mul
     return z
 
 
@@ -149,7 +155,9 @@ class EdgeOracle:
     def edge_grid(self, us, pool_sorted: np.ndarray) -> np.ndarray:
         """Edges of every u against a sorted pool, as a (len(us), len(pool))
         matrix.  Bit-identical to edge_pairs; the sortedness lets the pair
-        canonicalization be precomputed once per pool chunk."""
+        canonicalization be precomputed once per pool chunk, each half only
+        where some row needs it: the pool below the largest split of the
+        rows as a pair's smaller vertex, above the smallest as its larger."""
         pool = np.asarray(pool_sorted, dtype=np.uint64)
         # the split is searched in uint64: an int64 pool would meet c >= 2^63 in float64
         rows = [
@@ -157,15 +165,20 @@ class EdgeOracle:
             for c in map(int, us)
         ]
         out = np.empty((len(rows), len(pool)), dtype=bool)
+        splits = [split for _, _, split in rows]
+        first, last = min(splits, default=0), max(splits, default=0)
         for lo in range(0, len(pool), _CHUNK):
             part = pool[lo : lo + _CHUNK]
-            part_g = part * np.uint64(GOLDEN)
-            part_rot = (part << np.uint64(32)) | (part >> np.uint64(32))
+            below = min(max(last - lo, 0), len(part))
+            above = min(max(first - lo, 0), len(part))
+            part_g = part[:below] * np.uint64(GOLDEN)
+            high = part[above:]
+            part_rot = (high << np.uint64(32)) | (high >> np.uint64(32))
             key, tmp = np.empty_like(part), np.empty_like(part)
             for row, (c_rot, c_g, split) in enumerate(rows):
                 i = min(max(split - lo, 0), len(part))  # pool[:split] < c
                 np.bitwise_xor(part_g[:i], c_rot, out=key[:i])
-                np.bitwise_xor(part_rot[i:], c_g, out=key[i:])
+                np.bitwise_xor(part_rot[i - above :], c_g, out=key[i:])
                 self._edge_bits(key, out[row, lo : lo + len(part)], tmp)
         return out
 
@@ -254,6 +267,27 @@ def type_keys(oracle: EdgeOracle, base: Sequence[int], pool: np.ndarray) -> np.n
             np.left_shift(row, i, out=t, dtype=np.int64)
             part |= t
     return keys
+
+
+def type_class(oracle: EdgeOracle, base: Sequence[int], mask: int, vertices: np.ndarray) -> np.ndarray:
+    """The vertices of the sorted array whose type over ``base`` is ``mask``
+    (bit i: an edge to base[i]), ascending; a vertex that lies in base is
+    kept or dropped unspecifiedly.  Early rejection, _CHUNK vertices at a
+    time: each base vertex makes one ``edge_grid`` row over the chunk's
+    survivors, which are then compressed to the matching ones, and a chunk
+    stops once none is left.  Every edge is an independent PRF value, so
+    the skipped ones change nothing."""
+    vertices = np.asarray(vertices)
+    wanted = [bool(mask >> i & 1) for i in range(len(base))]
+    parts = []
+    for lo in range(0, len(vertices), _CHUNK):
+        survivors = vertices[lo : lo + _CHUNK]
+        for u, want in zip(base, wanted):
+            if not len(survivors):
+                break
+            survivors = np.compress(oracle.edge_grid([u], survivors)[0] == want, survivors)
+        parts.append(survivors)
+    return np.concatenate(parts) if parts else vertices[:0]
 
 
 # Adjacency rows per edge_grid call: the boolean block stays small however

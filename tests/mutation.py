@@ -103,6 +103,20 @@ MUTANTS = [
         ("tests/test_oracle.py::test_edge_grid_matches_edge_pairs",),
     ),
     Mutant(
+        "edge_grid: the larger-vertex half starts one pool vertex late",
+        "oracle.py",
+        "above = min(max(first - lo, 0), len(part))",
+        "above = min(max(first - lo + 1, 0), len(part))",
+        ("tests/test_oracle.py::test_edge_grid_rows_below_above_and_across_chunks_match_edge_pairs",),
+    ),
+    Mutant(
+        "type_class: the rejected side kept",
+        "oracle.py",
+        "oracle.edge_grid([u], survivors)[0] == want",
+        "oracle.edge_grid([u], survivors)[0] != want",
+        ("tests/test_oracle.py::test_type_class_matches_type_keys_and_scalar_edges",),
+    ),
+    Mutant(
         "_edge_bits: the threshold compared at the wrong scale",
         "oracle.py",
         "np.uint64((self._threshold << 11) - 1)",

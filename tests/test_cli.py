@@ -161,6 +161,13 @@ def test_density_explicit_checkpoints():
     assert rep["checkpoints"] == [10, 50, 100] and rep["sup_density"] == 1.0
 
 
+def test_density_refuses_checkpoint_zero_by_name():
+    for points in ("0", "0,5"):
+        out = run("density", "--host", "1-10", "--checkpoints", points)
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == "error: checkpoints must be >= 1, not 0\n"
+
+
 def test_gfree_max_cli():
     out = run("gfree-max", "--seed", "7", "--window", "1-16", "--pattern", "k:2")
     rep = json.loads(out.stdout)

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import row_type_keys, whole_stream_matrix
 
+from radolab import oracle
 from radolab.limits import EXTENSION_BASE_CAP
 from radolab.oracle import (
     _CHUNK,
@@ -21,6 +23,7 @@ from radolab.oracle import (
     probability_threshold,
     stream_matrix,
     stream_values,
+    type_class,
     type_keys,
     type_of,
 )
@@ -299,6 +302,65 @@ def test_edge_grid_matches_edge_pairs():
         ref = o.edge_pairs(np.full(len(pool), u), pool)
         same = pool != u
         assert (grid[r][same] == ref[same]).all()
+
+
+# _CHUNK patched down, so that rows and filters cross chunk boundaries
+SMALL_CHUNKS = st.sampled_from([1, 3, 16, _CHUNK])
+THREE_COINS = st.sampled_from(["1/2", "1/3", "3/4"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), THREE_COINS, st.sets(st.integers(10, 300), max_size=120),
+       st.lists(st.sampled_from(["below", "above", "across"]), min_size=1, max_size=6), SMALL_CHUNKS)
+def test_edge_grid_rows_below_above_and_across_chunks_match_edge_pairs(seed, p, pool, where, cap):
+    """A row lies below a chunk, above it or splits it; edge_grid builds each
+    pool half only where some row needs it, and every row must still equal
+    its edge_pairs."""
+    o = EdgeOracle(seed, p)
+    pool = np.array(sorted(pool), dtype=np.int64)
+    picks = {"below": [1, 2, 9], "above": [301, 400, 2**40], "across": list(range(2, 300, 7))}
+    us = [picks[w][(seed >> 3 * i) % len(picks[w])] for i, w in enumerate(where)]
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        grid = o.edge_grid(us, pool)
+    assert grid.shape == (len(us), len(pool))
+    for u, row in zip(us, grid):
+        same = pool != u
+        assert np.array_equal(row[same], o.edge_pairs(u, pool)[same])
+
+
+@st.composite
+def type_class_cases(draw):
+    """(base, vertices, pick): a base of 0-70 vertices in 100..400, in any
+    order; vertices below, across or above it, or none; pick is a vertex
+    whose type becomes the mask, so that the class is not always empty."""
+    size = draw(st.integers(0, 70))
+    base = draw(st.lists(st.integers(100, 400), min_size=size, max_size=size, unique=True))
+    lo, hi = draw(st.sampled_from([(1, 99), (1, 600), (401, 700), (1, 0)]))
+    vertices = sorted(draw(st.sets(st.integers(lo, hi), max_size=150)) - set(base)) if lo <= hi else []
+    pick = draw(st.none() | st.integers(0, max(len(vertices) - 1, 0))) if vertices else None
+    return base, vertices, pick
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64 - 1), THREE_COINS, type_class_cases(), st.integers(0, 2**70 - 1), SMALL_CHUNKS)
+@example(1, "1/2", (list(range(100, 170)), list(range(1, 99)), 7), 0, 3)
+@example(1, "1/3", ([], [], None), 0, 1)
+def test_type_class_matches_type_keys_and_scalar_edges(seed, p, case, mask, cap):
+    o = EdgeOracle(seed, p)
+    base, vertices, pick = case
+    if pick is not None:
+        mask = sum(o.edge(b, vertices[pick]) << i for i, b in enumerate(base))
+    mask &= (1 << len(base)) - 1
+    arr = np.array(vertices, dtype=np.int64)
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        got = type_class(o, base, mask, arr)
+    assert got.dtype == np.int64
+    if len(base) <= 62:
+        want = arr[row_type_keys(o, base, arr) == mask].tolist()
+    else:
+        want = [v for v in vertices if all(o.edge(b, v) == bool(mask >> i & 1) for i, b in enumerate(base))]
+    assert got.tolist() == want
+    assert pick is None or vertices[pick] in want
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(1)])
