@@ -92,6 +92,9 @@ EXTRA = [
     "ap --seed 1 --host 2,4,6,11,13,15",
     "typefreq --seed 1 --probability 1/3 --f 2,5,9 --mask 010 --bound 50000",
     "typefreq --seed 1 --probability 3/4 --f 1-6 --bound 20000",
+    "mc-gfree --seed 1 --pattern k:3 --n 7 --trials 20000",
+    "mc-gfree --seed 1 --pattern c:7 --n 7 --trials 2000",
+    "typefreq --seed 1 --f 1-63 --bound 100",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
