@@ -43,16 +43,19 @@ def contains_induced(
     host: VertexSet,
     pattern: FiniteGraph,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    rows: _LazyRows | None = None,
 ) -> SearchResult:
     """Search the host for an induced copy of the pattern with
     ``find_induced``, building each host adjacency row on first use.  A
-    found witness is re-verified from raw oracle queries before it is
-    returned.
+    sweep over many patterns passes one ``rows`` table of the same host, so
+    that each row is built once.  A found witness is re-verified from raw
+    oracle queries before it is returned.
     """
     check_limit(pattern.order, CONTAINS_ORDER_CAP, "CONTAINS_ORDER_CAP", "pattern order %d" % pattern.order)
     if node_budget < 1:
         raise ValueError("node budget must be >= 1")
-    images, nodes = find_induced(_LazyRows(oracle, host.as_array), (1 << len(host)) - 1, pattern, node_budget)
+    rows = _LazyRows(oracle, host.as_array) if rows is None else rows
+    images, nodes = find_induced(rows, (1 << len(host)) - 1, pattern, node_budget)
     if images is None:
         return SearchResult(BUDGET if nodes > node_budget else ABSENT, None, nodes)
     mapped = tuple(host.as_array[images].tolist())
@@ -84,9 +87,10 @@ def weak_universality(
         raise ValueError("k_max must be >= 0, not %d" % k_max)
     check_limit(k_max, CATALOG_MAX_ORDER, "CATALOG_MAX_ORDER", "k_max %d" % k_max)
     patterns = []
+    rows = _LazyRows(oracle, host.as_array)
     for k in range(1, k_max + 1):
         for g in enumerate_unlabeled(k):
-            result = contains_induced(oracle, host, g, node_budget)
+            result = contains_induced(oracle, host, g, node_budget, rows)
             patterns.append(
                 {
                     "order": k,
@@ -105,12 +109,12 @@ def weak_universality(
     return {"k_max": k_max, "patterns": patterns, "verdict": verdict}
 
 
-def _check_gfree_pattern(pattern: FiniteGraph, cap=GFREE_PATTERN_ORDER_CAP, name="GFREE_PATTERN_ORDER_CAP") -> None:
-    """Refuse a pattern of order 0, or above the limit ``cap`` called
-    ``name``, before any pattern-free work."""
+def _check_gfree_pattern(pattern: FiniteGraph) -> None:
+    """Refuse a pattern of order 0, or above GFREE_PATTERN_ORDER_CAP,
+    before any pattern-free work."""
     if pattern.order == 0:
         raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
-    check_limit(pattern.order, cap, name, "pattern order %d" % pattern.order)
+    check_limit(pattern.order, GFREE_PATTERN_ORDER_CAP, "GFREE_PATTERN_ORDER_CAP", "pattern order %d" % pattern.order)
 
 
 def _greedy_gfree(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:

@@ -187,6 +187,13 @@ MUTANTS = [
         ("tests/test_mc.py::test_catalog_table_matches_subset_scan",),
     ),
     Mutant(
+        "mc_gfree_probability: n = EXACT_N_CAP searched per trial, so no exact value",
+        "mc.py",
+        "if n <= EXACT_N_CAP:",
+        "if n < EXACT_N_CAP:",
+        ("tests/test_mc.py::test_table_verdicts_match_a_search_of_every_trial",),
+    ),
+    Mutant(
         "VertexSet.from_iterable: repeated elements kept",
         "sets.py",
         "first[1:] = arr[1:] != arr[:-1]",

@@ -147,6 +147,19 @@ def test_weak_universality_fails_on_edgeless_host():
     assert k2[0]["status"] == ABSENT
 
 
+def test_weak_universality_builds_each_host_row_once(monkeypatch):
+    built = []
+
+    def counting(oracle, vertices, which=None):
+        built.extend(which)
+        return adjacency_rows(oracle, vertices, which)
+
+    monkeypatch.setattr(audit, "adjacency_rows", counting)
+    host = VertexSet.interval(1, 512)
+    assert weak_universality(EdgeOracle(21), host, 6)["verdict"] == "pass"
+    assert len(built) == len(set(built)) <= len(host)
+
+
 def test_weak_universality_cap():
     with pytest.raises(ValueError):
         weak_universality(EdgeOracle(1), VertexSet.interval(1, 4), 8)

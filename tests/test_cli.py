@@ -587,7 +587,8 @@ def test_construction_prefix_bounds_above_the_scan_cap_are_refused_fast():
     (["mc-gfree", "--pattern", "k:3", "--trials", "10", "--n"], "32", "33", "n 33", "MC_N_CAP"),
     (["contains", "--host", "1-64", "--budget", "1000", "--pattern"], "k:10", "k:11", "pattern order 11",
      "CONTAINS_ORDER_CAP"),
-    (["typefreq", "--bound", "100", "--f"], "1-62", "1-63", "type-key base size 63", "TYPE_KEY_BITS"),
+    (["mc-gfree", "--n", "7", "--trials", "10", "--pattern"], "k:7", "k:8", "pattern order 8",
+     "GFREE_PATTERN_ORDER_CAP"),
 ])
 def test_limits_accept_the_cap_and_refuse_one_above_it(argv, at_cap, above, what, name):
     code, out, err = run_main([*argv, at_cap, "--seed", "1"])
@@ -748,6 +749,8 @@ def argvs(draw):
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "10", "--c", "-1e-3"], None)
 @example(["edge", "-u", "1", "-v", "2", "--prefix-bound", "7"], None)
 @example(["gfree-max", "--window", "1-10", "--pattern", "k:3", "--prefix-bound", "7"], None)
+@example(["mc-gfree", "--seed", "1", "--pattern", "k:7", "--n", "7", "--trials", "10"], None)
+@example(["mc-gfree", "--seed", "1", "--pattern", "k:8", "--n", "8", "--trials", "10"], None)
 def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
     """No argv ends in a traceback, and every report is strict JSON: no NaN
     or Infinity."""

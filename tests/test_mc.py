@@ -4,9 +4,21 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from reference import complement, gfree_flags
 
-from radolab.graphs import canonical_form, complete, empty_graph, enumerate_unlabeled, path, rows_from_upper_bits
+from radolab.graphs import (
+    _relabelings,
+    canonical_form,
+    complete,
+    cycle,
+    empty_graph,
+    enumerate_unlabeled,
+    find_induced,
+    path,
+    rows_from_upper_bits,
+)
 from radolab.limits import FN_POWER_BITS_CAP
 from radolab.mc import (
     _gfree_flags,
@@ -102,7 +114,7 @@ def test_k3_free_probability_strictly_decreases():
 
 def test_exact_bounds():
     with pytest.raises(ValueError):
-        exact_gfree_count(complete(2), 7)
+        exact_gfree_count(complete(2), 8)
     with pytest.raises(ValueError):
         exact_gfree_count(complete(4), 3)
 
@@ -115,6 +127,14 @@ def test_catalog_table_matches_subset_scan(pattern):
 
 def test_triangle_free_counts_match_oeis_a006785():
     assert [int(_gfree_flags(complete(3), n).sum()) for n in (5, 6, 7)] == [388, 5789, 133501]
+
+
+def test_exact_counts_at_seven_vertices_match_subset_scan():
+    for pattern in (complete(3), path(4), cycle(5)):
+        flags = gfree_flags(pattern, 7)
+        got = exact_gfree_count(pattern, 7)
+        assert (got["count"], got["total"]) == (int(flags.sum()), 1 << 21)
+        assert np.array_equal(_gfree_flags(pattern, 7), flags)
 
 
 def test_complement_symmetry_all_order_four_patterns():
@@ -133,6 +153,29 @@ def test_mc_within_three_stderr_of_exact_over_master_seeds():
         for seed in range(1, 11):
             r = mc_gfree_probability(pattern, 5, 20000, seed)
             assert abs(r["estimate"] - exact) <= 3 * max(r["stderr"], 1e-9)
+
+
+TABLE_PATTERNS = [g for k in range(1, 5) for g in enumerate_unlabeled(k)] + [
+    complete(5), cycle(5), empty_graph(6), complete(7), cycle(7)
+]
+
+
+@given(st.sampled_from(TABLE_PATTERNS), st.sampled_from([6, 7]), st.integers(0, 2**64 - 1), st.integers(1, 300))
+@example(complete(3), 7, 1, 300)
+@example(cycle(7), 7, 2, 300)
+def test_table_verdicts_match_a_search_of_every_trial(pattern, n, seed, trials):
+    """At n <= EXACT_N_CAP the trials are read from the exact table; each
+    verdict is the one a search of the trial's rows gives, so the estimate
+    is that of one search per trial."""
+    assume(pattern.order <= n)
+    bits = _trial_graph_bits(seed, trials, math.comb(n, 2))
+    rows = rows_from_upper_bits(bits, n)
+    searched = [find_induced(rows[t : t + n], (1 << n) - 1, pattern)[0] is None for t in range(0, len(rows), n)]
+    flags = _gfree_flags(pattern, n)
+    assert flags[(bits @ _relabelings(n)[:, 0]).astype(np.intp)].tolist() == searched
+    r = mc_gfree_probability(pattern, n, trials, seed)
+    assert r["estimate"] == float(np.array(searched).mean())
+    assert r["exact"] == Fraction(int(flags.sum()), 1 << math.comb(n, 2))
 
 
 def test_mc_envelope_field():
@@ -156,7 +199,7 @@ def test_mc_validation():
     with pytest.raises(ValueError):
         mc_gfree_probability(complete(2), 33, 10, 1)
     with pytest.raises(ValueError):
-        mc_gfree_probability(empty_graph(7), 8, 10, 1)
+        mc_gfree_probability(empty_graph(8), 9, 10, 1)
 
 
 # --- the log-sized subset bound ---------------------------------------------------
