@@ -95,6 +95,9 @@ EXTRA = [
     "mc-gfree --seed 1 --pattern k:3 --n 7 --trials 20000",
     "mc-gfree --seed 1 --pattern c:7 --n 7 --trials 2000",
     "typefreq --seed 1 --f 1-63 --bound 100",
+    "extension --seed 3 --probability 1/3 --f 1-6 --bound 70000",
+    "extension --seed 4 --probability 1 --f 1-3 --bound 70000",
+    "mc-density --seed 1 --k 3 --n 2 --pool 70000 --trials 3",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
