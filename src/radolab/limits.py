@@ -16,13 +16,13 @@ CATALOG_MAX_ORDER = 7  # order of the unlabeled catalog (audit-weak --kmax): ord
 GRAPH6_MAX_ORDER = 258047  # vertices graph6_encode writes: the largest order of graph6's four-byte size header
 AP_SIZE_LIMIT = 5000  # elements of a longest_ap input (ap): its dynamic program is quadratic in them
 SCAN_PREFIX_CAP = 2 * 10**9  # prefix bound of the construct-* scans: linear, about a minute at 25 ns per start
-EXTENSION_BASE_CAP = 20  # vertices of extension's base F: 2^20 types are about a million entries, 8 MiB of witnesses
-TYPE_KEY_BITS = 62  # base vertices of a type_keys key, one bit each of an int64; extension's EXTENSION_BASE_CAP stays below it
+EXTENSION_BASE_CAP = 20  # vertices of extension's base F: 2^20 types are about a million entries, 8 MiB of witnesses; its keys fit an int64
 MC_N_CAP = 32  # vertices of an mc-gfree trial graph: above EXACT_N_CAP each trial is one induced-copy search
 EXACT_N_CAP = 7  # vertices up to which mc-gfree reads all 2^21 labelled graphs' exact table, 2 MiB (and reports exact)
 FN_EXACT_CAP = 16  # vertices up to which mc-fn decides each trial exactly; above it a row is a greedy lower bound
 FN_POWER_BITS_CAP = 1 << 16  # bits of n^N in mc-fn: a refused row has f > 2^16, so needs trials of n > 2^16 vertices
-MC_DENSITY_EDGE_CAP = 2 * 10**7  # edge evaluations trials * n * k * pool of mc-density: ~1 s, <= 10^7 grid bytes
+MC_DENSITY_EDGE_CAP = 2 * 10**7  # edge evaluations of mc-density, at most trials * n * k * pool: ~1 s; it builds no grid
+STREAM_ENTRIES_CAP = 1 << 27  # uint64 values of one counter stream (trials * C(n, 2) trial-graph pairs, sample-mup's bound): 1 GiB
 
 
 def check_limit(value, cap: int, name: str, what: str, unit: str = "") -> None:

@@ -23,6 +23,7 @@ from .limits import (
     FN_POWER_BITS_CAP,
     MC_DENSITY_EDGE_CAP,
     MC_N_CAP,
+    STREAM_ENTRIES_CAP,
     check_limit,
 )
 from .oracle import (
@@ -56,13 +57,15 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     check_limit(trials * n * k * pool_size, MC_DENSITY_EDGE_CAP, "MC_DENSITY_EDGE_CAP", "trials * n * k * pool")
-    pool = np.arange(n * k + 1, n * k + pool_size + 1, dtype=np.int64)
+    start = n * k + 1
+    pool = np.arange(start, start + pool_size, dtype=np.int64)
     fractions = []
     for t in range(trials):
-        grid = EdgeOracle((seed + t) & MASK64).edge_grid(np.arange(1, n * k + 1), pool)
-        # a pool vertex has base i's all-ones type when its k edges to base i all exist
-        avoid = ~grid.reshape(n, k, pool_size).all(axis=1).any(axis=0)
-        fractions.append(float(avoid.mean()))
+        oracle = EdgeOracle((seed + t) & MASK64)
+        marked = np.zeros(pool_size, dtype=bool)
+        for i in range(n):  # mark the pool vertices of base i's all-ones class
+            marked[type_class(oracle, range(i * k + 1, (i + 1) * k + 1), (1 << k) - 1, pool) - start] = True
+        fractions.append((pool_size - np.count_nonzero(marked)) / pool_size)
     arr = np.asarray(fractions)
     target = (1 - 0.5**k) ** n
     return {
@@ -107,6 +110,8 @@ def exact_gfree_count(pattern: FiniteGraph, n: int) -> dict:
 
 
 def _trial_graph_bits(seed: int, trials: int, npairs: int) -> np.ndarray:
+    entries = trials * npairs
+    check_limit(entries, STREAM_ENTRIES_CAP, "STREAM_ENTRIES_CAP", "trial-graph stream of %d entries" % entries)
     tags = TAG_TRIAL_GRAPHS + np.arange(trials, dtype=np.uint64)
     return stream_matrix(seed, tags, npairs) < _FAIR_BIT_THRESHOLD
 
@@ -207,6 +212,7 @@ def sample_mu_p(p, bound: int, seed: int) -> VertexSet:
     frac = Fraction(p) if not isinstance(p, Fraction) else p
     if not 0 < frac < 1:
         raise ValueError("p must lie strictly between 0 and 1")
+    check_limit(bound, STREAM_ENTRIES_CAP, "STREAM_ENTRIES_CAP", "mu_p stream of %d entries" % bound)
     thresh = np.uint64(probability_threshold(frac))
     vals = stream_values(seed, TAG_MU_P, bound)
     return VertexSet(np.flatnonzero(vals < thresh) + 1, bound)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FiniteGraph, pack_rows
-from .limits import EXTENSION_BASE_CAP, TYPE_KEY_BITS, check_limit
+from .limits import EXTENSION_BASE_CAP, check_limit
 from .sets import VertexSet
 
 MASK64 = (1 << 64) - 1
@@ -251,24 +251,6 @@ def _bits(mask: int, k: int) -> str:
     return format(mask, "0%db" % k)[::-1] if k else ""
 
 
-def type_keys(oracle: EdgeOracle, base: Sequence[int], pool: np.ndarray) -> np.ndarray:
-    """Type masks over ``base`` of every vertex of the sorted ``pool``, as
-    int64 keys: bit i of a key is the edge to base[i].  One ``edge_grid``
-    call per _CHUNK pool vertices, whose rows are ORed into that chunk's
-    keys through one reused scratch array; a pool vertex that lies in base
-    gets an unspecified key."""
-    check_limit(len(base), TYPE_KEY_BITS, "TYPE_KEY_BITS", "type-key base size %d" % len(base))
-    keys = np.zeros(len(pool), dtype=np.int64)
-    scratch = np.empty(min(len(pool), _CHUNK), dtype=np.int64)
-    for lo in range(0, len(pool), _CHUNK):
-        part = keys[lo : lo + _CHUNK]
-        t = scratch[: len(part)]
-        for i, row in enumerate(oracle.edge_grid(base, pool[lo : lo + _CHUNK])):
-            np.left_shift(row, i, out=t, dtype=np.int64)
-            part |= t
-    return keys
-
-
 def type_class(oracle: EdgeOracle, base: Sequence[int], mask: int, vertices: np.ndarray) -> np.ndarray:
     """The vertices of the sorted array whose type over ``base`` is ``mask``
     (bit i: an edge to base[i]), ascending; a vertex that lies in base is
@@ -324,8 +306,10 @@ def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
     """Least witness <= bound for each of the 2^|F| types over F, for
     |F| <= EXTENSION_BASE_CAP.
 
-    Passes iff every type is witnessed; absence of witnesses is data,
-    not an error.
+    The candidates are keyed _CHUNK at a time, one ``edge_grid`` call per
+    chunk, and the scan stops after the chunk in which the last type is
+    first witnessed.  Passes iff every type is witnessed; absence of
+    witnesses is data, not an error.
     """
     check_limit(len(f), EXTENSION_BASE_CAP, "EXTENSION_BASE_CAP", "extension base size %d" % len(f))
     if len(f) and f.as_array[-1] > bound:
@@ -334,7 +318,14 @@ def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
     k = len(f)
     # candidates ascend, so the first position of each key is its least witness
     first = np.full(1 << k, len(candidates))
-    np.minimum.at(first, type_keys(oracle, f.as_array, candidates), np.arange(len(candidates)))
+    for lo in range(0, len(candidates), _CHUNK):
+        # bit i of a key is the edge to F's i-th vertex; k <= 20 bits fit an int64
+        keys = np.zeros(min(_CHUNK, len(candidates) - lo), dtype=np.int64)
+        for i, row in enumerate(oracle.edge_grid(f.as_array, candidates[lo : lo + _CHUNK])):
+            keys |= np.left_shift(row, i, dtype=np.int64)
+        np.minimum.at(first, keys, np.arange(lo, lo + len(keys)))
+        if first.max() < len(candidates):  # every type has its witness; no later chunk changes one
+            break
     types = [
         {"mask": _bits(m, k), "witness": int(candidates[i]) if i < len(candidates) else None}
         for m, i in enumerate(first.tolist())

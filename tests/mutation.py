@@ -36,6 +36,7 @@ AP_BRUTE = "tests/test_largeness.py::test_thickness_and_ap_match_brute_force"
 AP_EXAMPLES = "tests/test_largeness.py::test_longest_ap_examples"
 REPORT_JSON = "tests/test_sets.py::test_every_report_is_strict_json_keyed_by_its_fields"
 EMISSION = "tests/test_cli.py::test_emission_matches_the_rounded_reference"
+EXTENSION_REF = "tests/test_oracle.py::test_extension_witnesses_match_the_least_witness_reference"
 
 MUTANTS = [
     Mutant(
@@ -67,11 +68,11 @@ MUTANTS = [
         (AP_EXAMPLES,),
     ),
     Mutant(
-        "mc_density_star: a base's type needs any edge, not all",
+        "mc_density_star: the marked class drops its base's first edge",
         "mc.py",
-        ".all(axis=1).any(axis=0)",
-        ".any(axis=1).any(axis=0)",
-        ("tests/test_mc.py::test_density_star_formula_targets",),
+        "(1 << k) - 1, pool)",
+        "(1 << k) - 2, pool)",
+        ("tests/test_mc.py::test_density_star_trial_values_match_type_keys",),
     ),
     Mutant(
         "WeightFunction.crossing: >= instead of >",
@@ -131,11 +132,18 @@ MUTANTS = [
         ("tests/test_oracle.py::test_adjacency_rows_span_several_blocks",),
     ),
     Mutant(
-        "type_keys: bit order reversed",
+        "extension_check: key bit order reversed",
         "oracle.py",
-        "np.left_shift(row, i, out=t, dtype=np.int64)",
-        "np.left_shift(row, len(base) - 1 - i, out=t, dtype=np.int64)",
-        ("tests/test_properties.py::test_type_keys_match_scalar_edges",),
+        "np.left_shift(row, i, dtype=np.int64)",
+        "np.left_shift(row, k - 1 - i, dtype=np.int64)",
+        (EXTENSION_REF,),
+    ),
+    Mutant(
+        "extension_check: stops before every type has a witness",
+        "oracle.py",
+        "if first.max() < len(candidates):",
+        "if first.min() < len(candidates):",
+        (EXTENSION_REF,),
     ),
     Mutant(
         "mix64: a shift changed",

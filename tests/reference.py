@@ -31,6 +31,19 @@ def row_type_keys(oracle, base, pool) -> np.ndarray:
     return keys
 
 
+def least_witnesses(oracle, f, bound) -> list:
+    """Per type mask over the ordered base f (bit i: an edge to f[i]), the
+    least vertex in [1, bound] outside f with that type, or None; each
+    candidate's type is read from scalar ``edge`` calls."""
+    first = [None] * (1 << len(f))
+    for m in range(1, bound + 1):
+        if m not in f:
+            mask = sum(oracle.edge(b, m) << i for i, b in enumerate(f))
+            if first[mask] is None:
+                first[mask] = m
+    return first
+
+
 def subset_code(rows, sub) -> int:
     """Upper-triangle code of the subgraph induced on the ordered positions
     ``sub`` of the bitset ``rows``: the pair (a, b), a < b, of ``sub`` is

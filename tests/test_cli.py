@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -583,6 +584,21 @@ def test_construction_prefix_bounds_above_the_scan_cap_are_refused_fast():
         assert r.stderr == "error: prefix bound %s exceeds SCAN_PREFIX_CAP = 2000000000\n" % argv[-1]
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["mc-gfree", "--pattern", "k:2", "--n", "2", "--trials", "134217729"], "trial-graph stream of 134217729 entries"),
+    (["mc-gfree", "--pattern", "k:3", "--n", "5", "--trials", "1000000000"], "trial-graph stream of 10000000000 entries"),
+    (["mc-fn", "--pattern", "k:3", "--n-list", "8", "--n-param", "1", "--trials", "4793491"],
+     "trial-graph stream of 134217748 entries"),
+    (["sample-mup", "--p", "1/2", "--prefix-bound", "134217729"], "mu_p stream of 134217729 entries"),
+    (["sample-mup", "--p", "1/2", "--prefix-bound", "2000000000"], "mu_p stream of 2000000000 entries"),
+])
+def test_counter_streams_above_the_cap_are_refused_fast(argv, what):
+    # before the cap, 10^9 trials asked numpy for 7.45 GiB of tags and 2 * 10^9 values for 14.9 GiB
+    start = time.perf_counter()
+    assert run_main([*argv, "--seed", "1"]) == (1, "", "error: %s exceeds STREAM_ENTRIES_CAP = 134217728\n" % what)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("argv, at_cap, above, what, name", [
     (["mc-gfree", "--pattern", "k:3", "--trials", "10", "--n"], "32", "33", "n 33", "MC_N_CAP"),
     (["contains", "--host", "1-64", "--budget", "1000", "--pattern"], "k:10", "k:11", "pattern order 11",
@@ -751,6 +767,9 @@ def argvs(draw):
 @example(["gfree-max", "--window", "1-10", "--pattern", "k:3", "--prefix-bound", "7"], None)
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:7", "--n", "7", "--trials", "10"], None)
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:8", "--n", "8", "--trials", "10"], None)
+@example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "1000000000"], None)
+@example(["mc-fn", "--seed", "1", "--pattern", "k:3", "--n-list", "8", "--n-param", "1", "--trials", "1000000000"], None)
+@example(["sample-mup", "--seed", "1", "--p", "1/2", "--prefix-bound", "2000000000"], None)
 def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
     """No argv ends in a traceback, and every report is strict JSON: no NaN
     or Infinity."""

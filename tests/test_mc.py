@@ -1,13 +1,15 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import complement, gfree_flags
+from reference import complement, gfree_flags, row_type_keys
 
+from radolab import oracle
 from radolab.graphs import (
     _relabelings,
     canonical_form,
@@ -44,6 +46,24 @@ def test_density_star_formula_targets(k, n, target):
     r = mc_density_star(1, k, n, 10**4, 20)
     assert r["target"] == pytest.approx(target)
     assert abs(r["estimate"] - target) <= 3 * r["stderr"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(1, 100), st.sampled_from([1, 3, 16]))
+def test_density_star_trial_values_match_type_keys(seed, k, n, pool_size, cap):
+    """Pools cross chunks of 1, 3 or 16 vertices; a pool vertex is unmarked
+    when no base's all-ones key is its key."""
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        got = mc_density_star(seed, k, n, pool_size, 2)["trial_values"]
+    pool = np.arange(n * k + 1, n * k + pool_size + 1, dtype=np.int64)
+    want = []
+    for t in range(2):
+        o = EdgeOracle((seed + t) % 2**64)
+        marked = np.zeros(pool_size, dtype=bool)
+        for i in range(n):
+            marked |= row_type_keys(o, range(i * k + 1, (i + 1) * k + 1), pool) == (1 << k) - 1
+        want.append(float((~marked).mean()))
+    assert got == want
 
 
 def test_density_star_validation():

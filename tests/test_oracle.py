@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import row_type_keys, whole_stream_matrix
+from reference import least_witnesses, row_type_keys, whole_stream_matrix
 
 from radolab import oracle
 from radolab.limits import EXTENSION_BASE_CAP
@@ -24,7 +24,6 @@ from radolab.oracle import (
     stream_matrix,
     stream_values,
     type_class,
-    type_keys,
     type_of,
 )
 from radolab.sets import VertexSet
@@ -151,7 +150,7 @@ def test_types_partition_pool():
     o = EdgeOracle(7)
     base = VertexSet.from_iterable([1, 2, 3])
     pool = VertexSet.interval(1, 1024).minus(base.elements)
-    keys = type_keys(o, base.as_array, pool.as_array)
+    keys = row_type_keys(o, base.as_array, pool.as_array)
     counts = np.bincount(keys, minlength=8)
     assert len(counts) == 8 and counts.sum() == len(pool)
     for v, key in zip(pool.elements[:50], keys.tolist()):
@@ -163,7 +162,7 @@ def test_types_binomial_concentration():
     base = VertexSet.from_iterable([1, 2, 3])
     pool = VertexSet.interval(1, 1024).minus(base.elements)
     sigma = math.sqrt(len(pool) * (1 / 8) * (7 / 8))
-    sizes = np.bincount(type_keys(o, base.as_array, pool.as_array), minlength=8)
+    sizes = np.bincount(row_type_keys(o, base.as_array, pool.as_array), minlength=8)
     assert len(sizes) == 8
     for size in sizes.tolist():
         assert abs(size - len(pool) / 8) <= 4 * sigma
@@ -205,10 +204,70 @@ def test_extension_overcrowded_base_reports_none():
 
 
 def test_extension_base_is_capped_before_any_allocation():
-    """A bound of 10^13 candidates could not be allocated: the cap is checked first."""
+    """A bound of 10^13 candidates could not be allocated: the cap is checked
+    first.  Below the cap, a key of one bit per base vertex fits an int64."""
+    assert EXTENSION_BASE_CAP < 63
     for size in (EXTENSION_BASE_CAP + 1, 45):
         with pytest.raises(ValueError, match="extension base size %d exceeds EXTENSION_BASE_CAP = 20$" % size):
             extension_check(EdgeOracle(1), VertexSet.interval(1, size), 10**13)
+
+
+@st.composite
+def extension_cases(draw):
+    """(f, bound): a base of 0-6 vertices anywhere in [1, bound], in any order."""
+    bound = draw(st.integers(0, 300))
+    size = draw(st.integers(0, min(6, bound)))
+    return draw(st.lists(st.integers(1, max(bound, 1)), min_size=size, max_size=size, unique=True)), bound
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from(["1/3", "1/2", "3/4", "1"]), extension_cases(),
+       st.sampled_from([1, 3, 16]))
+@example(1, "1/2", ([1, 2, 3], 300), 1)
+@example(4, "1", ([1, 2, 3], 100), 16)
+@example(1, "1/3", ([], 0), 1)
+def test_extension_witnesses_match_the_least_witness_reference(seed, p, case, cap):
+    """Chunks of 1, 3 or 16 candidates: the scan stops after the chunk that
+    witnesses the last type, and every witness is still the least."""
+    f, bound = case
+    o = EdgeOracle(seed, p)
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        rep = extension_check(o, VertexSet.from_iterable(f), bound)
+    base = sorted(f)
+    assert rep["f"] == base
+    assert [t["mask"] for t in rep["types"]] == [TypeSpec(tuple(base), m).bits for m in range(1 << len(f))]
+    assert [t["witness"] for t in rep["types"]] == least_witnesses(o, base, bound)
+    assert rep["pass"] == all(t["witness"] is not None for t in rep["types"])
+
+
+@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("p, k", [("1/2", 12), ("1/3", 12), ("1/2", 3)])
+def test_extension_matches_whole_pool_keys_at_chunk_edges(size, p, k):
+    """F lies in the last chunk; at p = 1/3 the rarest of 2^12 types is never
+    witnessed, so every chunk is keyed."""
+    o = EdgeOracle(size, p)
+    f = VertexSet.interval(size - k + 1, size)
+    cands = np.arange(1, size - k + 1, dtype=np.int64)
+    masks, idx = np.unique(row_type_keys(o, f.as_array, cands), return_index=True)
+    want = [None] * (1 << k)
+    for m, i in zip(masks.tolist(), idx.tolist()):
+        want[m] = i + 1
+    assert [t["witness"] for t in extension_check(o, f, size)["types"]] == want
+
+
+def test_extension_stops_after_the_chunk_that_witnesses_every_type():
+    """All 8 types over 3 base vertices appear in the first chunk, so that is
+    the only one keyed, out of 99,997 candidates."""
+    evals = []
+    edge_grid = EdgeOracle.edge_grid
+
+    def counted(self, us, pool):
+        evals.append(len(us) * len(pool))
+        return edge_grid(self, us, pool)
+
+    with mock.patch.object(EdgeOracle, "edge_grid", counted):
+        rep = extension_check(EdgeOracle(1), VertexSet.interval(1, 3), 100000)
+    assert rep["pass"] and sum(evals) <= 3 * _CHUNK
 
 
 def test_extension_base_outside_bound():
@@ -264,25 +323,6 @@ def test_stream_matrix_blocks_many_short_rows(seed, ntags, tag0):
     """Ten columns a row, as in a trial matrix: a block holds many rows."""
     tags = np.uint64(tag0) + np.arange(ntags, dtype=np.uint64)
     assert np.array_equal(stream_matrix(seed, tags, 10), whole_stream_matrix(seed, tags, 10))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.sampled_from(["1/2", "1/3"]), st.integers(1, 62),
-       CHUNK_EDGES | st.integers(0, 3 * _CHUNK), st.integers(0, 2**32), st.booleans())
-@example(1, "1/2", 62, _CHUNK + 1, 7, True)
-@example(1, "1/2", 1, _CHUNK, 7, False)
-def test_type_keys_match_whole_pool_reference(seed, p, k, size, draw, high):
-    """Pools straddle chunk boundaries; ``high`` puts the pool at 2^63 and
-    above, as uint64."""
-    rng = np.random.default_rng(draw)
-    lo = 2**64 - 4 * size - 66 if high else 1
-    pool = np.unique(rng.integers(lo, lo + 4 * size + 1, size, dtype=np.uint64 if high else np.int64))
-    base = rng.choice(np.arange(lo, lo + 4 * size + 64, dtype=pool.dtype), k, replace=False)
-    pool = np.setdiff1d(pool, base)
-    o = EdgeOracle(seed, p)
-    keys = type_keys(o, base, pool)
-    assert keys.dtype == np.int64
-    assert np.array_equal(keys, row_type_keys(o, base, pool))
 
 
 def test_streams_do_not_alias_ambient_edges():

@@ -1,8 +1,8 @@
 """Property tests of the array-native fast paths against pure-Python
 references written here: VertexSet against a tuple-backed set, thickness
-and run notation against element loops, type keys against scalar edges.
-The induced-pattern matcher (the induced-copy search, anchored or not and
-listing every copy, and the Monte Carlo estimate built on it) is checked
+and run notation against element loops.  The induced-pattern matcher (the
+induced-copy search, anchored or not and listing every copy, and the
+Monte Carlo estimate built on it) is checked
 against exhaustive search, and so are greedy and exact pattern-free
 growth.  Also pins the names the benchmark tracer wraps by name, every
 radolab name the benchmark reads, that every library name has a caller,
@@ -28,7 +28,7 @@ from radolab.audit import _exact_gfree, _greedy_gfree
 from radolab.graphs import FiniteGraph, canonical_form, empty_graph, enumerate_unlabeled, find_induced
 from radolab.largeness import WeightFunction, pi02_force, substantial_family, thickness
 from radolab.mc import _trial_graph_bits, mc_gfree_probability
-from radolab.oracle import EdgeOracle, type_keys
+from radolab.oracle import EdgeOracle
 from radolab.sets import VertexSet, format_runs, parse_runs
 
 
@@ -159,24 +159,6 @@ def test_format_and_parse_runs_match_reference(a):
     text = ",".join(str(lo) if lo == hi else "%d-%d" % (lo, hi) for lo, hi in ref_runs(a.elements))
     assert format_runs(a) == text
     assert parse_runs(text, a.prefix_bound) == a
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.sampled_from(["1/2", "1/3", "3/4"]),
-       st.lists(st.integers(1, 200), min_size=0, max_size=9, unique=True),
-       st.sets(st.integers(1, 300), max_size=40))
-def test_type_keys_match_scalar_edges(seed, p, base, pool):
-    o = EdgeOracle(seed, p)
-    pool = np.array(sorted(set(pool) - set(base)), dtype=np.int64)
-    keys = type_keys(o, base, pool)
-    assert keys.dtype == np.int64 and len(keys) == len(pool)
-    for key, v in zip(keys.tolist(), pool.tolist()):
-        assert key == sum(o.edge(b, v) << i for i, b in enumerate(base))
-
-
-def test_type_keys_cap_base_size():
-    with pytest.raises(ValueError):
-        type_keys(EdgeOracle(1), range(1, 64), np.arange(100, 110))
 
 
 def graphs_on(n_min, n_max):
