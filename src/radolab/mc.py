@@ -32,9 +32,10 @@ from .oracle import (
     TAG_TRIAL_GRAPHS,
     EdgeOracle,
     TypeSpec,
+    _stream_blocks,
+    _verdict_for,
     probability_threshold,
     stream_matrix,
-    stream_values,
     type_class,
 )
 from .sets import VertexSet
@@ -213,9 +214,11 @@ def sample_mu_p(p, bound: int, seed: int) -> VertexSet:
     if not 0 < frac < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     check_limit(bound, STREAM_ENTRIES_CAP, "STREAM_ENTRIES_CAP", "mu_p stream of %d entries" % bound)
-    thresh = np.uint64(probability_threshold(frac))
-    vals = stream_values(seed, TAG_MU_P, bound)
-    return VertexSet(np.flatnonzero(vals < thresh) + 1, bound)
+    steps, limit = _verdict_for(probability_threshold(frac))
+    # each block of the stream is compared as it is filled; only the members are kept
+    blocks = _stream_blocks(seed, [TAG_MU_P], bound, steps)
+    members = [np.flatnonzero(z[0] <= limit) + (lo + 1) for _, lo, z in blocks]
+    return VertexSet(np.concatenate(members) if members else np.empty(0, dtype=np.int64), bound)
 
 
 def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: int) -> dict:
@@ -228,9 +231,8 @@ def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: i
     total = len(pool)
     if total == 0:
         raise ValueError("no vertices beyond the base within the bound")
-    indicator = np.zeros(total, dtype=bool)
-    indicator[type_class(oracle, f.as_array, t.mask, pool) - start] = True
-    count = int(indicator.sum())
+    members = type_class(oracle, f.as_array, t.mask, pool)
+    count = len(members)
     freq = count / total
     # class probability is a product over mask bits (2^-|F| at p = 1/2)
     pe = float(oracle.edge_probability)
@@ -241,7 +243,12 @@ def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: i
     z = (freq - p) / sigma if sigma else 0.0
     n1 = count
     n0 = total - count
-    runs = 1 + int((indicator[1:] != indicator[:-1]).sum()) if total > 1 else 1
+    # the runs of members and non-members along the pool: 1 + every edge of
+    # a block of consecutive members that lies strictly inside the pool
+    runs = 1
+    if count:
+        blocks = 1 + int(np.count_nonzero(np.diff(members) > 1))
+        runs += 2 * blocks - (int(members[0]) == start) - (int(members[-1]) == bound)
     runs_expected = 1 + 2 * n1 * n0 / total
     runs_var = (runs_expected - 1) * (runs_expected - 2) / (total - 1) if total > 1 else 0.0
     runs_z = (runs - runs_expected) / math.sqrt(runs_var) if runs_var > 0 else 0.0

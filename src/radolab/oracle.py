@@ -57,18 +57,59 @@ def rotl64(x: int, k: int) -> int:
 # the short arrays of a type_class filter, making them per call costs more
 # than a pass.
 _MIX_STEPS = ((np.uint64(30), np.uint64(_MIX_MUL_1)), (np.uint64(27), np.uint64(_MIX_MUL_2)), (np.uint64(31), None))
+_U32 = np.uint64(32)
+_GOLDEN = np.uint64(GOLDEN)
 
 
-def _mix64_np(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+def _mix64_np(z: np.ndarray, tmp: np.ndarray | None = None, steps=_MIX_STEPS) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array, in place, with an optional
-    scratch array of z's shape; returns z."""
+    scratch array of z's shape; returns z.  ``steps`` may leave out the
+    last step (see ``_verdict_for``)."""
     tmp = np.empty_like(z) if tmp is None else tmp
-    for shift, mul in _MIX_STEPS:
+    for shift, mul in steps:
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         if mul is not None:
             z *= mul
     return z
+
+
+def _verdict_for(threshold: int) -> tuple[tuple, np.uint64]:
+    """The finalizer steps a verdict needs and the bound L it compares with:
+    (h >> 11) < T  iff  h <= L = T * 2^11 - 1, which fits 64 bits as
+    T <= 2^53.  mix64's last step, z ^= z >> 31, changes only the low 33
+    bits of z; when T is a multiple of 2^22 (p = m/2^31, the default 1/2
+    among them), T * 2^11 is one of 2^33, so the step cannot carry z across
+    it and the verdict is read from z before it."""
+    steps = _MIX_STEPS[:2] if threshold % (1 << 22) == 0 else _MIX_STEPS
+    return steps, np.uint64((threshold << 11) - 1)
+
+
+def _as_u64(a: np.ndarray) -> np.ndarray:
+    """An array of 64-bit integers as uint64: a view, not a copy, of an
+    int64 array; other dtypes are cast."""
+    return a.view(np.uint64) if a.dtype.kind in "iu" and a.dtype.itemsize == 8 else a.astype(np.uint64)
+
+
+def _rotl32(v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """rotl(v, 32) of the sorted uint64 array v into out, with scratch tmp;
+    when v ends below 2^32 that is v << 32, one pass."""
+    np.left_shift(v, _U32, out=out)
+    if len(v) and v[-1] >> _U32:
+        np.right_shift(v, _U32, out=tmp)
+        out |= tmp
+
+
+def _key_row(pool: np.ndarray, c: int, key: np.ndarray, tmp: np.ndarray) -> None:
+    """The canonical pair keys of vertex c against the sorted uint64 pool,
+    into key (of pool's length); tmp is scratch of the same length.  Below
+    c's split the pool vertex is the pair's smaller one, so a key is
+    v * GOLDEN ^ rotl(c, 32), and above it rotl(v, 32) ^ c * GOLDEN."""
+    i = int(pool.searchsorted(np.uint64(c)))
+    np.multiply(pool[:i], _GOLDEN, out=key[:i])
+    key[:i] ^= np.uint64(rotl64(c, 32))
+    _rotl32(pool[i:], key[i:], tmp[i:])
+    key[i:] ^= np.uint64((c * GOLDEN) & MASK64)
 
 
 # Pair keys per kernel pass: a pass's scratch arrays stay in a 4 MiB L2.
@@ -122,34 +163,39 @@ class EdgeOracle:
         wraps it by name; radolab itself calls ``edge_pairs``."""
         return self.edge_pairs(u, vs)
 
-    def _edge_bits(self, key: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-        """Finish the recipe on canonical pair keys (overwritten) into out;
-        tmp is scratch of key's shape."""
+    @cached_property
+    def _verdict(self) -> tuple[tuple, np.uint64]:
+        return _verdict_for(self._threshold)
+
+    def _edge_bits(self, key: np.ndarray, out: np.ndarray, tmp: np.ndarray, want: bool = True) -> None:
+        """Finish the recipe on canonical pair keys (overwritten) into out:
+        True where the edge is present, or with ``want`` False where it is
+        absent; tmp is scratch of key's shape."""
+        steps, limit = self._verdict
         _mix64_np(key, tmp)
         key ^= np.uint64(self.seed)
-        _mix64_np(key, tmp)
-        # (h >> 11) < T  iff  h <= T * 2^11 - 1, which fits 64 bits as T <= 2^53
-        np.less_equal(key, np.uint64((self._threshold << 11) - 1), out=out)
+        _mix64_np(key, tmp, steps)
+        (np.less_equal if want else np.greater)(key, limit, out=out)
 
     def edge_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Elementwise edges for paired (broadcast) 1-D vertex arrays; exact
-        match of edge().  Each chunk is cast to uint64 in reused scratch, so
-        int64 views cost no full-array copy and vertices >= 2^63 stay exact."""
-        us, vs = np.broadcast_arrays(us, vs)
+        match of edge().  int64 inputs are read through uint64 views, so
+        they cost no copy and vertices >= 2^63 stay exact; the keys are
+        built _CHUNK pairs at a time in one reused scratch block."""
+        us, vs = (_as_u64(a) for a in np.broadcast_arrays(us, vs))
         out = np.empty(us.shape, dtype=bool)
         scratch = np.empty((3, min(len(us), _CHUNK)), dtype=np.uint64)
         for lo in range(0, len(us), _CHUNK):
-            a, b, key = scratch[:, : min(_CHUNK, len(us) - lo)]
-            np.copyto(a, us[lo : lo + _CHUNK], casting="unsafe")
-            np.copyto(b, vs[lo : lo + _CHUNK], casting="unsafe")
+            a, b = us[lo : lo + _CHUNK], vs[lo : lo + _CHUNK]
+            key, high, tmp = scratch[:, : len(a)]
             np.minimum(a, b, out=key)
-            np.maximum(a, b, out=b)
-            key *= np.uint64(GOLDEN)
-            np.left_shift(b, np.uint64(32), out=a)
-            b >>= np.uint64(32)
-            key ^= a
-            key ^= b
-            self._edge_bits(key, out[lo : lo + _CHUNK], a)
+            np.maximum(a, b, out=high)
+            key *= _GOLDEN
+            np.left_shift(high, _U32, out=tmp)
+            high >>= _U32
+            key ^= tmp
+            key ^= high
+            self._edge_bits(key, out[lo : lo + len(a)], tmp)
         return out
 
     def edge_grid(self, us, pool_sorted: np.ndarray) -> np.ndarray:
@@ -157,8 +203,10 @@ class EdgeOracle:
         matrix.  Bit-identical to edge_pairs; the sortedness lets the pair
         canonicalization be precomputed once per pool chunk, each half only
         where some row needs it: the pool below the largest split of the
-        rows as a pair's smaller vertex, above the smallest as its larger."""
-        pool = np.asarray(pool_sorted, dtype=np.uint64)
+        rows as a pair's smaller vertex, above the smallest as its larger.
+        An int64 pool is read through a uint64 view, and every chunk works
+        in one scratch block made once per call."""
+        pool = _as_u64(np.asarray(pool_sorted))
         # the split is searched in uint64: an int64 pool would meet c >= 2^63 in float64
         rows = [
             (np.uint64(rotl64(c, 32)), np.uint64((c * GOLDEN) & MASK64), int(pool.searchsorted(np.uint64(c))))
@@ -167,20 +215,42 @@ class EdgeOracle:
         out = np.empty((len(rows), len(pool)), dtype=bool)
         splits = [split for _, _, split in rows]
         first, last = min(splits, default=0), max(splits, default=0)
+        scratch = np.empty((4, min(len(pool), _CHUNK)), dtype=np.uint64)
         for lo in range(0, len(pool), _CHUNK):
             part = pool[lo : lo + _CHUNK]
             below = min(max(last - lo, 0), len(part))
             above = min(max(first - lo, 0), len(part))
-            part_g = part[:below] * np.uint64(GOLDEN)
-            high = part[above:]
-            part_rot = (high << np.uint64(32)) | (high >> np.uint64(32))
-            key, tmp = np.empty_like(part), np.empty_like(part)
+            part_g, part_rot, key, tmp = scratch[:, : len(part)]
+            np.multiply(part[:below], _GOLDEN, out=part_g[:below])
+            part_rot = part_rot[above:]
+            _rotl32(part[above:], part_rot, tmp[above:])
             for row, (c_rot, c_g, split) in enumerate(rows):
                 i = min(max(split - lo, 0), len(part))  # pool[:split] < c
                 np.bitwise_xor(part_g[:i], c_rot, out=key[:i])
                 np.bitwise_xor(part_rot[i - above :], c_g, out=key[i:])
                 self._edge_bits(key, out[row, lo : lo + len(part)], tmp)
         return out
+
+
+def _stream_blocks(seed: int, tags: np.ndarray, count: int, steps=_MIX_STEPS):
+    """The counter streams of stream_matrix, before their final ``>> 11``,
+    in blocks of at most _CHUNK counters (rows x columns): yields
+    (first row, first column, block), the block a view of scratch that the
+    next block overwrites.  A block is whole rows (then it has every
+    column) or part of one row, so it is contiguous.  ``steps`` may leave
+    out mix64's last step (see ``_verdict_for``)."""
+    tags = np.asarray(tags, dtype=np.uint64)
+    keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags * _GOLDEN))
+    cols = min(max(count, 1), _CHUNK)
+    rows = _CHUNK // cols
+    steps_g = np.arange(1, cols + 1, dtype=np.uint64) * _GOLDEN
+    scratch = np.empty((2, min(rows, len(tags)), cols), dtype=np.uint64)
+    for r0 in range(0, len(tags), rows):
+        block_keys = keys[r0 : r0 + rows]
+        for lo in range(0, count, cols):
+            z, tmp = scratch[:, : len(block_keys), : count - lo]
+            np.add((block_keys + np.uint64(lo * GOLDEN & MASK64))[:, None], steps_g[: z.shape[1]], out=z)
+            yield r0, lo, _mix64_np(z, tmp, steps)
 
 
 def stream_matrix(seed: int, tags: np.ndarray, count: int) -> np.ndarray:
@@ -190,25 +260,12 @@ def stream_matrix(seed: int, tags: np.ndarray, count: int) -> np.ndarray:
 
     Independent of the ambient edge PRF: a different derivation chain is
     used, so Monte Carlo trial graphs never alias ambient edges.  Filled
-    in blocks of at most _CHUNK counters (rows x columns) through two
-    reused scratch arrays; every value depends only on its counter, so the
-    blocking leaves the matrix unchanged.
+    from ``_stream_blocks``; every value depends only on its counter, so
+    the blocking leaves the matrix unchanged.
     """
-    tags = np.asarray(tags, dtype=np.uint64)
-    keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags * np.uint64(GOLDEN)))
     out = np.empty((len(tags), count), dtype=np.uint64)
-    cols = min(max(count, 1), _CHUNK)
-    rows = _CHUNK // cols
-    steps = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    # a block is whole rows (then it has every column) or part of one row,
-    # so each slice of the scratch below is contiguous
-    scratch = np.empty((2, min(rows, len(tags)), cols), dtype=np.uint64)
-    for r0 in range(0, len(tags), rows):
-        block_keys = keys[r0 : r0 + rows]
-        for lo in range(0, count, cols):
-            z, tmp = scratch[:, : len(block_keys), : count - lo]
-            np.add((block_keys + np.uint64(lo * GOLDEN & MASK64))[:, None], steps[: z.shape[1]], out=z)
-            np.right_shift(_mix64_np(z, tmp), np.uint64(11), out=out[r0 : r0 + len(block_keys), lo : lo + cols])
+    for r0, lo, z in _stream_blocks(seed, tags, count):
+        np.right_shift(z, np.uint64(11), out=out[r0 : r0 + z.shape[0], lo : lo + z.shape[1]])
     return out
 
 
@@ -255,21 +312,32 @@ def type_class(oracle: EdgeOracle, base: Sequence[int], mask: int, vertices: np.
     """The vertices of the sorted array whose type over ``base`` is ``mask``
     (bit i: an edge to base[i]), ascending; a vertex that lies in base is
     kept or dropped unspecifiedly.  Early rejection, _CHUNK vertices at a
-    time: each base vertex makes one ``edge_grid`` row over the chunk's
-    survivors, which are then compressed to the matching ones, and a chunk
-    stops once none is left.  Every edge is an independent PRF value, so
-    the skipped ones change nothing."""
+    time: each base vertex keys the chunk's survivors (``_key_row``, read
+    through a uint64 view) and verdicts them for the wanted side, and the
+    survivors are compressed to the matching ones; a chunk stops once none
+    is left.  Keys and verdicts live in scratch made once per call.
+    Every edge is an independent PRF value, so the skipped ones
+    change nothing."""
     vertices = np.asarray(vertices)
+    if vertices.dtype.kind not in "iu" or vertices.dtype.itemsize != 8:
+        vertices = vertices.astype(np.int64)
     wanted = [bool(mask >> i & 1) for i in range(len(base))]
+    size = min(len(vertices), _CHUNK)
+    key, tmp = np.empty((2, size), dtype=np.uint64)
+    keep = np.empty(size, dtype=bool)
     parts = []
     for lo in range(0, len(vertices), _CHUNK):
-        survivors = vertices[lo : lo + _CHUNK]
-        for u, want in zip(base, wanted):
-            if not len(survivors):
+        survivors = _as_u64(vertices[lo : lo + _CHUNK])
+        for u, want in zip(map(int, base), wanted):
+            n = len(survivors)
+            if not n:
                 break
-            survivors = np.compress(oracle.edge_grid([u], survivors)[0] == want, survivors)
+            _key_row(survivors, u, key[:n], tmp[:n])
+            oracle._edge_bits(key[:n], keep[:n], tmp[:n], want)
+            # no out=: compress would then copy through a temporary as well
+            survivors = np.compress(keep[:n], survivors)
         parts.append(survivors)
-    return np.concatenate(parts) if parts else vertices[:0]
+    return np.concatenate(parts).view(vertices.dtype) if parts else vertices[:0]
 
 
 # Adjacency rows per edge_grid call: the boolean block stays small however

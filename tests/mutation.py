@@ -75,6 +75,20 @@ MUTANTS = [
         ("tests/test_mc.py::test_density_star_trial_values_match_type_keys",),
     ),
     Mutant(
+        "sample_mu_p: a block's members numbered from the stream's start",
+        "mc.py",
+        "+ (lo + 1)",
+        "+ 1",
+        ("tests/test_mc.py::test_mu_p_members_match_the_whole_stream",),
+    ),
+    Mutant(
+        "type_frequency_check: a member block that ends the pool counted with two edges",
+        "mc.py",
+        "(int(members[-1]) == bound)",
+        "(int(members[-1]) == bound + 1)",
+        ("tests/test_mc.py::test_type_frequency_count_and_runs_match_the_indicator",),
+    ),
+    Mutant(
         "WeightFunction.crossing: >= instead of >",
         "largeness.py",
         "np.flatnonzero(sums > level)",
@@ -113,15 +127,29 @@ MUTANTS = [
     Mutant(
         "type_class: the rejected side kept",
         "oracle.py",
-        "oracle.edge_grid([u], survivors)[0] == want",
-        "oracle.edge_grid([u], survivors)[0] != want",
+        "oracle._edge_bits(key[:n], keep[:n], tmp[:n], want)",
+        "oracle._edge_bits(key[:n], keep[:n], tmp[:n], not want)",
         ("tests/test_oracle.py::test_type_class_matches_type_keys_and_scalar_edges",),
     ),
     Mutant(
-        "_edge_bits: the threshold compared at the wrong scale",
+        "_rotl32: a vertex of 2^32 or more keyed as v << 32",
         "oracle.py",
-        "np.uint64((self._threshold << 11) - 1)",
-        "np.uint64((self._threshold << 10) - 1)",
+        "if len(v) and v[-1] >> _U32:",
+        "if False:",
+        ("tests/test_oracle.py::test_type_class_rows_below_inside_and_above_match_scalar_edges",),
+    ),
+    Mutant(
+        "_verdict_for: mix64's last step skipped where T is a multiple of 2^21 only",
+        "oracle.py",
+        "threshold % (1 << 22) == 0",
+        "threshold % (1 << 21) == 0",
+        ("tests/test_oracle.py::test_verdicts_at_the_threshold_match_scalar_edges",),
+    ),
+    Mutant(
+        "_verdict_for: the threshold compared at the wrong scale",
+        "oracle.py",
+        "np.uint64((threshold << 11) - 1)",
+        "np.uint64((threshold << 10) - 1)",
         ("tests/test_oracle.py::test_scalar_vector_agreement",),
     ),
     Mutant(
@@ -155,8 +183,8 @@ MUTANTS = [
     Mutant(
         "stream_matrix: tags shifted by one",
         "oracle.py",
-        "_mix64_np(tags * np.uint64(GOLDEN))",
-        "_mix64_np((tags + np.uint64(1)) * np.uint64(GOLDEN))",
+        "_mix64_np(tags * _GOLDEN)",
+        "_mix64_np((tags + np.uint64(1)) * _GOLDEN)",
         ("tests/test_oracle.py::test_stream_matrix_matches_whole_array_reference",),
     ),
     Mutant(

@@ -9,7 +9,7 @@ import numpy as np
 from radolab.constructions import ForcingFailed, TypeClassEmpty
 from radolab.graphs import GRAPH6_HEADER, FiniteGraph, Graph6Error
 from radolab.largeness import pi02_force
-from radolab.oracle import GOLDEN, _mix64_np
+from radolab.oracle import _MIX_MUL_1, _MIX_MUL_2, GOLDEN, MASK64, _mix64_np, mix64, rotl64
 from radolab.sets import VertexSet
 
 
@@ -20,6 +20,21 @@ def whole_stream_matrix(seed: int, tags, count: int) -> np.ndarray:
     keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags * np.uint64(GOLDEN)))
     idx = np.arange(1, count + 1, dtype=np.uint64)
     return _mix64_np(keys[:, None] + idx[None, :] * np.uint64(GOLDEN)) >> np.uint64(11)
+
+
+def seed_with_outer_z(u: int, v: int, z: int) -> int:
+    """The ambient seed under which the outer mix64 of the pair {u, v}
+    holds z just before its last step, z ^= z >> 31: the finalizer's first
+    two steps run backwards from z (each multiplier is odd, so invertible
+    mod 2^64, and y = x ^ (x >> s) gives x back by iterating
+    x = y ^ (x >> s)), and the pair's inner mix64 is XORed off."""
+    for shift, mul in ((27, _MIX_MUL_2), (30, _MIX_MUL_1)):
+        y = z * pow(mul, -1, 1 << 64) & MASK64
+        z = y
+        for _ in range(64 // shift + 1):
+            z = y ^ (z >> shift)
+    a, b = min(u, v), max(u, v)
+    return z ^ mix64(((a * GOLDEN) & MASK64) ^ rotl64(b, 32))
 
 
 def row_type_keys(oracle, base, pool) -> np.ndarray:

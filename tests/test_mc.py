@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import complement, gfree_flags, row_type_keys
+from reference import complement, gfree_flags, row_type_keys, whole_stream_matrix
 
 from radolab import oracle
 from radolab.graphs import (
@@ -33,7 +33,15 @@ from radolab.mc import (
     sample_mu_p,
     type_frequency_check,
 )
-from radolab.oracle import TAG_TRIAL_GRAPHS, EdgeOracle, TypeSpec, stream_values
+from radolab.oracle import (
+    _CHUNK,
+    TAG_MU_P,
+    TAG_TRIAL_GRAPHS,
+    EdgeOracle,
+    TypeSpec,
+    probability_threshold,
+    stream_values,
+)
 from radolab.sets import VertexSet
 
 
@@ -304,7 +312,51 @@ def test_mu_p_quarter_band():
     assert abs(len(vs) - 2500) <= 3 * sigma
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from(["1/2", "1/3", "3/4", "1234567891/2147483648"]),
+       st.sampled_from([1, 3, 16, _CHUNK]), st.sampled_from([-1, 0, 1]), st.integers(1, 3))
+@example(1, "1/2", _CHUNK, -1, 1)
+@example(1, "1/3", _CHUNK, 1, 2)
+def test_mu_p_members_match_the_whole_stream(seed, p, cap, edge, blocks):
+    """The stream is compared block by block as it is filled; the members
+    are those of the whole stream, at bounds of a block edge and one
+    either side."""
+    bound = max(blocks * cap + edge, 0)
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        got = sample_mu_p(p, bound, seed)
+    stream = whole_stream_matrix(seed, [TAG_MU_P], bound)[0]
+    want = np.flatnonzero(stream < probability_threshold(Fraction(p))) + 1
+    assert got.prefix_bound == bound and np.array_equal(got.as_array, want)
+
+
 # --- type frequency ------------------------------------------------------------------
+
+def _indicator_typefreq(o, f, mask, bound):
+    """count and runs from a boolean indicator over the whole pool, as the
+    runs test defines them."""
+    pool = np.arange(f[-1] + 1, bound + 1, dtype=np.int64)
+    indicator = row_type_keys(o, f, pool) == mask
+    runs = 1 + int((indicator[1:] != indicator[:-1]).sum()) if len(pool) > 1 else 1
+    return int(indicator.sum()), runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from(["1/2", "1/3", "3/4"]), st.integers(1, 4),
+       st.integers(1, 60), st.integers(0, 15), st.sampled_from([1, 3, 16]))
+@example(0, "1/2", 1, 1, 0, 1)
+def test_type_frequency_count_and_runs_match_the_indicator(seed, p, k, width, mask, cap):
+    """Counted from the sorted class members alone: a member block at
+    either end of the pool has one edge inside it, any other two.  Pools of
+    1-60 vertices make end blocks and single-vertex pools common."""
+    o = EdgeOracle(seed, p)
+    f = VertexSet.interval(1, k)
+    mask &= (1 << k) - 1
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        r = type_frequency_check(o, f, TypeSpec(f.elements, mask), k + width)
+    count, runs = _indicator_typefreq(o, f.as_array, mask, k + width)
+    assert (r["total"], r["count"], r["runs"]["observed"]) == (width, count, runs)
+    assert type(r["runs"]["observed"]) is int and type(r["count"]) is int
+
 
 def test_type_frequency_expected_sixteenth():
     o = EdgeOracle(1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import least_witnesses, row_type_keys, whole_stream_matrix
+from reference import least_witnesses, row_type_keys, seed_with_outer_z, whole_stream_matrix
 
 from radolab import oracle
 from radolab.limits import EXTENSION_BASE_CAP
@@ -401,6 +401,98 @@ def test_type_class_matches_type_keys_and_scalar_edges(seed, p, case, mask, cap)
         want = [v for v in vertices if all(o.edge(b, v) == bool(mask >> i & 1) for i, b in enumerate(base))]
     assert got.tolist() == want
     assert pick is None or vertices[pick] in want
+
+
+# sorted vertex ranges of type_class's survivors: small ones, ones across
+# 2^32 (where rotl(v, 32) stops being v << 32) and ones at the top of uint64
+SURVIVOR_RANGES = {"small": (10, 300), "2^32": (2**32 - 40, 2**32 + 40), "top": (2**64 - 300, 2**64 - 1)}
+
+
+@st.composite
+def type_class_rows_cases(draw):
+    """(base, vertices): 1-5 base vertices, each below, inside (a
+    non-member between the least and the largest vertex) or above the
+    sorted vertices, which lie in one of SURVIVOR_RANGES."""
+    lo, hi = SURVIVOR_RANGES[draw(st.sampled_from(sorted(SURVIVOR_RANGES)))]
+    vertices = sorted(draw(st.sets(st.integers(lo, hi), min_size=1, max_size=80)))
+    gaps = sorted(set(range(vertices[0], vertices[-1])) - set(vertices))
+    picks = {
+        "below": st.integers(1, vertices[0] - 1),
+        "inside": st.sampled_from(gaps or [0]),
+        "above": st.integers(vertices[-1] + 1, 2**64 - 1),
+    }
+    wheres = [w for w in picks if (w != "inside" or gaps) and (w != "above" or vertices[-1] < 2**64 - 1)]
+    base = draw(st.lists(st.sampled_from(wheres).flatmap(picks.get), min_size=1, max_size=5, unique=True))
+    return base, vertices
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**64 - 1), THREE_COINS, type_class_rows_cases(), st.integers(0, 31), SMALL_CHUNKS)
+@example(7, "1/2", ([5, 2**40], list(range(2**32 - 3, 2**32 + 3))), 0b10, 3)
+def test_type_class_rows_below_inside_and_above_match_scalar_edges(seed, p, case, mask, cap):
+    """Each base vertex keys the survivors as their larger vertex below its
+    split and their smaller one above it; the class equals the one read
+    from scalar edges, whichever side of the survivors a base vertex lies."""
+    o = EdgeOracle(seed, p)
+    base, vertices = case
+    mask &= (1 << len(base)) - 1
+    arr = np.array(vertices, dtype=np.uint64 if vertices[-1] >= 2**63 else np.int64)
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        got = type_class(o, base, mask, arr)
+    assert got.dtype == arr.dtype
+    want = [v for v in vertices if all(o.edge(b, v) == bool(mask >> i & 1) for i, b in enumerate(base))]
+    assert got.tolist() == want
+
+
+# the default coin, three coins whose threshold T is no multiple of 2^22,
+# p = 1, one p = m/2^31 and p = 1 - 2^-32, whose T is a multiple of 2^21 only
+VERDICT_COINS = [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 3), Fraction(1),
+                 Fraction(1234567891, 2**31), Fraction(2**32 - 1, 2**32)]
+
+
+@pytest.mark.parametrize("p", VERDICT_COINS)
+def test_verdicts_match_scalar_edges_at_every_coin(p):
+    """Where T is a multiple of 2^22 the kernels read the verdict before
+    mix64's last step; every batched path must still equal scalar edge."""
+    early = probability_threshold(p) % (1 << 22) == 0
+    assert early == (p in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(1234567891, 2**31)))
+    o = EdgeOracle(2024, p)
+    rng = np.random.default_rng(5)
+    us = rng.integers(1, 2**40, 400)
+    vs = rng.integers(1, 2**40, 400)
+    want = [o.edge(int(u), int(v)) for u, v in zip(us, vs)]
+    assert o.edge_pairs(us, vs).tolist() == want
+    pool = np.unique(vs)
+    base = [int(u) for u in us[:6]]
+    assert o.edge_grid(base, pool).tolist() == [[o.edge(u, int(v)) for v in pool] for u in base]
+    for mask in (0, 0b101101, 0b111111):
+        expected = [v for v in pool.tolist() if all(o.edge(b, v) == bool(mask >> i & 1) for i, b in enumerate(base))]
+        assert type_class(o, base, mask, pool).tolist() == expected
+
+
+@pytest.mark.parametrize("p", [Fraction(2**31 - 1, 2**31), Fraction(1, 2), Fraction(2**32 - 1, 2**32)])
+def test_verdicts_at_the_threshold_match_scalar_edges(p):
+    """Seeds made so that the pair {3, 10}'s outer mix64 holds z right at
+    the bound L = T * 2^11 before its last step, and, at p = 1 - 2^-32,
+    where that step carries z across the bound: there T is a multiple of
+    2^21 but not of 2^22, so reading the verdict early would be wrong."""
+    t = probability_threshold(p)
+    bound = t << 11
+    zs = [bound - 2, bound - 1, bound % 2**64, (bound + 1) % 2**64, (bound - 1) ^ (1 << 32) - 1]
+    if p == Fraction(2**32 - 1, 2**32):
+        # top 31 bits set and bit 32 clear: z < L, yet z ^ (z >> 31) >= L
+        flip = 2**64 - 2**33 + 12345
+        assert flip < bound <= flip ^ (flip >> 31)
+        zs.append(flip)
+    for z in zs:
+        o = EdgeOracle(seed_with_outer_z(3, 10, z), p)
+        want = o.edge(3, 10)
+        assert want == ((z ^ (z >> 31)) >> 11 < t)
+        assert o.edge_pairs(np.array([3, 10]), np.array([10, 3])).tolist() == [want, want]
+        assert o.edge_grid([3, 10], np.array([3, 10])).tolist()[0][1] == want
+        # 10 above the base vertex 3, and 3 below 10, each on either side
+        assert type_class(o, [3], 1, np.array([10])).tolist() == ([10] if want else [])
+        assert type_class(o, [10], 0, np.array([3])).tolist() == ([] if want else [3])
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(1)])
