@@ -32,15 +32,10 @@ from .oracle import (
     TAG_TRIAL_GRAPHS,
     EdgeOracle,
     TypeSpec,
-    _stream_blocks,
-    _verdict_for,
-    probability_threshold,
-    stream_matrix,
+    stream_bits,
     type_class,
 )
 from .sets import VertexSet
-
-_FAIR_BIT_THRESHOLD = np.uint64(probability_threshold(Fraction(1, 2)))
 
 
 def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> dict:
@@ -114,7 +109,7 @@ def _trial_graph_bits(seed: int, trials: int, npairs: int) -> np.ndarray:
     entries = trials * npairs
     check_limit(entries, STREAM_ENTRIES_CAP, "STREAM_ENTRIES_CAP", "trial-graph stream of %d entries" % entries)
     tags = TAG_TRIAL_GRAPHS + np.arange(trials, dtype=np.uint64)
-    return stream_matrix(seed, tags, npairs) < _FAIR_BIT_THRESHOLD
+    return stream_bits(seed, tags, npairs, Fraction(1, 2))
 
 
 def mc_gfree_probability(
@@ -214,11 +209,9 @@ def sample_mu_p(p, bound: int, seed: int) -> VertexSet:
     if not 0 < frac < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     check_limit(bound, STREAM_ENTRIES_CAP, "STREAM_ENTRIES_CAP", "mu_p stream of %d entries" % bound)
-    steps, limit = _verdict_for(probability_threshold(frac))
-    # each block of the stream is compared as it is filled; only the members are kept
-    blocks = _stream_blocks(seed, [TAG_MU_P], bound, steps)
-    members = [np.flatnonzero(z[0] <= limit) + (lo + 1) for _, lo, z in blocks]
-    return VertexSet(np.concatenate(members) if members else np.empty(0, dtype=np.int64), bound)
+    members = np.flatnonzero(stream_bits(seed, [TAG_MU_P], bound, frac)[0])
+    members += 1
+    return VertexSet(members, bound)
 
 
 def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: int) -> dict:

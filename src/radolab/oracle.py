@@ -233,12 +233,15 @@ class EdgeOracle:
 
 
 def _stream_blocks(seed: int, tags: np.ndarray, count: int, steps=_MIX_STEPS):
-    """The counter streams of stream_matrix, before their final ``>> 11``,
-    in blocks of at most _CHUNK counters (rows x columns): yields
-    (first row, first column, block), the block a view of scratch that the
-    next block overwrites.  A block is whole rows (then it has every
-    column) or part of one row, so it is contiguous.  ``steps`` may leave
-    out mix64's last step (see ``_verdict_for``)."""
+    """The counter streams, reproducible from (seed, tag, index): value j
+    of a tag's row is mix64(key + (j + 1) * GOLDEN), read as the edge
+    recipe reads h, by a derivation chain apart from the ambient edge
+    PRF's, so trial graphs never alias ambient edges.  Yields the
+    (len(tags), count) matrix in blocks of at most _CHUNK counters (rows x
+    columns) as (first row, first column, block), the block a view of
+    scratch that the next block overwrites.  A block is whole rows (then
+    it has every column) or part of one row, so it is contiguous.
+    ``steps`` may leave out mix64's last step (see ``_verdict_for``)."""
     tags = np.asarray(tags, dtype=np.uint64)
     keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags * _GOLDEN))
     cols = min(max(count, 1), _CHUNK)
@@ -253,25 +256,24 @@ def _stream_blocks(seed: int, tags: np.ndarray, count: int, steps=_MIX_STEPS):
             yield r0, lo, _mix64_np(z, tmp, steps)
 
 
-def stream_matrix(seed: int, tags: np.ndarray, count: int) -> np.ndarray:
-    """Counter-based 53-bit uniforms, reproducible from (seed, tag, index),
-    one row of count values per tag; shape (len(tags), count).  Value j of
-    a row is mix64(key + (j + 1) * GOLDEN) >> 11.
-
-    Independent of the ambient edge PRF: a different derivation chain is
-    used, so Monte Carlo trial graphs never alias ambient edges.  Filled
-    from ``_stream_blocks``; every value depends only on its counter, so
-    the blocking leaves the matrix unchanged.
-    """
-    out = np.empty((len(tags), count), dtype=np.uint64)
-    for r0, lo, z in _stream_blocks(seed, tags, count):
-        np.right_shift(z, np.uint64(11), out=out[r0 : r0 + z.shape[0], lo : lo + z.shape[1]])
+def stream_bits(seed: int, tags, count: int, p: Fraction) -> np.ndarray:
+    """The coins of the counter streams: a (len(tags), count) boolean
+    matrix, True where a stream value falls below p.  Filled block by block
+    with the early verdict, so no stream is held whole."""
+    steps, limit = _verdict_for(probability_threshold(p))
+    out = np.empty((len(tags), count), dtype=bool)
+    for r0, lo, z in _stream_blocks(seed, tags, count, steps):
+        np.less_equal(z, limit, out=out[r0 : r0 + z.shape[0], lo : lo + z.shape[1]])
     return out
 
 
 def stream_values(seed: int, tag: int, count: int) -> np.ndarray:
-    """The stream_matrix row of one tag."""
-    return stream_matrix(seed, [tag], count)[0]
+    """The raw 53-bit values of one tag's stream, value j being
+    mix64(key + (j + 1) * GOLDEN) >> 11."""
+    out = np.empty(count, dtype=np.uint64)
+    for _, lo, z in _stream_blocks(seed, [tag], count):
+        np.right_shift(z[0], np.uint64(11), out=out[lo : lo + z.shape[1]])
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .limits import NOTATION_SET_CAP, check_limit
+
 _PLAIN = frozenset((str, int, bool, type(None)))  # kept as they are by every JSON form, tested by exact type
 
 
@@ -158,9 +160,14 @@ def format_runs(vs: VertexSet) -> str:
     )
 
 
+def _check_set_size(n: int) -> None:
+    check_limit(n, NOTATION_SET_CAP, "NOTATION_SET_CAP", "host set of %d elements" % n)
+
+
 def parse_runs(text: str, prefix_bound: int | None = None) -> VertexSet:
-    """Parse run-length notation "a-b,c,d-e" into a VertexSet."""
-    parts = []
+    """Parse run-length notation "a-b,c,d-e" into a VertexSet; the run
+    lengths are summed and checked before any array is built."""
+    runs = []
     text = text.strip()
     if text:
         for part in text.split(","):
@@ -174,8 +181,9 @@ def parse_runs(text: str, prefix_bound: int | None = None) -> VertexSet:
                 a = b = int(part)
             else:
                 raise ValueError("bad vertex-set token %r" % part)
-            a, b = _int64_array((a, b))
-            parts.append(np.append(np.arange(a, b), b))
+            runs.append(_int64_array((a, b)))
+    _check_set_size(sum(int(b - a) + 1 for a, b in runs))
+    parts = [np.append(np.arange(a, b), b) for a, b in runs]
     return VertexSet.from_iterable(np.concatenate(parts) if parts else (), prefix_bound)
 
 
@@ -189,28 +197,30 @@ def load_vertex_set(path: str) -> VertexSet:
     return VertexSet.from_iterable(int(ln) for ln in lines)
 
 
+_KEYWORD_APS = {"all": (1, 1), "even": (2, 2), "odd": (1, 2)}  # (start, difference) of each keyword's progression
+
+
 def parse_notation(text: str, prefix_bound: int | None = None) -> VertexSet:
     """Parse host-set notation: all, even, odd, ap:a,d, file:PATH, or runs.
 
-    The unbounded keywords (all/even/odd/ap) require a prefix bound.
+    The unbounded keywords (all/even/odd/ap) require a prefix bound; a
+    set of more than NOTATION_SET_CAP elements is refused before it is built.
     """
     text = text.strip()
     if text.startswith("file:"):
         return load_vertex_set(text[5:])
-    if text in ("all", "even", "odd") or text.startswith("ap:"):
+    if text in _KEYWORD_APS or text.startswith("ap:"):
         if prefix_bound is None:
             raise ValueError("notation %r needs a prefix bound" % text)
-        if text == "all":
-            return VertexSet.interval(1, prefix_bound)
-        if text == "even":
-            return VertexSet(np.arange(2, prefix_bound + 1, 2), prefix_bound)
-        if text == "odd":
-            return VertexSet(np.arange(1, prefix_bound + 1, 2), prefix_bound)
-        m = re.fullmatch(r"ap:(\d+),(\d+)", text)
-        if not m:
-            raise ValueError("bad arithmetic-progression notation %r" % text)
-        a, d = int(m.group(1)), int(m.group(2))
-        if a < 1 or d < 1:
-            raise ValueError("ap start and difference must be >= 1")
+        if text in _KEYWORD_APS:
+            a, d = _KEYWORD_APS[text]
+        else:
+            m = re.fullmatch(r"ap:(\d+),(\d+)", text)
+            if not m:
+                raise ValueError("bad arithmetic-progression notation %r" % text)
+            a, d = int(m.group(1)), int(m.group(2))
+            if a < 1 or d < 1:
+                raise ValueError("ap start and difference must be >= 1")
+        _check_set_size(len(range(a, prefix_bound + 1, d)))
         return VertexSet(np.arange(a, prefix_bound + 1, d), prefix_bound)
     return parse_runs(text, prefix_bound)

@@ -37,6 +37,7 @@ AP_EXAMPLES = "tests/test_largeness.py::test_longest_ap_examples"
 REPORT_JSON = "tests/test_sets.py::test_every_report_is_strict_json_keyed_by_its_fields"
 EMISSION = "tests/test_cli.py::test_emission_matches_the_rounded_reference"
 EXTENSION_REF = "tests/test_oracle.py::test_extension_witnesses_match_the_least_witness_reference"
+STREAM_BITS_REF = "tests/test_oracle.py::test_stream_bits_match_the_whole_stream_reference"
 
 MUTANTS = [
     Mutant(
@@ -73,13 +74,6 @@ MUTANTS = [
         "(1 << k) - 1, pool)",
         "(1 << k) - 2, pool)",
         ("tests/test_mc.py::test_density_star_trial_values_match_type_keys",),
-    ),
-    Mutant(
-        "sample_mu_p: a block's members numbered from the stream's start",
-        "mc.py",
-        "+ (lo + 1)",
-        "+ 1",
-        ("tests/test_mc.py::test_mu_p_members_match_the_whole_stream",),
     ),
     Mutant(
         "type_frequency_check: a member block that ends the pool counted with two edges",
@@ -181,11 +175,18 @@ MUTANTS = [
         ("tests/test_oracle.py::test_mix64_matches_published_splitmix_vectors",),
     ),
     Mutant(
-        "stream_matrix: tags shifted by one",
+        "_stream_blocks: tags shifted by one",
         "oracle.py",
         "_mix64_np(tags * _GOLDEN)",
         "_mix64_np((tags + np.uint64(1)) * _GOLDEN)",
-        ("tests/test_oracle.py::test_stream_matrix_matches_whole_array_reference",),
+        (STREAM_BITS_REF,),
+    ),
+    Mutant(
+        "stream_bits: every block written at column 0",
+        "oracle.py",
+        "out=out[r0 : r0 + z.shape[0], lo : lo + z.shape[1]]",
+        "out=out[r0 : r0 + z.shape[0], : z.shape[1]]",
+        (STREAM_BITS_REF, "tests/test_mc.py::test_mu_p_members_match_the_whole_stream"),
     ),
     Mutant(
         "find_induced: a non-edge constraint dropped",
@@ -319,6 +320,20 @@ MUTANTS = [
         "if row.coin and args.probability",
         "if row.coin == _MC_COIN and args.probability",
         ("tests/test_cli.py::test_set_commands_refuse_other_probabilities",),
+    ),
+    Mutant(
+        "parse_notation: a keyword host counted one short",
+        "sets.py",
+        "len(range(a, prefix_bound + 1, d))",
+        "len(range(a, prefix_bound, d))",
+        ("tests/test_sets.py::test_keyword_hosts_are_counted_before_they_are_built",),
+    ),
+    Mutant(
+        "parse_runs: a run counted one short",
+        "sets.py",
+        "int(b - a) + 1",
+        "int(b - a)",
+        ("tests/test_sets.py::test_runs_are_counted_by_their_summed_lengths",),
     ),
     Mutant(
         "check_limit: a value one above its cap accepted",

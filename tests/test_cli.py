@@ -377,9 +377,13 @@ def test_oversized_input_is_a_usage_error():
     out = run("extension", "--seed", "1", "--f", "1-45", "--bound", "100")
     assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
     assert out.stderr == "error: extension base size 45 exceeds EXTENSION_BASE_CAP = 20\n"
-    out = run("density", "--host", "all", "--prefix-bound", "10000000000000")
-    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
-    assert out.stderr.startswith("error: input too large") and "TiB" in out.stderr
+    # before NOTATION_SET_CAP each host below asked numpy for 36-73 TiB
+    for host, size in (("all", 10**13), ("1-10000000000000", 10**13), ("even", 5 * 10**12), ("ap:1,1", 10**13)):
+        start = time.perf_counter()
+        assert run_main(["density", "--host", host, "--prefix-bound", "10000000000000", "--seed", "1"]) == (
+            1, "", "error: host set of %d elements exceeds NOTATION_SET_CAP = 134217728\n" % size
+        )
+        assert time.perf_counter() - start < 1
 
 
 def test_mc_commands_refuse_other_probabilities():

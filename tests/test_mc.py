@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -221,6 +222,18 @@ def test_trial_graphs_reproducible_from_seed_and_index():
     a = _trial_graph_bits(9, 5, 10)
     assert (a[:4] == _trial_graph_bits(9, 4, 10)).all()
     assert list(a[3]) == list(stream_values(9, TAG_TRIAL_GRAPHS + 3, 10) < 1 << 52)
+
+
+def test_trial_graph_bits_hold_no_whole_stream():
+    """10^6 trials of 10 pairs are 9.5 MiB of coins; their uint64 stream alone is 76 MiB."""
+    tracemalloc.start()
+    try:
+        bits = _trial_graph_bits(1, 10**6, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.shape == (10**6, 10)
+    assert peak < 40 * 2**20, "peak %.1f MiB" % (peak / 2**20)
 
 
 def test_mc_validation():

@@ -21,7 +21,7 @@ from radolab.oracle import (
     induced_subgraph,
     mix64,
     probability_threshold,
-    stream_matrix,
+    stream_bits,
     stream_values,
     type_class,
     type_of,
@@ -297,32 +297,42 @@ def test_induced_subgraph_matches_oracle_pairwise():
 def test_streams_are_counter_based():
     whole = stream_values(5, 77, 100)
     assert list(stream_values(5, 77, 40)) == list(whole[:40])
-    mat = stream_matrix(5, np.array([77, 78]), 100)
-    assert list(mat[0]) == list(whole)
-    assert list(mat[1]) != list(whole)
+    bits = stream_bits(5, np.array([77, 78]), 100, Fraction(1, 2))
+    assert list(bits[0]) == list(whole < 1 << 52)
+    assert list(bits[1]) != list(bits[0])
 
 
-# counts and trial-row counts on either side of a block boundary
+# counts on either side of a block boundary
 CHUNK_EDGES = st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
-TRIAL_ROWS = st.sampled_from([1, _CHUNK // 10 - 1, _CHUNK // 10, _CHUNK // 10 + 1, _CHUNK // 5 + 1])
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
-       CHUNK_EDGES | st.integers(0, 3 * _CHUNK))
-def test_stream_matrix_matches_whole_array_reference(seed, tags, count):
-    got = stream_matrix(seed, tags, count)
-    assert got.dtype == np.uint64 and got.shape == (len(tags), count)
-    assert np.array_equal(got, whole_stream_matrix(seed, tags, count))
-    assert np.array_equal(stream_values(seed, tags[-1], count), whole_stream_matrix(seed, tags[-1:], count)[0])
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), CHUNK_EDGES | st.integers(0, 3 * _CHUNK))
+def test_stream_values_match_the_reference_across_chunk_edges(seed, tag, count):
+    got = stream_values(seed, tag, count)
+    assert got.dtype == np.uint64 and np.array_equal(got, whole_stream_matrix(seed, [tag], count)[0])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**64 - 1), TRIAL_ROWS | st.integers(1, _CHUNK // 4), st.integers(0, 2**63))
-def test_stream_matrix_blocks_many_short_rows(seed, ntags, tag0):
-    """Ten columns a row, as in a trial matrix: a block holds many rows."""
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from(["1/2", "1/3", "3/4", "1234567891/2147483648"]),
+       st.sampled_from([1, 3, 16, _CHUNK]), st.sampled_from([-1, 0, 1]), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**64 - 2**15))
+@example(1, "1/3", _CHUNK, 1, 2, True, 0)
+@example(1, "1/2", _CHUNK, -1, 1, False, 0)
+def test_stream_bits_match_the_whole_stream_reference(seed, p, cap, edge, blocks, trial_shape, tag0):
+    """The coins, compared block by block as the streams are filled, are
+    those of the whole streams: ten-column trial rows (a block holds
+    cap // 10 whole rows, or part of one row) or one long row, at sizes of
+    a block edge and one either side."""
+    if trial_shape:
+        ntags, count = max(blocks * max(cap // 10, 1) + edge, 1), 10
+    else:
+        ntags, count = 1, max(blocks * cap + edge, 0)
     tags = np.uint64(tag0) + np.arange(ntags, dtype=np.uint64)
-    assert np.array_equal(stream_matrix(seed, tags, 10), whole_stream_matrix(seed, tags, 10))
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        got = stream_bits(seed, tags, count, Fraction(p))
+    want = whole_stream_matrix(seed, tags, count) < probability_threshold(Fraction(p))
+    assert got.dtype == bool and got.shape == (ntags, count) and np.array_equal(got, want)
 
 
 def test_streams_do_not_alias_ambient_edges():

@@ -6,8 +6,9 @@ Monte Carlo estimate built on it) is checked
 against exhaustive search, and so are greedy and exact pattern-free
 growth.  Also pins the names the benchmark tracer wraps by name, every
 radolab name the benchmark reads, that every library name has a caller,
-and that every limit is defined once, in radolab.limits, and listed in the
-README with its value."""
+that every limit is defined once, in radolab.limits, and listed in the
+README with its value, and that only the oracle turns a stream value into
+a coin."""
 
 import ast
 import importlib.util
@@ -335,6 +336,20 @@ def test_names_the_benchmark_reads_still_exist():
     assert missing == []
 
 
+def _names_read(path) -> set:
+    """The names a module reads: as an ``ast.Name``, an ``ast.Attribute``
+    or an import."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            reads.update(a.name for a in node.names)
+    return reads
+
+
 def test_every_library_name_has_a_caller():
     """Each top-level function, class and assigned name of a radolab module
     is read (an ``ast.Name``, an ``ast.Attribute`` or an import) somewhere in
@@ -342,13 +357,7 @@ def test_every_library_name_has_a_caller():
     package = pathlib.Path(radolab.cli.__file__).parent
     reads = set()
     for path in [p for p in package.glob("*.py") if p.name != "__init__.py"] + list(BENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                reads.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                reads.update(a.name for a in node.names)
+        reads |= _names_read(path)
     unread = []
     for path in sorted(package.glob("*.py")):
         if path.name in ("__init__.py", "__main__.py"):
@@ -422,6 +431,19 @@ def test_the_pair_order_and_the_row_packer_are_written_once():
                 text = text.replace(segment, "")
         spelled += [(path.stem, p) for p in PAIR_ORDER_SPELLINGS if re.search(p, text)]
     assert spelled == []
+
+
+# The raw counter streams and the threshold of a coin: a stream value
+# becomes a coin in oracle.stream_bits alone.
+COIN_MAKERS = {"_stream_blocks", "_verdict_for", "probability_threshold"}
+
+
+def test_only_the_oracle_turns_a_stream_value_into_a_coin():
+    """No module of radolab but oracle.py reads _stream_blocks,
+    _verdict_for or probability_threshold."""
+    package = pathlib.Path(radolab.cli.__file__).parent
+    read = {path.stem: sorted(_names_read(path) & COIN_MAKERS) for path in package.glob("*.py")}
+    assert read.pop("oracle") and {stem: names for stem, names in read.items() if names} == {}
 
 
 def test_readme_lists_every_limit_with_its_value():

@@ -1,10 +1,12 @@
 import json
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radolab import sets
 from radolab.audit import SearchResult, contains_induced
 from radolab.constructions import (
     Pi02Result,
@@ -64,6 +66,28 @@ def test_parse_notation_keywords():
         parse_notation("5-2", None)
     with pytest.raises(ValueError):
         parse_notation("abc", 10)
+
+
+def _refused_at(size, build):
+    """build() is admitted by a NOTATION_SET_CAP of size and refused, with
+    the count in the message, by one of size - 1."""
+    with mock.patch.object(sets, "NOTATION_SET_CAP", size):
+        build()
+    with mock.patch.object(sets, "NOTATION_SET_CAP", size - 1):
+        with pytest.raises(ValueError, match="^host set of %d elements exceeds NOTATION_SET_CAP = %d$" % (size, size - 1)):
+            build()
+
+
+@given(st.sampled_from(["all", "even", "odd", "ap:3,7", "ap:40,1", "ap:1,250"]), st.integers(0, 300))
+def test_keyword_hosts_are_counted_before_they_are_built(text, bound):
+    _refused_at(len(parse_notation(text, bound)), lambda: parse_notation(text, bound))
+
+
+@given(st.lists(st.tuples(st.integers(1, 100), st.integers(0, 20)), max_size=6))
+def test_runs_are_counted_by_their_summed_lengths(runs):
+    """Overlapping runs count twice: the sum bounds the arrays built before they are merged."""
+    text = ",".join("%d-%d" % (a, a + n) if n else str(a) for a, n in runs)
+    _refused_at(sum(n + 1 for _, n in runs), lambda: parse_runs(text))
 
 
 def test_file_roundtrip(tmp_path):
