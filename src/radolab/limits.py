@@ -23,7 +23,7 @@ FN_EXACT_CAP = 16  # vertices up to which mc-fn decides each trial exactly; abov
 FN_POWER_BITS_CAP = 1 << 16  # bits of n^N in mc-fn: a refused row has f > 2^16, so needs trials of n > 2^16 vertices
 MC_DENSITY_EDGE_CAP = 2 * 10**7  # edge evaluations of mc-density, at most trials * n * k * pool: ~1 s; it builds no grid
 STREAM_ENTRIES_CAP = 1 << 27  # entries of one counter stream (trials * C(n, 2) trial-graph pairs, sample-mup's bound): one byte per verdict, 128 MiB
-NOTATION_SET_CAP = 1 << 27  # elements of a host set in notation (all, even, odd, ap:, runs), counted before any array is built: 1 GiB of int64
+NOTATION_SET_CAP = 1 << 27  # elements of a host set in notation (all, even, odd, ap:, runs) or of an extension or typefreq pool, counted before any of it is built: 1 GiB of int64
 
 
 def check_limit(value, cap: int, name: str, what: str, unit: str = "") -> None:

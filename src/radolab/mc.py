@@ -23,6 +23,7 @@ from .limits import (
     FN_POWER_BITS_CAP,
     MC_DENSITY_EDGE_CAP,
     MC_N_CAP,
+    NOTATION_SET_CAP,
     STREAM_ENTRIES_CAP,
     check_limit,
 )
@@ -54,7 +55,7 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
         raise ValueError("need at least 2 trials for a standard error")
     check_limit(trials * n * k * pool_size, MC_DENSITY_EDGE_CAP, "MC_DENSITY_EDGE_CAP", "trials * n * k * pool")
     start = n * k + 1
-    pool = np.arange(start, start + pool_size, dtype=np.int64)
+    pool = range(start, start + pool_size)
     fractions = []
     for t in range(trials):
         oracle = EdgeOracle((seed + t) & MASK64)
@@ -216,12 +217,15 @@ def sample_mu_p(p, bound: int, seed: int) -> VertexSet:
 
 def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: int) -> dict:
     """Empirical frequency of type-t vertices in (max F, bound], with the
-    3-sigma binomial band around p^{|F|} and a runs-test for independence."""
+    3-sigma binomial band around p^{|F|} and a runs-test for independence.
+    A pool of more than NOTATION_SET_CAP vertices is refused before any of
+    it is built."""
     if tuple(t.base) != tuple(f.elements):
         raise ValueError("type must be over the given base set")
     start = (int(f.as_array[-1]) if len(f) else 0) + 1
-    pool = np.arange(start, bound + 1, dtype=np.int64)
+    pool = range(start, bound + 1)
     total = len(pool)
+    check_limit(total, NOTATION_SET_CAP, "NOTATION_SET_CAP", "pool of %d vertices" % total)
     if total == 0:
         raise ValueError("no vertices beyond the base within the bound")
     members = type_class(oracle, f.as_array, t.mask, pool)

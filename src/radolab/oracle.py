@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FiniteGraph, pack_rows
-from .limits import EXTENSION_BASE_CAP, check_limit
+from .limits import EXTENSION_BASE_CAP, NOTATION_SET_CAP, check_limit
 from .sets import VertexSet
 
 MASK64 = (1 << 64) - 1
@@ -243,13 +243,13 @@ def _stream_blocks(seed: int, tags: np.ndarray, count: int, steps=_MIX_STEPS):
     it has every column) or part of one row, so it is contiguous.
     ``steps`` may leave out mix64's last step (see ``_verdict_for``)."""
     tags = np.asarray(tags, dtype=np.uint64)
-    keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags * _GOLDEN))
     cols = min(max(count, 1), _CHUNK)
     rows = _CHUNK // cols
     steps_g = np.arange(1, cols + 1, dtype=np.uint64) * _GOLDEN
     scratch = np.empty((2, min(rows, len(tags)), cols), dtype=np.uint64)
     for r0 in range(0, len(tags), rows):
-        block_keys = keys[r0 : r0 + rows]
+        # each block's keys from its own tags, so they too take at most _CHUNK entries
+        block_keys = _mix64_np(np.uint64(seed) ^ _mix64_np(tags[r0 : r0 + rows] * _GOLDEN))
         for lo in range(0, count, cols):
             z, tmp = scratch[:, : len(block_keys), : count - lo]
             np.add((block_keys + np.uint64(lo * GOLDEN & MASK64))[:, None], steps_g[: z.shape[1]], out=z)
@@ -310,26 +310,26 @@ def _bits(mask: int, k: int) -> str:
     return format(mask, "0%db" % k)[::-1] if k else ""
 
 
-def type_class(oracle: EdgeOracle, base: Sequence[int], mask: int, vertices: np.ndarray) -> np.ndarray:
-    """The vertices of the sorted array whose type over ``base`` is ``mask``
-    (bit i: an edge to base[i]), ascending; a vertex that lies in base is
-    kept or dropped unspecifiedly.  Early rejection, _CHUNK vertices at a
-    time: each base vertex keys the chunk's survivors (``_key_row``, read
-    through a uint64 view) and verdicts them for the wanted side, and the
-    survivors are compressed to the matching ones; a chunk stops once none
-    is left.  Keys and verdicts live in scratch made once per call.
-    Every edge is an independent PRF value, so the skipped ones
-    change nothing."""
-    vertices = np.asarray(vertices)
-    if vertices.dtype.kind not in "iu" or vertices.dtype.itemsize != 8:
-        vertices = vertices.astype(np.int64)
+def type_class(oracle: EdgeOracle, base: Sequence[int], mask: int, vertices: np.ndarray | range) -> np.ndarray:
+    """The vertices whose type over ``base`` is ``mask`` (bit i: an edge to
+    base[i]), ascending, from a sorted 64-bit array (in its dtype) or from
+    a range (as int64, built _CHUNK vertices at a time, so a pool costs no
+    array of its length); a vertex that lies in base is kept or dropped
+    unspecifiedly.  Early rejection, _CHUNK vertices at a time: each base
+    vertex keys the chunk's survivors (``_key_row``, read through a uint64
+    view) and verdicts them for the wanted side, and the survivors are
+    compressed to the matching ones; a chunk stops once none is left.
+    Keys and verdicts live in scratch made once per call.  Every edge is
+    an independent PRF value, so the skipped ones change nothing."""
+    is_range = isinstance(vertices, range)
     wanted = [bool(mask >> i & 1) for i in range(len(base))]
     size = min(len(vertices), _CHUNK)
     key, tmp = np.empty((2, size), dtype=np.uint64)
     keep = np.empty(size, dtype=bool)
     parts = []
     for lo in range(0, len(vertices), _CHUNK):
-        survivors = _as_u64(vertices[lo : lo + _CHUNK])
+        part = vertices[lo : lo + _CHUNK]
+        survivors = np.arange(part.start, part.stop, part.step, dtype=np.uint64) if is_range else _as_u64(part)
         for u, want in zip(map(int, base), wanted):
             n = len(survivors)
             if not n:
@@ -339,7 +339,8 @@ def type_class(oracle: EdgeOracle, base: Sequence[int], mask: int, vertices: np.
             # no out=: compress would then copy through a temporary as well
             survivors = np.compress(keep[:n], survivors)
         parts.append(survivors)
-    return np.concatenate(parts).view(vertices.dtype) if parts else vertices[:0]
+    dtype = np.int64 if is_range else vertices.dtype
+    return np.concatenate(parts).view(dtype) if parts else np.empty(0, dtype)
 
 
 # Adjacency rows per edge_grid call: the boolean block stays small however
@@ -376,30 +377,35 @@ def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
     """Least witness <= bound for each of the 2^|F| types over F, for
     |F| <= EXTENSION_BASE_CAP.
 
-    The candidates are keyed _CHUNK at a time, one ``edge_grid`` call per
-    chunk, and the scan stops after the chunk in which the last type is
-    first witnessed.  Passes iff every type is witnessed; absence of
-    witnesses is data, not an error.
+    The candidates, [1, bound] minus F, are built and keyed _CHUNK at a
+    time, one ``edge_grid`` call per chunk, and the scan stops after the
+    chunk in which the last type is first witnessed.  A pool of more than
+    NOTATION_SET_CAP candidates is refused before any chunk is keyed.
+    Passes iff every type is witnessed; absence of witnesses is data, not
+    an error.
     """
-    check_limit(len(f), EXTENSION_BASE_CAP, "EXTENSION_BASE_CAP", "extension base size %d" % len(f))
-    if len(f) and f.as_array[-1] > bound:
-        raise ValueError("base set must lie within [1, bound]")
-    candidates = np.setdiff1d(np.arange(1, bound + 1, dtype=np.int64), f.as_array, assume_unique=True)
     k = len(f)
-    # candidates ascend, so the first position of each key is its least witness
-    first = np.full(1 << k, len(candidates))
-    for lo in range(0, len(candidates), _CHUNK):
+    check_limit(k, EXTENSION_BASE_CAP, "EXTENSION_BASE_CAP", "extension base size %d" % k)
+    if k and f.as_array[-1] > bound:
+        raise ValueError("base set must lie within [1, bound]")
+    top = max(bound, 0)  # no candidate lies above it; a bound below 1 leaves none
+    pool = top - k
+    check_limit(pool, NOTATION_SET_CAP, "NOTATION_SET_CAP", "pool of %d vertices" % pool)
+    # the j-th candidate is j plus the number of these gaps <= j: F's i-th vertex less i
+    gaps = f.as_array - np.arange(k)
+    # candidates ascend, so the least candidate of each key is its least witness
+    first = np.full(1 << k, top + 1)
+    for lo in range(0, pool, _CHUNK):
+        candidates = np.arange(lo + 1, min(lo + _CHUNK, pool) + 1, dtype=np.int64)
+        candidates += np.searchsorted(gaps, candidates, side="right")
         # bit i of a key is the edge to F's i-th vertex; k <= 20 bits fit an int64
-        keys = np.zeros(min(_CHUNK, len(candidates) - lo), dtype=np.int64)
-        for i, row in enumerate(oracle.edge_grid(f.as_array, candidates[lo : lo + _CHUNK])):
+        keys = np.zeros(len(candidates), dtype=np.int64)
+        for i, row in enumerate(oracle.edge_grid(f.as_array, candidates)):
             keys |= np.left_shift(row, i, dtype=np.int64)
-        np.minimum.at(first, keys, np.arange(lo, lo + len(keys)))
-        if first.max() < len(candidates):  # every type has its witness; no later chunk changes one
+        np.minimum.at(first, keys, candidates)
+        if first.max() <= top:  # every type has its witness; no later chunk changes one
             break
-    types = [
-        {"mask": _bits(m, k), "witness": int(candidates[i]) if i < len(candidates) else None}
-        for m, i in enumerate(first.tolist())
-    ]
+    types = [{"mask": _bits(m, k), "witness": w if w <= top else None} for m, w in enumerate(first.tolist())]
     return {
         "f": f.as_array.tolist(),
         "bound": bound,

@@ -163,8 +163,15 @@ MUTANTS = [
     Mutant(
         "extension_check: stops before every type has a witness",
         "oracle.py",
-        "if first.max() < len(candidates):",
-        "if first.min() < len(candidates):",
+        "if first.max() <= top:",
+        "if first.min() <= top:",
+        (EXTENSION_REF,),
+    ),
+    Mutant(
+        "extension_check: a vertex of F kept in its chunk",
+        "oracle.py",
+        'np.searchsorted(gaps, candidates, side="right")',
+        'np.searchsorted(gaps, candidates, side="left")',
         (EXTENSION_REF,),
     ),
     Mutant(
@@ -177,8 +184,8 @@ MUTANTS = [
     Mutant(
         "_stream_blocks: tags shifted by one",
         "oracle.py",
-        "_mix64_np(tags * _GOLDEN)",
-        "_mix64_np((tags + np.uint64(1)) * _GOLDEN)",
+        "_mix64_np(tags[r0 : r0 + rows] * _GOLDEN)",
+        "_mix64_np((tags[r0 : r0 + rows] + np.uint64(1)) * _GOLDEN)",
         (STREAM_BITS_REF,),
     ),
     Mutant(

@@ -220,19 +220,21 @@ def test_ap_on_5000_elements_without_3_term_ap_stays_small(tmp_path):
     assert len(host) == 5000 and host[-1] == 559899
     p = tmp_path / "host.txt"
     p.write_text("\n".join(map(str, host)) + "\n")
-    # RUSAGE_CHILDREN would keep the peak of every earlier child, so the child reports its own
+    # the child reports its own VmHWM: on Linux its ru_maxrss, even RUSAGE_SELF,
+    # starts at the RSS of the process that spawned it, here the test runner
     child = (
-        "import resource, sys\n"
+        "import sys\n"
         "from radolab.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(l for l in status if l.startswith('VmHWM:')).split()[1], file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     out = subprocess.run([sys.executable, "-c", child, "ap", "--host", "file:" + str(p)],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert json.loads(out.stdout)["ap"] == [3, 1, 2]
-    peak_kb = int(out.stderr.split()[-1])  # kB on Linux
+    peak_kb = int(out.stderr.split()[-1])  # kB
     assert peak_kb < 150 * 1024, "the child peaked at %.1f MB" % (peak_kb / 1024)
 
 
@@ -604,12 +606,27 @@ def test_counter_streams_above_the_cap_are_refused_fast(argv, what):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("argv, pool", [
+    (["extension", "--f", "1-3"], 10**12 - 3),
+    (["typefreq", "--f", "1-4"], 10**12 - 4),
+])
+def test_pools_above_the_cap_are_refused_fast(argv, pool):
+    # before the cap both asked numpy for 7.28 TiB of candidates
+    start = time.perf_counter()
+    assert run_main([*argv, "--bound", "1000000000000", "--seed", "1"]) == (
+        1, "", "error: pool of %d vertices exceeds NOTATION_SET_CAP = 134217728\n" % pool
+    )
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("argv, at_cap, above, what, name", [
     (["mc-gfree", "--pattern", "k:3", "--trials", "10", "--n"], "32", "33", "n 33", "MC_N_CAP"),
     (["contains", "--host", "1-64", "--budget", "1000", "--pattern"], "k:10", "k:11", "pattern order 11",
      "CONTAINS_ORDER_CAP"),
     (["mc-gfree", "--n", "7", "--trials", "10", "--pattern"], "k:7", "k:8", "pattern order 8",
      "GFREE_PATTERN_ORDER_CAP"),
+    (["extension", "--f", "1-3", "--bound"], "134217731", "134217732", "pool of 134217729 vertices",
+     "NOTATION_SET_CAP"),
 ])
 def test_limits_accept_the_cap_and_refuse_one_above_it(argv, at_cap, above, what, name):
     code, out, err = run_main([*argv, at_cap, "--seed", "1"])
@@ -775,6 +792,8 @@ def argvs(draw):
 @example(["mc-gfree", "--seed", "1", "--pattern", "k:3", "--n", "5", "--trials", "1000000000"], None)
 @example(["mc-fn", "--seed", "1", "--pattern", "k:3", "--n-list", "8", "--n-param", "1", "--trials", "1000000000"], None)
 @example(["sample-mup", "--seed", "1", "--p", "1/2", "--prefix-bound", "2000000000"], None)
+@example(["extension", "--seed", "1", "--f", "1-3", "--bound", "1000000000000"], None)
+@example(["typefreq", "--seed", "1", "--f", "1-4", "--bound", "1000000000000"], None)
 def test_argv_fuzz_finds_no_traceback(argv, rado_seed):
     """No argv ends in a traceback, and every report is strict JSON: no NaN
     or Infinity."""

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import complement, gfree_flags, row_type_keys, whole_stream_matrix
 
-from radolab import oracle
+from radolab import mc, oracle
 from radolab.graphs import (
     _relabelings,
     canonical_form,
@@ -225,7 +225,9 @@ def test_trial_graphs_reproducible_from_seed_and_index():
 
 
 def test_trial_graph_bits_hold_no_whole_stream():
-    """10^6 trials of 10 pairs are 9.5 MiB of coins; their uint64 stream alone is 76 MiB."""
+    """10^6 trials of 10 pairs are 9.5 MiB of coins, next to 7.6 MiB of
+    tags; their uint64 stream alone is 76 MiB, and the keys of every tag at
+    once with their scratch would be 15 MiB more."""
     tracemalloc.start()
     try:
         bits = _trial_graph_bits(1, 10**6, 10)
@@ -233,7 +235,7 @@ def test_trial_graph_bits_hold_no_whole_stream():
     finally:
         tracemalloc.stop()
     assert bits.shape == (10**6, 10)
-    assert peak < 40 * 2**20, "peak %.1f MiB" % (peak / 2**20)
+    assert peak < 24 * 2**20, "peak %.1f MiB" % (peak / 2**20)
 
 
 def test_mc_validation():
@@ -406,6 +408,34 @@ def test_type_frequency_two_halves_consistent():
     joint_sigma = math.sqrt(2 * p * (1 - p) / half)
     assert abs(f1 - f2) <= 3 * joint_sigma
     assert whole["count"] == int(ind.sum())
+
+
+def test_type_frequency_builds_no_pool_as_long_as_its_bound():
+    """The pool (4, 10^7] is a range, built a chunk at a time: as one array
+    it would be 76 MiB of int64, for a class of about 5 MiB."""
+    f = VertexSet.interval(1, 4)
+    tracemalloc.start()
+    try:
+        r = type_frequency_check(EdgeOracle(1), f, TypeSpec(f.elements, 0b0101), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r["total"] == 10**7 - 4 and r["band_ok"]
+    assert peak < 32 * 2**20, "peak %.1f MiB" % (peak / 2**20)
+
+
+@pytest.mark.parametrize("k, bound", [(0, 1), (3, 40), (4, 4 + 2 * _CHUNK)])
+def test_type_frequency_pool_is_capped_like_a_host_set(k, bound):
+    """A NOTATION_SET_CAP of the pool's size admits it; one less refuses it,
+    by name and with the pool's size."""
+    f = VertexSet.interval(1, k)
+    t = TypeSpec(f.elements, 0)
+    size = bound - k
+    with mock.patch.object(mc, "NOTATION_SET_CAP", size):
+        assert type_frequency_check(EdgeOracle(1), f, t, bound)["total"] == size
+    with mock.patch.object(mc, "NOTATION_SET_CAP", size - 1):
+        with pytest.raises(ValueError, match="^pool of %d vertices exceeds NOTATION_SET_CAP = %d$" % (size, size - 1)):
+            type_frequency_check(EdgeOracle(1), f, t, bound)
 
 
 def test_type_frequency_requires_matching_base():

@@ -270,6 +270,19 @@ def test_extension_stops_after_the_chunk_that_witnesses_every_type():
     assert rep["pass"] and sum(evals) <= 3 * _CHUNK
 
 
+def test_extension_builds_no_candidate_array_as_long_as_its_bound():
+    """At p = 1 only the all-ones type has a witness, so every chunk of the
+    10^7 candidates is keyed; as one array they would be 76 MiB of int64."""
+    tracemalloc.start()
+    try:
+        rep = extension_check(EdgeOracle(1, 1), VertexSet.interval(1, 3), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t["witness"] for t in rep["types"]] == [None] * 7 + [4]
+    assert peak < 8 * 2**20, "peak %.1f MiB" % (peak / 2**20)
+
+
 def test_extension_base_outside_bound():
     with pytest.raises(ValueError):
         extension_check(EdgeOracle(1), VertexSet.from_iterable([100]), 10)
@@ -452,6 +465,38 @@ def test_type_class_rows_below_inside_and_above_match_scalar_edges(seed, p, case
     assert got.dtype == arr.dtype
     want = [v for v in vertices if all(o.edge(b, v) == bool(mask >> i & 1) for i, b in enumerate(base))]
     assert got.tolist() == want
+
+
+@st.composite
+def vertex_ranges(draw):
+    """(range, base): 0-60 vertices of step 1-3, anywhere below 2^63 or
+    ending at 2^63 - 1, and 0-5 base vertices near the range or anywhere."""
+    size, step = draw(st.integers(0, 60)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        start = 2**63 - 1 - (size - 1) * step
+    else:
+        start = draw(st.integers(1, 2**63 - size * step))
+    near = st.integers(max(start - 50, 1), start + size * step + 50)
+    base = draw(st.lists(near | st.integers(1, 2**64 - 1), max_size=5, unique=True))
+    return range(start, start + size * step, step), base
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64 - 1), THREE_COINS, vertex_ranges(), st.integers(0, 31), st.sampled_from([1, 3, 16]))
+@example(1, "1/2", (range(5, 5), [3]), 1, 1)
+@example(1, "1/2", (range(2**63 - 40, 2**63), [2**63 - 20, 7]), 0b10, 16)
+@example(2, "1/3", (range(1, 100), [50, 120]), 0b01, 3)
+def test_type_class_over_a_range_equals_it_over_the_same_array(seed, p, case, mask, cap):
+    """A range's vertices are built _CHUNK at a time and give the class
+    that the same vertices give as an int64 array."""
+    o = EdgeOracle(seed, p)
+    vertices, base = case
+    mask &= (1 << len(base)) - 1
+    with mock.patch.object(oracle, "_CHUNK", cap):
+        got = type_class(o, base, mask, vertices)
+        want = type_class(o, base, mask, np.array(list(vertices), dtype=np.int64))
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
 
 
 # the default coin, three coins whose threshold T is no multiple of 2^22,
