@@ -127,6 +127,8 @@ def _place_blocks(
     """
     if blocks < 1:
         raise ValueError("need at least one block")
+    if prefix_bound < 0:
+        raise ValueError("prefix bound must be non-negative")
     check_limit(prefix_bound, SCAN_PREFIX_CAP, "SCAN_PREFIX_CAP", "prefix bound %d" % prefix_bound)
     intervals: list[tuple[int, int]] = []
     images: list[int] = []
@@ -219,6 +221,8 @@ def construct_pi02_member(
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
+    if prefix_bound < 0:
+        raise ValueError("prefix bound must be non-negative")
     check_limit(prefix_bound, SCAN_PREFIX_CAP, "SCAN_PREFIX_CAP", "prefix bound %d" % prefix_bound)
     k_prev = 0
     ks: list[int] = []

@@ -209,6 +209,8 @@ def sample_mu_p(p, bound: int, seed: int) -> VertexSet:
     frac = Fraction(p) if not isinstance(p, Fraction) else p
     if not 0 < frac < 1:
         raise ValueError("p must lie strictly between 0 and 1")
+    if bound < 0:
+        raise ValueError("prefix bound must be non-negative")
     check_limit(bound, STREAM_ENTRIES_CAP, "STREAM_ENTRIES_CAP", "mu_p stream of %d entries" % bound)
     members = np.flatnonzero(stream_bits(seed, [TAG_MU_P], bound, frac)[0])
     members += 1

@@ -91,24 +91,19 @@ def _as_u64(a: np.ndarray) -> np.ndarray:
     return a.view(np.uint64) if a.dtype.kind in "iu" and a.dtype.itemsize == 8 else a.astype(np.uint64)
 
 
-def _rotl32(v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """rotl(v, 32) of the sorted uint64 array v into out, with scratch tmp;
-    when v ends below 2^32 that is v << 32, one pass."""
-    np.left_shift(v, _U32, out=out)
-    if len(v) and v[-1] >> _U32:
-        np.right_shift(v, _U32, out=tmp)
-        out |= tmp
-
-
 def _key_row(pool: np.ndarray, c: int, key: np.ndarray, tmp: np.ndarray) -> None:
     """The canonical pair keys of vertex c against the sorted uint64 pool,
     into key (of pool's length); tmp is scratch of the same length.  Below
     c's split the pool vertex is the pair's smaller one, so a key is
-    v * GOLDEN ^ rotl(c, 32), and above it rotl(v, 32) ^ c * GOLDEN."""
+    v * GOLDEN ^ rotl(c, 32), and above it rotl(v, 32) ^ c * GOLDEN, where
+    rotl(v, 32) is v << 32, one pass, while the pool ends below 2^32."""
     i = int(pool.searchsorted(np.uint64(c)))
     np.multiply(pool[:i], _GOLDEN, out=key[:i])
     key[:i] ^= np.uint64(rotl64(c, 32))
-    _rotl32(pool[i:], key[i:], tmp[i:])
+    np.left_shift(pool[i:], _U32, out=key[i:])
+    if i < len(pool) and pool[-1] >> _U32:
+        np.right_shift(pool[i:], _U32, out=tmp[i:])
+        key[i:] |= tmp[i:]
     key[i:] ^= np.uint64((c * GOLDEN) & MASK64)
 
 
@@ -200,34 +195,20 @@ class EdgeOracle:
 
     def edge_grid(self, us, pool_sorted: np.ndarray) -> np.ndarray:
         """Edges of every u against a sorted pool, as a (len(us), len(pool))
-        matrix.  Bit-identical to edge_pairs; the sortedness lets the pair
-        canonicalization be precomputed once per pool chunk, each half only
-        where some row needs it: the pool below the largest split of the
-        rows as a pair's smaller vertex, above the smallest as its larger.
-        An int64 pool is read through a uint64 view, and every chunk works
+        matrix, bit-identical to edge_pairs.  The pool is read through a
+        uint64 view, _CHUNK vertices at a time; each row keys a chunk
+        through ``_key_row``, as type_class keys a base vertex, and the
+        verdicts go into the row's slice of the matrix.  Every chunk works
         in one scratch block made once per call."""
         pool = _as_u64(np.asarray(pool_sorted))
-        # the split is searched in uint64: an int64 pool would meet c >= 2^63 in float64
-        rows = [
-            (np.uint64(rotl64(c, 32)), np.uint64((c * GOLDEN) & MASK64), int(pool.searchsorted(np.uint64(c))))
-            for c in map(int, us)
-        ]
+        rows = list(map(int, us))
         out = np.empty((len(rows), len(pool)), dtype=bool)
-        splits = [split for _, _, split in rows]
-        first, last = min(splits, default=0), max(splits, default=0)
-        scratch = np.empty((4, min(len(pool), _CHUNK)), dtype=np.uint64)
+        scratch = np.empty((2, min(len(pool), _CHUNK)), dtype=np.uint64)
         for lo in range(0, len(pool), _CHUNK):
             part = pool[lo : lo + _CHUNK]
-            below = min(max(last - lo, 0), len(part))
-            above = min(max(first - lo, 0), len(part))
-            part_g, part_rot, key, tmp = scratch[:, : len(part)]
-            np.multiply(part[:below], _GOLDEN, out=part_g[:below])
-            part_rot = part_rot[above:]
-            _rotl32(part[above:], part_rot, tmp[above:])
-            for row, (c_rot, c_g, split) in enumerate(rows):
-                i = min(max(split - lo, 0), len(part))  # pool[:split] < c
-                np.bitwise_xor(part_g[:i], c_rot, out=key[:i])
-                np.bitwise_xor(part_rot[i - above :], c_g, out=key[i:])
+            key, tmp = scratch[:, : len(part)]
+            for row, c in enumerate(rows):
+                _key_row(part, c, key, tmp)
                 self._edge_bits(key, out[row, lo : lo + len(part)], tmp)
         return out
 

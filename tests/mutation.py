@@ -37,6 +37,8 @@ AP_EXAMPLES = "tests/test_largeness.py::test_longest_ap_examples"
 REPORT_JSON = "tests/test_sets.py::test_every_report_is_strict_json_keyed_by_its_fields"
 EMISSION = "tests/test_cli.py::test_emission_matches_the_rounded_reference"
 EXTENSION_REF = "tests/test_oracle.py::test_extension_witnesses_match_the_least_witness_reference"
+EDGE_GRID_REF = "tests/test_oracle.py::test_edge_grid_rows_below_above_and_across_chunks_match_edge_pairs"
+TYPE_CLASS_REF = "tests/test_oracle.py::test_type_class_matches_type_keys_and_scalar_edges"
 STREAM_BITS_REF = "tests/test_oracle.py::test_stream_bits_match_the_whole_stream_reference"
 
 MUTANTS = [
@@ -105,32 +107,32 @@ MUTANTS = [
         ("tests/test_constructions.py::test_thick_copy_verification_reads_the_last_pair",),
     ),
     Mutant(
-        "edge_grid: the below/above split off by one",
+        "_key_row: the split one pool vertex late, so the first larger vertex is keyed as the smaller",
         "oracle.py",
-        "i = min(max(split - lo, 0), len(part))",
-        "i = min(max(split - lo + 1, 0), len(part))",
-        ("tests/test_oracle.py::test_edge_grid_matches_edge_pairs",),
+        "i = int(pool.searchsorted(np.uint64(c)))",
+        "i = int(pool.searchsorted(np.uint64(c))) + 1",
+        (EDGE_GRID_REF, TYPE_CLASS_REF),
     ),
     Mutant(
-        "edge_grid: the larger-vertex half starts one pool vertex late",
+        "_key_row: the split one pool vertex early, so the last smaller vertex is keyed as the larger",
         "oracle.py",
-        "above = min(max(first - lo, 0), len(part))",
-        "above = min(max(first - lo + 1, 0), len(part))",
-        ("tests/test_oracle.py::test_edge_grid_rows_below_above_and_across_chunks_match_edge_pairs",),
+        "i = int(pool.searchsorted(np.uint64(c)))",
+        "i = max(int(pool.searchsorted(np.uint64(c))) - 1, 0)",
+        (TYPE_CLASS_REF, EDGE_GRID_REF),
     ),
     Mutant(
         "type_class: the rejected side kept",
         "oracle.py",
         "oracle._edge_bits(key[:n], keep[:n], tmp[:n], want)",
         "oracle._edge_bits(key[:n], keep[:n], tmp[:n], not want)",
-        ("tests/test_oracle.py::test_type_class_matches_type_keys_and_scalar_edges",),
+        (TYPE_CLASS_REF,),
     ),
     Mutant(
-        "_rotl32: a vertex of 2^32 or more keyed as v << 32",
+        "_key_row: a vertex of 2^32 or more keyed as v << 32",
         "oracle.py",
-        "if len(v) and v[-1] >> _U32:",
+        "if i < len(pool) and pool[-1] >> _U32:",
         "if False:",
-        ("tests/test_oracle.py::test_type_class_rows_below_inside_and_above_match_scalar_edges",),
+        ("tests/test_oracle.py::test_type_class_rows_below_inside_and_above_match_scalar_edges", EDGE_GRID_REF),
     ),
     Mutant(
         "_verdict_for: mix64's last step skipped where T is a multiple of 2^21 only",

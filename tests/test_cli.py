@@ -636,6 +636,17 @@ def test_limits_accept_the_cap_and_refuse_one_above_it(argv, at_cap, above, what
     )
 
 
+@pytest.mark.parametrize("argv", [
+    "construct-thick --blocks 2 --prefix-bound -5",
+    "construct-thick-copy --target k:3 --blocks 2 --prefix-bound -5",
+    "construct-pi02 --levels 1 --prefix-bound -5",
+    "sample-mup --p 1/2 --prefix-bound -2",
+    "density --host mup:1/2 --prefix-bound -1",
+])
+def test_negative_prefix_bounds_are_refused_by_name(argv):
+    assert run_main([*argv.split(), "--seed", "1"]) == (1, "", "error: prefix bound must be non-negative\n")
+
+
 # One working argv per subcommand, without a common option or with the
 # prefix bound it needs.  Where a command queries no edge, a mup: host makes
 # the seed matter; even and mup: hosts make the prefix bound matter.

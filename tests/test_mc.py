@@ -319,6 +319,8 @@ def test_mu_p_reproducible_and_validated():
     assert a.elements == b.elements
     with pytest.raises(ValueError):
         sample_mu_p(Fraction(1, 1), 10, 1)
+    with pytest.raises(ValueError, match="prefix bound must be non-negative"):
+        sample_mu_p(Fraction(1, 2), -1, 1)
 
 
 def test_mu_p_quarter_band():

@@ -372,16 +372,23 @@ SMALL_CHUNKS = st.sampled_from([1, 3, 16, _CHUNK])
 THREE_COINS = st.sampled_from(["1/2", "1/3", "3/4"])
 
 
+# a band of the pool around 2^32, where rotl(v, 32) is no longer v << 32
+BAND = (2**32 - 40, 2**32 + 40)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**64 - 1), THREE_COINS, st.sets(st.integers(10, 300), max_size=120),
+       st.sets(st.integers(*BAND), max_size=40),
        st.lists(st.sampled_from(["below", "above", "across"]), min_size=1, max_size=6), SMALL_CHUNKS)
-def test_edge_grid_rows_below_above_and_across_chunks_match_edge_pairs(seed, p, pool, where, cap):
-    """A row lies below a chunk, above it or splits it; edge_grid builds each
-    pool half only where some row needs it, and every row must still equal
-    its edge_pairs."""
+@example(1, "1/2", set(range(10, 20)), set(range(*BAND)), ["across", "below", "above"], 16)
+def test_edge_grid_rows_below_above_and_across_chunks_match_edge_pairs(seed, p, pool, band, where, cap):
+    """A row lies below a chunk, above it or splits it, and the pool may
+    reach past 2^32; every row, keyed chunk by chunk through _key_row, must
+    equal its edge_pairs."""
     o = EdgeOracle(seed, p)
-    pool = np.array(sorted(pool), dtype=np.int64)
-    picks = {"below": [1, 2, 9], "above": [301, 400, 2**40], "across": list(range(2, 300, 7))}
+    pool = np.array(sorted(pool | band), dtype=np.int64)
+    picks = {"below": [1, 2, 9], "above": [2**32 + 41, 2**40, 2**64 - 1],
+             "across": [*range(2, 300, 7), 301, 400, 2**32 - 41, 2**32 - 1, 2**32, 2**32 + 7]}
     us = [picks[w][(seed >> 3 * i) % len(picks[w])] for i, w in enumerate(where)]
     with mock.patch.object(oracle, "_CHUNK", cap):
         grid = o.edge_grid(us, pool)
