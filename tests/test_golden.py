@@ -98,6 +98,7 @@ EXTRA = [
     "extension --seed 3 --probability 1/3 --f 1-6 --bound 70000",
     "extension --seed 4 --probability 1 --f 1-3 --bound 70000",
     "mc-density --seed 1 --k 3 --n 2 --pool 70000 --trials 3",
+    "audit-weak --seed 1 --host 1-64 --kmax 3 --budget 1",
 ]
 CASES = [line.format(s=s) for line in INVOCATIONS for s in (7, 1)] + EXTRA
 
