@@ -8,8 +8,8 @@ unread, and ``main`` refuses a --probability other than 1/2 for a
 fixed-coin row.  Each ``cmd_*`` handler only computes and returns
 ``(result, code)``: the library's result as it is, and the exit code.
 ``main`` is the one report path: it emits the run header and the result,
-and maps exceptions to exit codes, each give-up to its exit-3 record
-through ``GIVE_UPS``.
+and maps exceptions to exit codes: a ``GiveUp`` prints its own exit-3
+``record``.
 
 Exit codes: 0 verified success, 1 usage error, 2 certified negative
 finding (a completed search or check that failed), 3 budget or prefix
@@ -39,15 +39,8 @@ from .audit import (
     max_gfree_subset,
     weak_universality,
 )
-from .constructions import (
-    ForcingFailed,
-    PrefixExhausted,
-    TypeClassEmpty,
-    construct_pi02_member,
-    construct_thick_copy,
-    construct_thick_edgeless,
-)
-from .embed import DeadEnd, EmbedConfig, embed_target
+from .constructions import construct_pi02_member, construct_thick_copy, construct_thick_edgeless
+from .embed import EmbedConfig, embed_target
 from .graphs import (
     FiniteGraph,
     complete,
@@ -74,7 +67,7 @@ from .mc import (
     sample_mu_p,
     type_frequency_check,
 )
-from .oracle import EdgeOracle, TypeSpec, VerificationError, extension_check, induced_subgraph, type_of
+from .oracle import EdgeOracle, GiveUp, TypeSpec, VerificationError, extension_check, induced_subgraph, type_of
 from .sets import VertexSet, _json_value, format_runs, parse_notation
 
 EXIT_OK = 0
@@ -434,17 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Give-ups (inconclusive outcomes) -> the fields of their exit-3 record.
-GIVE_UPS = {
-    DeadEnd: lambda e: {
-        "error": "dead end", "step": e.step, "required_type": e.required.bits, "pool_remaining": e.pool_remaining
-    },
-    PrefixExhausted: lambda e: {"error": str(e), "block": e.block},
-    TypeClassEmpty: lambda e: {"error": str(e), "level": e.level},
-    ForcingFailed: lambda e: {"error": str(e), "level": e.level},
-}
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     try:
@@ -464,8 +446,8 @@ def main(argv: "list[str] | None" = None) -> int:
             raise ValueError("%s %s, not %s" % (row.name, row.coin, args.probability))
         try:
             result, code = row.run(args)
-        except tuple(GIVE_UPS) as exc:
-            result, code = GIVE_UPS[type(exc)](exc), EXIT_EXHAUSTED
+        except GiveUp as exc:
+            result, code = exc.record, EXIT_EXHAUSTED
         emit(args, _header(args), result)
         return code
     except (ValueError, OSError, OverflowError) as exc:

@@ -18,7 +18,7 @@ from .embed import verify_embedding
 from .graphs import FiniteGraph, empty_graph
 from .largeness import WeightFunction, pi02_force
 from .limits import SCAN_PREFIX_CAP, check_limit
-from .oracle import EdgeOracle, VerificationError, type_class
+from .oracle import EdgeOracle, GiveUp, VerificationError, type_class
 from .sets import Report, VertexSet
 
 # Starts per scan chunk: the first chunk holds _SCAN_CHUNK >> 6 and each
@@ -27,7 +27,7 @@ from .sets import Report, VertexSet
 _SCAN_CHUNK = 1 << 18
 
 
-class PrefixExhausted(RuntimeError):
+class PrefixExhausted(GiveUp):
     """The materialized prefix ran out before a block could be placed;
     ``union`` holds the vertices of the blocks placed before it."""
 
@@ -40,9 +40,10 @@ class PrefixExhausted(RuntimeError):
         self.scanned_to = scanned_to
         self.per_candidate_probability = per_candidate_probability
         self.union = union
+        self.record = {"error": str(self), "block": block}
 
 
-class TypeClassEmpty(RuntimeError):
+class TypeClassEmpty(GiveUp):
     """No vertex of the required isolation type over [1, base_size] remains
     in the prefix."""
 
@@ -54,9 +55,10 @@ class TypeClassEmpty(RuntimeError):
         self.level = level
         self.base_size = base_size
         self.expected = expected
+        self.record = {"error": str(self), "level": level}
 
 
-class ForcingFailed(RuntimeError):
+class ForcingFailed(GiveUp):
     """The forcing oracle found no sufficient horizon within the prefix;
     ``base_size`` is k_{n-1} and ``union`` holds the blocks of the earlier
     levels."""
@@ -67,6 +69,7 @@ class ForcingFailed(RuntimeError):
         self.horizon = horizon
         self.base_size = base_size
         self.union = union
+        self.record = {"error": str(self), "level": level}
 
 
 def _scan(oracle: EdgeOracle, scan_from: int, placed: list[int], rows: list[int], prefix_bound: int) -> Iterator[np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import FiniteGraph
-from .oracle import EdgeOracle, TypeSpec, VerificationError
+from .oracle import EdgeOracle, GiveUp, TypeSpec, VerificationError
 from .sets import Report, VertexSet
 
 
@@ -46,7 +46,7 @@ class Embedding(Report):
     verified: bool
 
 
-class DeadEnd(RuntimeError):
+class DeadEnd(GiveUp):
     """No host vertex of the required type remains at some step."""
 
     def __init__(self, step: int, required: TypeSpec, pool_remaining: int):
@@ -57,6 +57,9 @@ class DeadEnd(RuntimeError):
         self.step = step
         self.required = required
         self.pool_remaining = pool_remaining
+        self.record = {
+            "error": "dead end", "step": step, "required_type": required.bits, "pool_remaining": pool_remaining
+        }
 
 
 def required_type(target: FiniteGraph, placed: tuple[int, ...]) -> TypeSpec:

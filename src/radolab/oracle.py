@@ -40,6 +40,13 @@ class VerificationError(RuntimeError):
     defect in the program, never a property of the input."""
 
 
+class GiveUp(RuntimeError):
+    """An inconclusive outcome (exit 3): ``record`` holds the fields that
+    the report prints for it."""
+
+    record: dict
+
+
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: xor-shift/multiply avalanche of a 64-bit word."""
     z &= MASK64
@@ -270,9 +277,6 @@ class TypeSpec:
             raise ValueError("type base must not repeat vertices")
         if not 0 <= self.mask < (1 << len(self.base)):
             raise ValueError("mask out of range for base of size %d" % len(self.base))
-
-    def __len__(self) -> int:
-        return len(self.base)
 
     @property
     def bits(self) -> str:

@@ -319,9 +319,23 @@ MUTANTS = [
     Mutant(
         "cli: a give-up exits 2 instead of 3",
         "cli.py",
-        "GIVE_UPS[type(exc)](exc), EXIT_EXHAUSTED",
-        "GIVE_UPS[type(exc)](exc), EXIT_NEGATIVE",
+        "exc.record, EXIT_EXHAUSTED",
+        "exc.record, EXIT_NEGATIVE",
         ("tests/test_cli.py::test_construct_thick_cli",),
+    ),
+    Mutant(
+        "cmd_audit_weak: an inconclusive audit exits 2 instead of 3",
+        "cli.py",
+        '.get(report["verdict"], EXIT_EXHAUSTED)',
+        '.get(report["verdict"], EXIT_NEGATIVE)',
+        ("tests/test_cli.py::test_audit_weak_budget_give_up_exits_three",),
+    ),
+    Mutant(
+        "DeadEnd: the record drops pool_remaining",
+        "embed.py",
+        '"required_type": required.bits, "pool_remaining": pool_remaining',
+        '"required_type": required.bits',
+        ("tests/test_golden.py",),
     ),
     Mutant(
         "main: the fixed-coin check skipped for the commands that query no edges",

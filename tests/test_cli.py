@@ -94,6 +94,13 @@ def test_audit_weak_cli():
     assert neg.returncode == 2
 
 
+def test_audit_weak_budget_give_up_exits_three():
+    code, out, err = run_main("audit-weak --seed 1 --host 1-64 --kmax 3 --budget 1".split())
+    rep = json.loads(out)
+    assert (code, err, rep["verdict"]) == (3, "", "inconclusive")
+    assert [p["status"] for p in rep["patterns"]] == ["found"] + ["budget"] * 6
+
+
 def test_construct_thick_cli():
     ok = run("construct-thick", "--seed", "1", "--blocks", "3", "--prefix-bound", "100000")
     assert ok.returncode == 0
@@ -204,6 +211,18 @@ def test_host_file_notation(tmp_path):
     p.write_text("1-16\n")
     out = run("thick", "--host", "file:" + str(p))
     assert json.loads(out.stdout)["interval"] == [1, 16]
+
+
+def test_an_edge_list_file_is_the_graph_it_lists(tmp_path):
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("# C5, 0-based\n0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="ascii")
+    argv = ["contains", "--seed", "1", "--host", "1-64", "--pattern"]
+    code, out, err = run_main([*argv, "file:%s" % c5])
+    want_code, want, _ = run_main([*argv, "c:5"])
+    got, want = json.loads(out), json.loads(want)
+    assert got["config"].pop("pattern") == "file:%s" % c5 and want["config"].pop("pattern") == "c:5"
+    assert (code, err, got) == (want_code, "", want)
+    assert got["witness"] == [1, 2, 6, 9, 33] and got["nodes"] == 5
 
 
 def test_ap_on_a_sparse_host_needs_no_table_sized_by_its_top():
@@ -645,6 +664,23 @@ def test_limits_accept_the_cap_and_refuse_one_above_it(argv, at_cap, above, what
 ])
 def test_negative_prefix_bounds_are_refused_by_name(argv):
     assert run_main([*argv.split(), "--seed", "1"]) == (1, "", "error: prefix bound must be non-negative\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("density --host ap:x --prefix-bound 100", "bad arithmetic-progression notation 'ap:x'"),
+    ("density --host ap:0,3 --prefix-bound 100", "ap start and difference must be >= 1"),
+    ("contains --host 1-10 --pattern c:2", "a cycle needs at least 3 vertices"),
+    ("sum --host 1-10 --weight x", "weight must be 'reciprocal' or 'power:EPS'"),
+])
+def test_malformed_inputs_are_refused_by_name(argv, message):
+    assert run_main([*argv.split(), "--seed", "1"]) == (1, "", "error: %s\n" % message)
+
+
+def test_an_empty_graph_file_is_refused_by_name(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no edges\n\n", encoding="ascii")
+    argv = ["contains", "--seed", "1", "--host", "1-10", "--pattern", "file:%s" % empty]
+    assert run_main(argv) == (1, "", "error: empty graph file %s\n" % empty)
 
 
 # One working argv per subcommand, without a common option or with the

@@ -7,8 +7,8 @@ against exhaustive search, and so are greedy and exact pattern-free
 growth.  Also pins the names the benchmark tracer wraps by name, every
 radolab name the benchmark reads, that every library name has a caller,
 that every limit is defined once, in radolab.limits, and listed in the
-README with its value, and that only the oracle turns a stream value into
-a coin."""
+README with its value, that only the oracle turns a stream value into
+a coin, and that each give-up carries its own exit-3 record."""
 
 import ast
 import importlib.util
@@ -29,7 +29,7 @@ from radolab.audit import _exact_gfree, _greedy_gfree
 from radolab.graphs import FiniteGraph, canonical_form, empty_graph, enumerate_unlabeled, find_induced
 from radolab.largeness import WeightFunction, pi02_force, substantial_family, thickness
 from radolab.mc import _trial_graph_bits, mc_gfree_probability
-from radolab.oracle import EdgeOracle
+from radolab.oracle import EdgeOracle, GiveUp
 from radolab.sets import VertexSet, format_runs, parse_runs
 
 
@@ -450,3 +450,19 @@ def test_readme_lists_every_limit_with_its_value():
     readme = (BENCH.parent / "README.md").read_text(encoding="utf-8")
     table = {k: v for k, v in vars(limits).items() if k.isupper()}
     assert [k for k, v in table.items() if readme.count("| `%s` | %d |" % (k, v)) != 1] == []
+
+
+def _subclasses(cls) -> list:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_every_give_up_builds_its_own_record():
+    """cli.py reads no give-up class by name, and every GiveUp subclass of
+    radolab assigns ``self.record`` in its own ``__init__``."""
+    give_ups = [c for c in _subclasses(GiveUp) if c.__module__.startswith("radolab.")]
+    names = {c.__name__ for c in give_ups}
+    assert {"DeadEnd", "PrefixExhausted", "TypeClassEmpty", "ForcingFailed"} <= names
+    assert _names_read(pathlib.Path(radolab.cli.__file__)) & names == set()
+    recordless = [c.__name__ for c in give_ups if "__init__" not in vars(c)
+                  or not re.search(r"^\s*self\.record = ", inspect.getsource(c.__init__), re.M)]
+    assert recordless == []
