@@ -14,15 +14,7 @@ import numpy as np
 
 from .embed import verify_embedding
 from .graphs import FiniteGraph, canonical_form, enumerate_unlabeled, find_induced, graph6_encode
-from .limits import (
-    CATALOG_MAX_ORDER,
-    CONTAINS_ORDER_CAP,
-    DEFAULT_NODE_BUDGET,
-    EXACT_WINDOW_CAP,
-    GFREE_PATTERN_ORDER_CAP,
-    GFREE_WINDOW_CAP,
-    check_limit,
-)
+from .limits import DEFAULT_NODE_BUDGET, EXACT_WINDOW_CAP, GFREE_WINDOW_CAP, check_limit
 from .oracle import EdgeOracle, VerificationError, adjacency_rows
 from .sets import Report, VertexSet
 
@@ -51,7 +43,7 @@ def contains_induced(
     that each row is built once.  A found witness is re-verified from raw
     oracle queries before it is returned.
     """
-    check_limit(pattern.order, CONTAINS_ORDER_CAP, "CONTAINS_ORDER_CAP", "pattern order %d" % pattern.order)
+    check_limit(pattern.order, "CONTAINS_ORDER_CAP", "pattern order %d" % pattern.order)
     if node_budget < 1:
         raise ValueError("node budget must be >= 1")
     rows = _LazyRows(oracle, host.as_array) if rows is None else rows
@@ -85,7 +77,7 @@ def weak_universality(
     """Witness every unlabeled graph of order <= k_max inside the host."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0, not %d" % k_max)
-    check_limit(k_max, CATALOG_MAX_ORDER, "CATALOG_MAX_ORDER", "k_max %d" % k_max)
+    check_limit(k_max, "CATALOG_MAX_ORDER", "k_max %d" % k_max)
     patterns = []
     rows = _LazyRows(oracle, host.as_array)
     for k in range(1, k_max + 1):
@@ -114,7 +106,7 @@ def _check_gfree_pattern(pattern: FiniteGraph) -> None:
     before any pattern-free work."""
     if pattern.order == 0:
         raise ValueError("a pattern-free subset needs a pattern with at least one vertex")
-    check_limit(pattern.order, GFREE_PATTERN_ORDER_CAP, "GFREE_PATTERN_ORDER_CAP", "pattern order %d" % pattern.order)
+    check_limit(pattern.order, "GFREE_PATTERN_ORDER_CAP", "pattern order %d" % pattern.order)
 
 
 def _greedy_gfree(rows: list[int], n: int, pattern: FiniteGraph) -> list[int]:
@@ -194,9 +186,9 @@ def max_gfree_subset(
     if mode not in ("exact", "greedy"):
         raise ValueError("mode must be exact or greedy")
     _check_gfree_pattern(pattern)
-    check_limit(n, GFREE_WINDOW_CAP, "GFREE_WINDOW_CAP", "window length %d" % n)
+    check_limit(n, "GFREE_WINDOW_CAP", "window length %d" % n)
     if mode == "exact":
-        check_limit(n, EXACT_WINDOW_CAP, "EXACT_WINDOW_CAP", "exact-mode window length %d" % n)
+        check_limit(n, "EXACT_WINDOW_CAP", "exact-mode window length %d" % n)
     vertices = np.arange(lo, hi + 1, dtype=np.int64)
     rows = adjacency_rows(oracle, vertices)
     chosen = _exact_gfree(rows, n, pattern) if mode == "exact" else _greedy_gfree(rows, n, pattern)
@@ -232,7 +224,7 @@ def dyadic_audit(
         raise ValueError("k must be >= 0, not %d" % low)
     # 2^top, saturated just above the cap: a huge --k-to is refused without computing 2^top
     window = 2 ** min(top, GFREE_WINDOW_CAP.bit_length())
-    check_limit(window, GFREE_WINDOW_CAP, "GFREE_WINDOW_CAP", "window length 2^%d" % top)
+    check_limit(window, "GFREE_WINDOW_CAP", "window length 2^%d" % top)
     rows_out = []
     for k in k_range:
         lo, hi = 2**k, 2 ** (k + 1) - 1

@@ -59,7 +59,7 @@ from .largeness import (
     thickness,
     weighted_sum,
 )
-from .limits import DEFAULT_NODE_BUDGET, PATTERN_ORDER_CAP, check_limit
+from .limits import DEFAULT_NODE_BUDGET, check_limit
 from .mc import (
     mc_density_star,
     mc_fn_bound,
@@ -104,12 +104,12 @@ def parse_pattern(text: str) -> FiniteGraph:
     m = re.fullmatch(r"(k|c|p|e):(\d+)", text)
     if m:
         n = int(m.group(2))
-        check_limit(n, PATTERN_ORDER_CAP, "PATTERN_ORDER_CAP", "graph order %d" % n)
+        check_limit(n, "PATTERN_ORDER_CAP", "graph order %d" % n)
         return {"k": complete, "c": cycle, "p": path, "e": empty_graph}[m.group(1)](n)
     if not text.startswith(("g6:", "file:")):
         raise ValueError("bad graph notation %r (use g6:, k:, c:, p:, e:, petersen, file:)" % text)
     g = graph6_decode(text[3:]) if text.startswith("g6:") else load_graph_file(text[5:])  # text length bounds it
-    check_limit(g.order, PATTERN_ORDER_CAP, "PATTERN_ORDER_CAP", "graph order %d" % g.order)
+    check_limit(g.order, "PATTERN_ORDER_CAP", "graph order %d" % g.order)
     return g
 
 
@@ -127,7 +127,7 @@ def load_graph_file(path_: str) -> FiniteGraph:
         u, v = (int(x) for x in ln.split())
         edges.append((u, v))
         top = max(top, u, v)
-    check_limit(top + 1, PATTERN_ORDER_CAP, "PATTERN_ORDER_CAP", "graph order %d" % (top + 1))
+    check_limit(top + 1, "PATTERN_ORDER_CAP", "graph order %d" % (top + 1))
     return FiniteGraph.from_edges(top + 1, edges)
 
 

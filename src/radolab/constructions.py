@@ -17,7 +17,7 @@ import numpy as np
 from .embed import verify_embedding
 from .graphs import FiniteGraph, empty_graph
 from .largeness import WeightFunction, pi02_force
-from .limits import SCAN_PREFIX_CAP, check_limit
+from .limits import check_limit
 from .oracle import EdgeOracle, GiveUp, VerificationError, type_class
 from .sets import Report, VertexSet
 
@@ -132,7 +132,7 @@ def _place_blocks(
         raise ValueError("need at least one block")
     if prefix_bound < 0:
         raise ValueError("prefix bound must be non-negative")
-    check_limit(prefix_bound, SCAN_PREFIX_CAP, "SCAN_PREFIX_CAP", "prefix bound %d" % prefix_bound)
+    check_limit(prefix_bound, "SCAN_PREFIX_CAP", "prefix bound %d" % prefix_bound)
     intervals: list[tuple[int, int]] = []
     images: list[int] = []
     scan_from = 1
@@ -226,7 +226,7 @@ def construct_pi02_member(
         raise ValueError("levels must be non-negative")
     if prefix_bound < 0:
         raise ValueError("prefix bound must be non-negative")
-    check_limit(prefix_bound, SCAN_PREFIX_CAP, "SCAN_PREFIX_CAP", "prefix bound %d" % prefix_bound)
+    check_limit(prefix_bound, "SCAN_PREFIX_CAP", "prefix bound %d" % prefix_bound)
     k_prev = 0
     ks: list[int] = []
     fs: list[tuple[int, ...]] = []

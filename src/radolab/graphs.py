@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .limits import CANONICAL_MAX_ORDER, CATALOG_MAX_ORDER, GRAPH6_MAX_ORDER, check_limit
+from .limits import check_limit
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +138,7 @@ class Graph6Error(ValueError):
 
 def graph6_encode(g: FiniteGraph) -> str:
     n = g.order
-    check_limit(n, GRAPH6_MAX_ORDER, "GRAPH6_MAX_ORDER", "graph6 order %d" % n)
+    check_limit(n, "GRAPH6_MAX_ORDER", "graph6 order %d" % n)
     if n <= 62:
         head = chr(n + 63)
     else:
@@ -199,7 +199,7 @@ def _relabelings(n: int) -> np.ndarray:
 def canonical_form(g: FiniteGraph) -> str:
     """Order-prefixed least code over all relabellings, spelled out as its
     pair bits; two graphs are isomorphic iff their canonical forms are equal."""
-    check_limit(g.order, CANONICAL_MAX_ORDER, "CANONICAL_MAX_ORDER", "canonical-form order %d" % g.order)
+    check_limit(g.order, "CANONICAL_MAX_ORDER", "canonical-form order %d" % g.order)
     weights = _relabelings(g.order)
     least = int((_upper_bits(g) @ weights).min())
     return "%d:%s" % (g.order, format(least | 1 << len(weights), "b")[1:])
@@ -217,7 +217,7 @@ def enumerate_unlabeled(k: int) -> tuple[FiniteGraph, ...]:
     """
     if k < 1:
         raise ValueError("catalog order %d is below 1" % k)
-    check_limit(k, CATALOG_MAX_ORDER, "CATALOG_MAX_ORDER", "catalog order %d" % k)
+    check_limit(k, "CATALOG_MAX_ORDER", "catalog order %d" % k)
     if k == 1:
         return (FiniteGraph(1, (0,)),)
     weights = _relabelings(k)

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .limits import AP_SIZE_LIMIT, check_limit
+from .limits import check_limit
 from .sets import Report, VertexSet
 
 
@@ -133,7 +133,7 @@ def longest_ap(a: VertexSet) -> tuple[int, int, int]:
     element; |A| is capped accordingly.
     """
     m = len(a)
-    check_limit(m, AP_SIZE_LIMIT, "AP_SIZE_LIMIT", "longest_ap set size %d" % m)
+    check_limit(m, "AP_SIZE_LIMIT", "longest_ap set size %d" % m)
     if m == 0:
         return (0, 0, 0)
     if m == 1:

@@ -2,7 +2,8 @@
 
 An input above a limit is refused before the work it would start, with
 the one message ``<what> <value> exceeds <NAME> = <cap>`` (``check_limit``);
-the CLI prints it as ``error: ...`` and exits 1.
+the CLI prints it as ``error: ...`` and exits 1.  A refusal names its limit
+once, by its name in this table, and the table supplies the cap.
 """
 
 DEFAULT_NODE_BUDGET = 10**6  # search nodes per induced-copy search (--budget): a spent budget is exit 3, not absence
@@ -26,9 +27,11 @@ STREAM_ENTRIES_CAP = 1 << 27  # entries of one counter stream (trials * C(n, 2) 
 NOTATION_SET_CAP = 1 << 27  # elements of a host set in notation (all, even, odd, ap:, runs) or of an extension or typefreq pool, counted before any of it is built: 1 GiB of int64
 
 
-def check_limit(value, cap: int, name: str, what: str, unit: str = "") -> None:
-    """Refuse a ``value`` above ``cap``, the limit called ``name``, with a
-    ValueError whose message is ``what`` (the refused quantity and, as a
-    rule, its value), "exceeds" and ``NAME = cap`` plus ``unit``."""
+def check_limit(value, name: str, what: str, unit: str = "") -> None:
+    """Refuse a ``value`` above the limit called ``name`` in this table, with
+    a ValueError whose message is ``what`` (the refused quantity and, as a
+    rule, its value), "exceeds" and ``NAME = cap`` plus ``unit``.  The cap
+    is read by name when the check runs."""
+    cap = globals()[name]
     if value > cap:
         raise ValueError("%s exceeds %s = %d%s" % (what, name, cap, unit))

@@ -17,16 +17,7 @@ import numpy as np
 
 from .audit import _check_gfree_pattern, _exact_gfree, _greedy_gfree
 from .graphs import FiniteGraph, _relabelings, _upper_bits, enumerate_unlabeled, find_induced, rows_from_upper_bits
-from .limits import (
-    EXACT_N_CAP,
-    FN_EXACT_CAP,
-    FN_POWER_BITS_CAP,
-    MC_DENSITY_EDGE_CAP,
-    MC_N_CAP,
-    NOTATION_SET_CAP,
-    STREAM_ENTRIES_CAP,
-    check_limit,
-)
+from .limits import EXACT_N_CAP, FN_EXACT_CAP, check_limit
 from .oracle import (
     MASK64,
     TAG_MU_P,
@@ -53,7 +44,7 @@ def mc_density_star(seed: int, k: int, n: int, pool_size: int, trials: int) -> d
         raise ValueError("pool too small")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    check_limit(trials * n * k * pool_size, MC_DENSITY_EDGE_CAP, "MC_DENSITY_EDGE_CAP", "trials * n * k * pool")
+    check_limit(trials * n * k * pool_size, "MC_DENSITY_EDGE_CAP", "trials * n * k * pool")
     start = n * k + 1
     pool = range(start, start + pool_size)
     fractions = []
@@ -97,7 +88,7 @@ def _gfree_flags(pattern: FiniteGraph, n: int) -> np.ndarray:
 
 def exact_gfree_count(pattern: FiniteGraph, n: int) -> dict:
     """Exact probability that a uniform labeled n-vertex graph is pattern-free."""
-    check_limit(n, EXACT_N_CAP, "EXACT_N_CAP", "exact-table order %d" % n)
+    check_limit(n, "EXACT_N_CAP", "exact-table order %d" % n)
     if not 1 <= pattern.order <= n:
         raise ValueError("pattern order must lie in [1, n]")
     flags = _gfree_flags(pattern, n)
@@ -108,7 +99,7 @@ def exact_gfree_count(pattern: FiniteGraph, n: int) -> dict:
 
 def _trial_graph_bits(seed: int, trials: int, npairs: int) -> np.ndarray:
     entries = trials * npairs
-    check_limit(entries, STREAM_ENTRIES_CAP, "STREAM_ENTRIES_CAP", "trial-graph stream of %d entries" % entries)
+    check_limit(entries, "STREAM_ENTRIES_CAP", "trial-graph stream of %d entries" % entries)
     tags = TAG_TRIAL_GRAPHS + np.arange(trials, dtype=np.uint64)
     return stream_bits(seed, tags, npairs, Fraction(1, 2))
 
@@ -125,7 +116,7 @@ def mc_gfree_probability(
     _check_gfree_pattern(pattern)
     if n < pattern.order:
         raise ValueError("n must be at least the pattern order")
-    check_limit(n, MC_N_CAP, "MC_N_CAP", "n %d" % n)
+    check_limit(n, "MC_N_CAP", "n %d" % n)
     if trials < 1:
         raise ValueError("need at least one trial")
     if c is not None and not math.isfinite(c):
@@ -156,7 +147,7 @@ def fn_size(n: int, n_param: int) -> int:
     if n_param < 0:
         raise ValueError("n_param must be >= 0")
     bits = n_param * (n.bit_length() - 1)
-    check_limit(bits, FN_POWER_BITS_CAP, "FN_POWER_BITS_CAP", "n^N = %d^%d" % (n, n_param), " bits")
+    check_limit(bits, "FN_POWER_BITS_CAP", "n^N = %d^%d" % (n, n_param), " bits")
     return (n**n_param - 1).bit_length()
 
 
@@ -211,7 +202,7 @@ def sample_mu_p(p, bound: int, seed: int) -> VertexSet:
         raise ValueError("p must lie strictly between 0 and 1")
     if bound < 0:
         raise ValueError("prefix bound must be non-negative")
-    check_limit(bound, STREAM_ENTRIES_CAP, "STREAM_ENTRIES_CAP", "mu_p stream of %d entries" % bound)
+    check_limit(bound, "STREAM_ENTRIES_CAP", "mu_p stream of %d entries" % bound)
     members = np.flatnonzero(stream_bits(seed, [TAG_MU_P], bound, frac)[0])
     members += 1
     return VertexSet(members, bound)
@@ -227,7 +218,7 @@ def type_frequency_check(oracle: EdgeOracle, f: VertexSet, t: TypeSpec, bound: i
     start = (int(f.as_array[-1]) if len(f) else 0) + 1
     pool = range(start, bound + 1)
     total = len(pool)
-    check_limit(total, NOTATION_SET_CAP, "NOTATION_SET_CAP", "pool of %d vertices" % total)
+    check_limit(total, "NOTATION_SET_CAP", "pool of %d vertices" % total)
     if total == 0:
         raise ValueError("no vertices beyond the base within the bound")
     members = type_class(oracle, f.as_array, t.mask, pool)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FiniteGraph, pack_rows
-from .limits import EXTENSION_BASE_CAP, NOTATION_SET_CAP, check_limit
+from .limits import check_limit
 from .sets import VertexSet
 
 MASK64 = (1 << 64) - 1
@@ -370,12 +370,12 @@ def extension_check(oracle: EdgeOracle, f: VertexSet, bound: int) -> dict:
     an error.
     """
     k = len(f)
-    check_limit(k, EXTENSION_BASE_CAP, "EXTENSION_BASE_CAP", "extension base size %d" % k)
+    check_limit(k, "EXTENSION_BASE_CAP", "extension base size %d" % k)
     if k and f.as_array[-1] > bound:
         raise ValueError("base set must lie within [1, bound]")
     top = max(bound, 0)  # no candidate lies above it; a bound below 1 leaves none
     pool = top - k
-    check_limit(pool, NOTATION_SET_CAP, "NOTATION_SET_CAP", "pool of %d vertices" % pool)
+    check_limit(pool, "NOTATION_SET_CAP", "pool of %d vertices" % pool)
     # the j-th candidate is j plus the number of these gaps <= j: F's i-th vertex less i
     gaps = f.as_array - np.arange(k)
     # candidates ascend, so the least candidate of each key is its least witness

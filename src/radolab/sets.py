@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .limits import NOTATION_SET_CAP, check_limit
+from .limits import check_limit
 
 _PLAIN = frozenset((str, int, bool, type(None)))  # kept as they are by every JSON form, tested by exact type
 
@@ -161,7 +161,7 @@ def format_runs(vs: VertexSet) -> str:
 
 
 def _check_set_size(n: int) -> None:
-    check_limit(n, NOTATION_SET_CAP, "NOTATION_SET_CAP", "host set of %d elements" % n)
+    check_limit(n, "NOTATION_SET_CAP", "host set of %d elements" % n)
 
 
 def parse_runs(text: str, prefix_bound: int | None = None) -> VertexSet:

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import complement, gfree_flags, row_type_keys, whole_stream_matrix
 
-from radolab import mc, oracle
+from radolab import limits, oracle
 from radolab.graphs import (
     _relabelings,
     canonical_form,
@@ -433,9 +433,9 @@ def test_type_frequency_pool_is_capped_like_a_host_set(k, bound):
     f = VertexSet.interval(1, k)
     t = TypeSpec(f.elements, 0)
     size = bound - k
-    with mock.patch.object(mc, "NOTATION_SET_CAP", size):
+    with mock.patch.object(limits, "NOTATION_SET_CAP", size):
         assert type_frequency_check(EdgeOracle(1), f, t, bound)["total"] == size
-    with mock.patch.object(mc, "NOTATION_SET_CAP", size - 1):
+    with mock.patch.object(limits, "NOTATION_SET_CAP", size - 1):
         with pytest.raises(ValueError, match="^pool of %d vertices exceeds NOTATION_SET_CAP = %d$" % (size, size - 1)):
             type_frequency_check(EdgeOracle(1), f, t, bound)
 

@@ -336,11 +336,19 @@ def test_names_the_benchmark_reads_still_exist():
     assert missing == []
 
 
+def _limits_named(tree) -> list:
+    """The second argument of every ``check_limit`` call in ``tree`` (None
+    where a call has none): the limit the call refuses through, by name."""
+    return [node.args[1] if len(node.args) > 1 else None for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == "check_limit"]
+
+
 def _names_read(path) -> set:
-    """The names a module reads: as an ``ast.Name``, an ``ast.Attribute``
-    or an import."""
-    reads = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    """The names a module reads: as an ``ast.Name``, an ``ast.Attribute``,
+    an import or the limit a ``check_limit`` call names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = {a.value for a in _limits_named(tree) if isinstance(a, ast.Constant)}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -352,8 +360,9 @@ def _names_read(path) -> set:
 
 def test_every_library_name_has_a_caller():
     """Each top-level function, class and assigned name of a radolab module
-    is read (an ``ast.Name``, an ``ast.Attribute`` or an import) somewhere in
-    src/radolab or bench/, outside the package's __init__.py."""
+    is read (an ``ast.Name``, an ``ast.Attribute``, an import or a limit
+    named in a ``check_limit`` call) somewhere in src/radolab or bench/,
+    outside the package's __init__.py."""
     package = pathlib.Path(radolab.cli.__file__).parent
     reads = set()
     for path in [p for p in package.glob("*.py") if p.name != "__init__.py"] + list(BENCH.glob("*.py")):
@@ -381,14 +390,17 @@ OLD_REFUSALS = ("capped at", "supported up to", "supports at most", "hold at mos
 def test_every_limit_is_defined_once_in_the_limits_table():
     """No module but limits.py assigns a *_CAP, *_LIMIT, *_MAX_ORDER or
     *_BITS name; no string literal refuses in an old phrasing; every limit
-    named in a string is in the table; and a call that passes a limit and
-    then a name (``check_limit``) names that limit."""
+    named in a string is in the table; and every ``check_limit`` call names
+    its limit by a string literal that is a key of the table."""
     table = {k: v for k, v in vars(limits).items() if k.isupper()}
     assert table and all(type(v) is int for v in table.values())
     package = pathlib.Path(radolab.cli.__file__).parent
     assigned, phrased, named, misnamed = [], [], set(), []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        misnamed += [(path.stem, a and ast.unparse(a)) for a in _limits_named(tree)
+                     if not (isinstance(a, ast.Constant) and a.value in table)]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and path.name != "limits.py":
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 assigned += ["%s.%s" % (path.stem, e.id) for t in targets for e in ast.walk(t)
@@ -396,10 +408,6 @@ def test_every_limit_is_defined_once_in_the_limits_table():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 phrased += [(path.stem, p) for p in OLD_REFUSALS if p in node.value]
                 named.update(w for w in re.findall(r"[A-Z][A-Z0-9_]+", node.value) if LIMIT_NAME.fullmatch(w))
-            elif isinstance(node, ast.Call):
-                misnamed += [(a.id, b.value) for a, b in zip(node.args, node.args[1:])
-                             if isinstance(a, ast.Name) and a.id in table and isinstance(b, ast.Constant)
-                             and isinstance(b.value, str) and b.value != a.id]
     assert assigned == [] and phrased == [] and misnamed == []
     assert sorted(named - set(table)) == []
 

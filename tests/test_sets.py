@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radolab import sets
+from radolab import limits
 from radolab.audit import SearchResult, contains_induced
 from radolab.constructions import (
     Pi02Result,
@@ -71,9 +71,9 @@ def test_parse_notation_keywords():
 def _refused_at(size, build):
     """build() is admitted by a NOTATION_SET_CAP of size and refused, with
     the count in the message, by one of size - 1."""
-    with mock.patch.object(sets, "NOTATION_SET_CAP", size):
+    with mock.patch.object(limits, "NOTATION_SET_CAP", size):
         build()
-    with mock.patch.object(sets, "NOTATION_SET_CAP", size - 1):
+    with mock.patch.object(limits, "NOTATION_SET_CAP", size - 1):
         with pytest.raises(ValueError, match="^host set of %d elements exceeds NOTATION_SET_CAP = %d$" % (size, size - 1)):
             build()
 
