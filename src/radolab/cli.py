@@ -68,7 +68,7 @@ from .mc import (
     type_frequency_check,
 )
 from .oracle import EdgeOracle, GiveUp, TypeSpec, VerificationError, extension_check, induced_subgraph, type_of
-from .sets import VertexSet, _json_value, format_runs, parse_notation
+from .sets import VertexSet, _json_value, format_runs, parse_integer, parse_notation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,21 +114,26 @@ def parse_pattern(text: str) -> FiniteGraph:
 
 
 def load_graph_file(path_: str) -> FiniteGraph:
-    """Graph file: either one graph6 line, or 0-based 'u v' edge lines."""
+    """Graph file: either one graph6 line, or 0-based 'u v' edge lines; a
+    line that starts with '#' is a comment."""
     with open(path_, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty graph file %s" % path_)
     if len(lines) == 1 and " " not in lines[0]:
         return graph6_decode(lines[0])
-    edges = []
-    top = -1
     for ln in lines:
-        u, v = (int(x) for x in ln.split())
-        edges.append((u, v))
-        top = max(top, u, v)
-    check_limit(top + 1, "PATTERN_ORDER_CAP", "graph order %d" % (top + 1))
-    return FiniteGraph.from_edges(top + 1, edges)
+        if not re.fullmatch(r"\d+\s+\d+", ln):
+            raise ValueError("graph file %s: line %r is not an edge 'u v' of two non-negative integers" % (path_, ln))
+    edges = [tuple(map(int, ln.split())) for ln in lines]
+    n = 1 + max(map(max, edges))
+    check_limit(n, "PATTERN_ORDER_CAP", "graph order %d" % n)
+    return FiniteGraph.from_edges(n, edges)
+
+
+def _integers(text: str, option: str) -> list[int]:
+    """The comma-separated integers of an option's value."""
+    return [parse_integer(x, option + " item") for x in text.split(",")]
 
 
 def _host(args, text: str) -> VertexSet:
@@ -248,7 +253,7 @@ def cmd_dyadic_audit(args) -> tuple[dict, int]:
 
 def cmd_density(args) -> tuple[dict, int]:
     host, dyadic = _host(args, args.host), args.checkpoints == "dyadic"
-    points = dyadic_checkpoints(host.prefix_bound) if dyadic else [int(x) for x in args.checkpoints.split(",")]
+    points = dyadic_checkpoints(host.prefix_bound) if dyadic else _integers(args.checkpoints, "--checkpoints")
     return density_profile(host, points), EXIT_OK
 
 
@@ -299,7 +304,7 @@ def cmd_mc_gfree(args) -> tuple[dict, int]:
 
 def cmd_mc_fn(args) -> tuple[dict, int]:
     pattern = parse_pattern(args.pattern)
-    n_list = [int(x) for x in args.n_list.split(",")]
+    n_list = _integers(args.n_list, "--n-list")
     return {"rows": mc_fn_bound(pattern, n_list, args.n_param, args.trials, args.seed)}, EXIT_OK
 
 

@@ -71,6 +71,8 @@ class FiniteGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "FiniteGraph":
         rows = [0] * n
         for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError("edge (%d, %d) has a vertex outside [0, %d)" % (i, j, n))
             if i == j:
                 raise ValueError("loops are not allowed")
             rows[i] |= 1 << j

@@ -194,7 +194,15 @@ def load_vertex_set(path: str) -> VertexSet:
     lines = [ln.strip() for ln in body.splitlines() if ln.strip() and not ln.startswith("#")]
     if len(lines) == 1 and ("," in lines[0] or "-" in lines[0]):
         return parse_runs(lines[0])
-    return VertexSet.from_iterable(int(ln) for ln in lines)
+    return VertexSet.from_iterable(parse_integer(ln, "set file %s: line" % path) for ln in lines)
+
+
+def parse_integer(text: str, what: str) -> int:
+    """``int(text)``, or a ValueError naming ``what`` the text is."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s %r is not an integer" % (what, text)) from None
 
 
 _KEYWORD_APS = {"all": (1, 1), "even": (2, 2), "odd": (1, 2)}  # (start, difference) of each keyword's progression

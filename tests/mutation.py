@@ -365,6 +365,20 @@ MUTANTS = [
         "if value > cap + 1:",
         ("tests/test_cli.py::test_limits_accept_the_cap_and_refuse_one_above_it",),
     ),
+    Mutant(
+        "load_graph_file: an edge line with a negative vertex accepted",
+        "cli.py",
+        'r"\\d+\\s+\\d+"',
+        'r"-?\\d+\\s+-?\\d+"',
+        ("tests/test_cli.py::test_a_malformed_edge_line_is_refused_by_name",),
+    ),
+    Mutant(
+        "FiniteGraph.from_edges: a vertex outside [0, n) not refused",
+        "graphs.py",
+        "if not (0 <= i < n and 0 <= j < n):",
+        "if False:",
+        ("tests/test_graphs.py::test_from_edges_refuses_a_vertex_outside_the_graph",),
+    ),
 ]
 
 

@@ -671,6 +671,8 @@ def test_negative_prefix_bounds_are_refused_by_name(argv):
     ("density --host ap:0,3 --prefix-bound 100", "ap start and difference must be >= 1"),
     ("contains --host 1-10 --pattern c:2", "a cycle needs at least 3 vertices"),
     ("sum --host 1-10 --weight x", "weight must be 'reciprocal' or 'power:EPS'"),
+    ("mc-fn --pattern k:3 --n-param 1 --trials 2 --n-list 8,,9", "--n-list item '' is not an integer"),
+    ("density --host 1-10 --checkpoints 4,x", "--checkpoints item 'x' is not an integer"),
 ])
 def test_malformed_inputs_are_refused_by_name(argv, message):
     assert run_main([*argv.split(), "--seed", "1"]) == (1, "", "error: %s\n" % message)
@@ -681,6 +683,23 @@ def test_an_empty_graph_file_is_refused_by_name(tmp_path):
     empty.write_text("# no edges\n\n", encoding="ascii")
     argv = ["contains", "--seed", "1", "--host", "1-10", "--pattern", "file:%s" % empty]
     assert run_main(argv) == (1, "", "error: empty graph file %s\n" % empty)
+
+
+@pytest.mark.parametrize("line", ["-1 2", "0 1 2", "0 x"])
+def test_a_malformed_edge_line_is_refused_by_name(tmp_path, line):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n%s\n" % line, encoding="ascii")
+    argv = ["contains", "--seed", "1", "--host", "1-10", "--pattern", "file:%s" % edges]
+    assert run_main(argv) == (
+        1, "", "error: graph file %s: line %r is not an edge 'u v' of two non-negative integers\n" % (edges, line)
+    )
+
+
+def test_a_non_integer_line_of_a_set_file_is_refused_by_name(tmp_path):
+    host = tmp_path / "host.txt"
+    host.write_text("# host\n5\nx\n", encoding="ascii")
+    argv = ["thick", "--seed", "1", "--host", "file:%s" % host]
+    assert run_main(argv) == (1, "", "error: set file %s: line 'x' is not an integer\n" % host)
 
 
 # One working argv per subcommand, without a common option or with the

@@ -119,6 +119,12 @@ def test_finite_graph_validation():
         FiniteGraph(2, (4, 0))  # out of range
 
 
+@pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 2), (1, -1)])
+def test_from_edges_refuses_a_vertex_outside_the_graph(edge):
+    with pytest.raises(ValueError, match=r"^edge \(%d, %d\) has a vertex outside \[0, 3\)$" % edge):
+        FiniteGraph.from_edges(3, [edge])
+
+
 def test_named_graphs():
     assert complete(4).edge_count == 6
     assert empty_graph(5).edge_count == 0
