@@ -9,22 +9,3 @@ of the underlying probability bounds.
 """
 
 __version__ = "0.1.0"
-
-from .oracle import EdgeOracle, TypeSpec, extension_check, induced_subgraph, type_of
-from .sets import VertexSet
-from .graphs import FiniteGraph, canonical_form, enumerate_unlabeled, graph6_decode, graph6_encode
-
-__all__ = [
-    "EdgeOracle",
-    "TypeSpec",
-    "VertexSet",
-    "FiniteGraph",
-    "canonical_form",
-    "enumerate_unlabeled",
-    "graph6_decode",
-    "graph6_encode",
-    "extension_check",
-    "induced_subgraph",
-    "type_of",
-    "__version__",
-]

@@ -68,7 +68,7 @@ from .mc import (
     type_frequency_check,
 )
 from .oracle import EdgeOracle, GiveUp, TypeSpec, VerificationError, extension_check, induced_subgraph, type_of
-from .sets import VertexSet, _json_value, format_runs, parse_integer, parse_notation
+from .sets import VertexSet, _json_value, check_digits, format_runs, parse_integer, parse_notation, read_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,6 +85,7 @@ def parse_seed(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    check_digits(text, "probability")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -103,7 +104,7 @@ def parse_pattern(text: str) -> FiniteGraph:
         return petersen()
     m = re.fullmatch(r"(k|c|p|e):(\d+)", text)
     if m:
-        n = int(m.group(2))
+        n = parse_integer(m.group(2), "graph order")
         check_limit(n, "PATTERN_ORDER_CAP", "graph order %d" % n)
         return {"k": complete, "c": cycle, "p": path, "e": empty_graph}[m.group(1)](n)
     if not text.startswith(("g6:", "file:")):
@@ -114,18 +115,17 @@ def parse_pattern(text: str) -> FiniteGraph:
 
 
 def load_graph_file(path_: str) -> FiniteGraph:
-    """Graph file: either one graph6 line, or 0-based 'u v' edge lines; a
-    line that starts with '#' is a comment."""
-    with open(path_, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    """Graph file: either one graph6 line (one line without white space), or
+    0-based 'u v' edge lines; a line that starts with '#' is a comment."""
+    lines = read_lines(path_)
     if not lines:
         raise ValueError("empty graph file %s" % path_)
-    if len(lines) == 1 and " " not in lines[0]:
+    if len(lines) == 1 and len(lines[0].split()) == 1:
         return graph6_decode(lines[0])
     for ln in lines:
         if not re.fullmatch(r"\d+\s+\d+", ln):
             raise ValueError("graph file %s: line %r is not an edge 'u v' of two non-negative integers" % (path_, ln))
-    edges = [tuple(map(int, ln.split())) for ln in lines]
+    edges = [tuple(parse_integer(x, "graph file %s: vertex" % path_) for x in ln.split()) for ln in lines]
     n = 1 + max(map(max, edges))
     check_limit(n, "PATTERN_ORDER_CAP", "graph order %d" % n)
     return FiniteGraph.from_edges(n, edges)
@@ -240,7 +240,7 @@ def cmd_gfree_max(args) -> tuple[dict, int]:
     m = re.fullmatch(r"(\d+)-(\d+)", args.window)
     if not m:
         raise ValueError("--window must be an inclusive interval a-b, not %r" % args.window)
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = (parse_integer(x, "--window end") for x in m.groups())
     subset = max_gfree_subset(_oracle(args), (lo, hi), parse_pattern(args.pattern), args.mode)
     return {"window": [lo, hi], "mode": args.mode, "size": len(subset), "elements": subset}, EXIT_OK
 

@@ -9,17 +9,17 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .limits import check_limit
+from .limits import DECIMAL_DIGITS_CAP, check_limit
 
 _PLAIN = frozenset((str, int, bool, type(None)))  # kept as they are by every JSON form, tested by exact type
 
 
 def _int64_array(values) -> np.ndarray:
-    """A fresh int64 array of the given integers."""
+    """The given integers as an int64 array: an int64 array as it is, anything else copied."""
     if not isinstance(values, np.ndarray):
         values = list(values)
     try:
-        return np.array(values, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
     except OverflowError:
         raise ValueError("vertices must fit in a signed 64-bit integer") from None
 
@@ -31,8 +31,9 @@ class VertexSet:
     prefix bound records how much of the ambient graph was inspected, which
     matters for density and sampling semantics.
 
-    The elements live in a read-only sorted int64 array, ``as_array``; the
-    tuple of Python ints, ``elements``, is built on first access only.
+    The elements live in a read-only sorted int64 array, ``as_array``: an
+    int64 array handed in becomes it, read-only, and anything else is copied.
+    The tuple of Python ints, ``elements``, is built on first access only.
     Instances are immutable.
     """
 
@@ -172,33 +173,45 @@ def parse_runs(text: str, prefix_bound: int | None = None) -> VertexSet:
     if text:
         for part in text.split(","):
             part = part.strip()
-            m = re.fullmatch(r"(\d+)-(\d+)", part)
-            if m:
-                a, b = int(m.group(1)), int(m.group(2))
-                if b < a:
-                    raise ValueError("descending interval %r" % part)
-            elif re.fullmatch(r"\d+", part):
-                a = b = int(part)
-            else:
+            m = re.fullmatch(r"(\d+)(?:-(\d+))?", part)
+            if not m:
                 raise ValueError("bad vertex-set token %r" % part)
+            a, b = (parse_integer(x, "vertex") for x in (m[1], m[2] or m[1]))
+            if b < a:
+                raise ValueError("descending interval %r" % part)
             runs.append(_int64_array((a, b)))
     _check_set_size(sum(int(b - a) + 1 for a, b in runs))
     parts = [np.append(np.arange(a, b), b) for a, b in runs]
     return VertexSet.from_iterable(np.concatenate(parts) if parts else (), prefix_bound)
 
 
+def read_lines(path: str) -> list[str]:
+    """The data lines of a ``file:`` input, stripped: every line but the
+    blank ones and those that start with '#'."""
+    with open(path, "r", encoding="ascii") as fh:
+        return [ln.strip() for ln in fh.read().splitlines() if ln.strip() and not ln.startswith("#")]
+
+
 def load_vertex_set(path: str) -> VertexSet:
     """Read a set file: newline-separated decimals, or one run-length line."""
-    with open(path, "r", encoding="ascii") as fh:
-        body = fh.read()
-    lines = [ln.strip() for ln in body.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = read_lines(path)
     if len(lines) == 1 and ("," in lines[0] or "-" in lines[0]):
         return parse_runs(lines[0])
     return VertexSet.from_iterable(parse_integer(ln, "set file %s: line" % path) for ln in lines)
 
 
+def check_digits(text: str, what: str) -> None:
+    """Refuse a text of more than DECIMAL_DIGITS_CAP decimal digits, Python's
+    own ``int`` bound, by their count, before any number is read from it."""
+    if len(text) > DECIMAL_DIGITS_CAP:  # a shorter text holds no more digits, so the common case costs one len()
+        digits = sum(map(str.isdecimal, text))
+        check_limit(digits, "DECIMAL_DIGITS_CAP", "%s of %d digits" % (what, digits))
+
+
 def parse_integer(text: str, what: str) -> int:
-    """``int(text)``, or a ValueError naming ``what`` the text is."""
+    """``int(text)``, or a ValueError naming ``what`` the text is: the one
+    reader of a decimal in notation, a ``file:`` line or a comma-list item."""
+    check_digits(text, what)
     try:
         return int(text)
     except ValueError:
@@ -226,7 +239,7 @@ def parse_notation(text: str, prefix_bound: int | None = None) -> VertexSet:
             m = re.fullmatch(r"ap:(\d+),(\d+)", text)
             if not m:
                 raise ValueError("bad arithmetic-progression notation %r" % text)
-            a, d = int(m.group(1)), int(m.group(2))
+            a, d = (parse_integer(x, "ap term") for x in m.groups())
             if a < 1 or d < 1:
                 raise ValueError("ap start and difference must be >= 1")
         _check_set_size(len(range(a, prefix_bound + 1, d)))

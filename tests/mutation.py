@@ -373,6 +373,20 @@ MUTANTS = [
         ("tests/test_cli.py::test_a_malformed_edge_line_is_refused_by_name",),
     ),
     Mutant(
+        "load_graph_file: a one-line edge list with a tab read as graph6",
+        "cli.py",
+        "len(lines[0].split()) == 1",
+        '" " not in lines[0]',
+        ("tests/test_cli.py::test_a_one_edge_list_reads_alike_with_a_tab_or_a_space",),
+    ),
+    Mutant(
+        "parse_integer: a decimal of more than DECIMAL_DIGITS_CAP digits passed to int()",
+        "sets.py",
+        "    check_digits(text, what)\n",
+        "",
+        ("tests/test_cli.py::test_a_decimal_of_more_digits_than_int_reads_is_refused_by_name",),
+    ),
+    Mutant(
         "FiniteGraph.from_edges: a vertex outside [0, n) not refused",
         "graphs.py",
         "if not (0 <= i < n and 0 <= j < n):",

@@ -646,6 +646,10 @@ def test_pools_above_the_cap_are_refused_fast(argv, pool):
      "GFREE_PATTERN_ORDER_CAP"),
     (["extension", "--f", "1-3", "--bound"], "134217731", "134217732", "pool of 134217729 vertices",
      "NOTATION_SET_CAP"),
+    pytest.param(["density", "--host", "1-10", "--checkpoints"], "0" * 4299 + "4", "0" * 4300 + "4",
+                 "--checkpoints item of 4301 digits", "DECIMAL_DIGITS_CAP", id="checkpoints-DECIMAL_DIGITS_CAP"),
+    pytest.param(["sample-mup", "--prefix-bound", "10", "--p"], "1/" + "9" * 4299, "1/" + "9" * 4300,
+                 "probability of 4301 digits", "DECIMAL_DIGITS_CAP", id="p-DECIMAL_DIGITS_CAP"),
 ])
 def test_limits_accept_the_cap_and_refuse_one_above_it(argv, at_cap, above, what, name):
     code, out, err = run_main([*argv, at_cap, "--seed", "1"])
@@ -700,6 +704,46 @@ def test_a_non_integer_line_of_a_set_file_is_refused_by_name(tmp_path):
     host.write_text("# host\n5\nx\n", encoding="ascii")
     argv = ["thick", "--seed", "1", "--host", "file:%s" % host]
     assert run_main(argv) == (1, "", "error: set file %s: line 'x' is not an integer\n" % host)
+
+
+@pytest.mark.parametrize("argv, what", [
+    ("thick --host 1-{big}", "vertex"),
+    ("thick --host 3,{big}", "vertex"),
+    ("density --host ap:1,{big} --prefix-bound 10", "ap term"),
+    ("contains --host 1-10 --pattern k:{big}", "graph order"),
+    ("gfree-max --pattern k:3 --window 1-{big}", "--window end"),
+    ("contains --host 1-10 --pattern file:{edges}", "graph file {edges}: vertex"),
+    ("thick --host file:{host}", "set file {host}: line"),
+    ("mc-fn --pattern k:3 --n-param 1 --trials 2 --n-list 8,{big}", "--n-list item"),
+    ("density --host 1-10 --checkpoints 4,{big}", "--checkpoints item"),
+    ("sample-mup --prefix-bound 10 --p 1/{big4999}", "probability"),
+    ("density --host mup:1/{big4999} --prefix-bound 10", "probability"),
+])
+def test_a_decimal_of_more_digits_than_int_reads_is_refused_by_name(tmp_path, argv, what):
+    # each site printed Python's own "Exceeds the limit (4300 digits)" text, or echoed the 5000 digits
+    big = "9" * 5000
+    files = {"edges": tmp_path / "edges.txt", "host": tmp_path / "host.txt", "big": big, "big4999": big[1:]}
+    files["edges"].write_text("0 1\n0 %s\n" % big, encoding="ascii")
+    files["host"].write_text("5\n%s\n" % big, encoding="ascii")
+    assert run_main([*argv.format(**files).split(), "--seed", "1"]) == (
+        1, "", "error: %s of 5000 digits exceeds DECIMAL_DIGITS_CAP = 4300\n" % what.format(**files)
+    )
+
+
+def test_a_decimal_of_4300_digits_is_still_read():
+    argv = ["density", "--seed", "1", "--host", "1-10", "--checkpoints", "4," + "9" * 4300]
+    assert run_main(argv) == (1, "", "error: checkpoint %s beyond prefix bound 10\n" % ("9" * 4300))
+
+
+def test_a_one_edge_list_reads_alike_with_a_tab_or_a_space(tmp_path):
+    # with a tab the one line was taken for graph6: "error: byte out of range (offset 0)"
+    edges = tmp_path / "edges.txt"
+    argv = ["contains", "--seed", "1", "--host", "1-10", "--pattern", "file:%s" % edges]
+    reports = []
+    for line in ("0 1", "0\t1"):
+        edges.write_text(line + "\n", encoding="ascii")
+        reports.append(run_main(argv))
+    assert reports[0] == reports[1] and reports[0][0] == 0 and '"witness": [1, 2]' in reports[0][1]
 
 
 # One working argv per subcommand, without a common option or with the

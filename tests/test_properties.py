@@ -383,6 +383,14 @@ def test_every_library_name_has_a_caller():
     assert unread == []
 
 
+def test_the_package_root_binds_only_its_version():
+    """``radolab/__init__.py`` re-exports nothing: the caller lint above
+    skips it, so a name bound there would be a surface no caller rule sees."""
+    init = pathlib.Path(radolab.cli.__file__).with_name("__init__.py")
+    bound = [n for n in ast.parse(init.read_text(encoding="utf-8")).body if not isinstance(n, ast.Expr)]
+    assert [ast.unparse(n) for n in bound] == ["__version__ = '0.1.0'"]
+
+
 LIMIT_NAME = re.compile(r"[A-Z][A-Z0-9_]*_(CAP|LIMIT|MAX_ORDER|BITS)")
 OLD_REFUSALS = ("capped at", "supported up to", "supports at most", "hold at most", "bound exceeded")
 

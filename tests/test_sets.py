@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +34,20 @@ def test_invariants():
         VertexSet((1, 9), 5)
     vs = VertexSet((1, 4, 9), 10)
     assert len(vs) == 3 and 4 in vs and 5 not in vs
+
+
+def test_a_set_takes_ownership_of_an_int64_array():
+    # VertexSet copied every array it was handed: interval(1, 10**6) peaked at 16.2 MiB for 7.6 MiB of elements
+    tracemalloc.start()
+    try:
+        VertexSet.interval(1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    arr = np.arange(1, 11, dtype=np.int64)
+    vs = VertexSet(arr, 10)
+    assert np.shares_memory(vs.as_array, arr) and not arr.flags.writeable
 
 
 def test_count_upto_and_restrict():
