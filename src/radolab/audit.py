@@ -222,6 +222,8 @@ def dyadic_audit(
     low, top = sorted((k_range[0], k_range[-1]))
     if low < 0:
         raise ValueError("k must be >= 0, not %d" % low)
+    if n_param < 0:  # the majorant would refuse it only after every window is solved
+        raise ValueError("N must be >= 0, not %d" % n_param)
     # 2^top, saturated just above the cap: a huge --k-to is refused without computing 2^top
     window = 2 ** min(top, GFREE_WINDOW_CAP.bit_length())
     check_limit(window, "GFREE_WINDOW_CAP", "window length 2^%d" % top)

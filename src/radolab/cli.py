@@ -78,25 +78,25 @@ EXIT_VERIFICATION = 4
 
 
 def parse_seed(text: str) -> int:
-    value = int(text, 0)
+    check_digits(text, "seed")
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise ValueError("seed %r is not a decimal or 0x-hex integer" % text) from None
     if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
+        raise ValueError("seed must be an unsigned 64-bit integer")
     return value
 
 
-def _fraction(text: str) -> Fraction:
-    check_digits(text, "probability")
+def _fraction(text: str, what: str) -> Fraction:
+    """The one reader of a fraction a/b or a decimal: --probability, --p, mup:p and power:EPS."""
+    check_digits(text, what)
     try:
         return Fraction(text)
+    except ValueError:
+        raise ValueError("%s %r is not a number" % (what, text)) from None
     except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
-
-
-def parse_probability(text: str) -> Fraction:
-    frac = _fraction(text)
-    if not 0 < frac <= 1:
-        raise argparse.ArgumentTypeError("probability must lie in (0, 1]")
-    return frac
+        raise ValueError("%s %r has a zero denominator" % (what, text)) from None
 
 
 def parse_pattern(text: str) -> FiniteGraph:
@@ -141,7 +141,7 @@ def _host(args, text: str) -> VertexSet:
     if text.startswith("mup:"):
         if args.prefix_bound is None:
             raise ValueError("mup: notation needs --prefix-bound")
-        return sample_mu_p(_fraction(text[4:]), args.prefix_bound, args.seed)
+        return sample_mu_p(_fraction(text[4:], "probability"), args.prefix_bound, args.seed)
     return parse_notation(text, args.prefix_bound)
 
 
@@ -264,7 +264,7 @@ def _weight(text: str, name: str, default: str) -> WeightFunction:
     m = re.fullmatch(r"power:([0-9.]+)", text)
     if not m:
         raise ValueError("%s must be '%s' or 'power:EPS'" % (name, default))
-    return WeightFunction(float(m.group(1)))
+    return WeightFunction(_fraction(m.group(1), "%s exponent" % name))
 
 
 def cmd_sum(args) -> tuple[dict, int]:
@@ -309,7 +309,7 @@ def cmd_mc_fn(args) -> tuple[dict, int]:
 
 
 def cmd_sample_mup(args) -> tuple[dict, int]:
-    vs = sample_mu_p(_fraction(args.p), _prefix_bound(args), args.seed)
+    vs = sample_mu_p(_fraction(args.p, "probability"), _prefix_bound(args), args.seed)
     return {"count": len(vs), "elements": format_runs(vs)}, EXIT_OK
 
 
@@ -413,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version="radolab " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
     common = {
-        "--seed": {"type": parse_seed, "help": "decimal or 0x-hex 64-bit seed"},
-        "--probability": {"type": parse_probability, "default": Fraction(1, 2), "help": "ambient edge probability"},
+        "--seed": {"help": "decimal or 0x-hex 64-bit seed"},
+        "--probability": {"default": "1/2", "help": "ambient edge probability"},
         "--prefix-bound": {"type": int, "help": "materialization bound for host notation"},
         "--output": {"help": "write the report here instead of stdout"},
         "--format": {"choices": ("json", "csv"), "default": "json"},
@@ -442,11 +442,13 @@ def main(argv: "list[str] | None" = None) -> int:
         env = os.environ.get("RADO_SEED")
         try:
             args.seed = parse_seed(env) if env is not None else 0
-        except (argparse.ArgumentTypeError, ValueError):
+        except ValueError:
             print("bad RADO_SEED value %r" % env, file=sys.stderr)
             return EXIT_USAGE
     row = args.row
     try:
+        args.seed = parse_seed(args.seed) if isinstance(args.seed, str) else args.seed  # else RADO_SEED's, read above
+        args.probability = _fraction(args.probability, "probability")
         if row.coin and args.probability != Fraction(1, 2):
             raise ValueError("%s %s, not %s" % (row.name, row.coin, args.probability))
         try:

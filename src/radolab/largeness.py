@@ -23,6 +23,7 @@ class WeightFunction:
     def __post_init__(self):
         if not 0 < self.exponent <= 1:
             raise ValueError("weight exponent must lie in (0, 1]")
+        object.__setattr__(self, "exponent", float(self.exponent))  # after the check: a huge Fraction has no float
 
     def weights(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=np.float64)

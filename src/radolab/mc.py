@@ -197,7 +197,7 @@ def mc_fn_bound(
 
 def sample_mu_p(p, bound: int, seed: int) -> VertexSet:
     """Include each n <= bound independently with probability p."""
-    frac = Fraction(p) if not isinstance(p, Fraction) else p
+    frac = Fraction(p)
     if not 0 < frac < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     if bound < 0:

@@ -123,13 +123,6 @@ def probability_threshold(p: Fraction) -> int:
     return -((-p.numerator << 53) // p.denominator)
 
 
-def _as_probability(p) -> Fraction:
-    frac = Fraction(p) if not isinstance(p, Fraction) else p
-    if not 0 < frac <= 1:
-        raise ValueError("edge probability must lie in (0, 1]")
-    return frac
-
-
 @dataclass(frozen=True)
 class EdgeOracle:
     """The fixed random graph on ℕ: pure, symmetric, seed-determined edges.
@@ -144,7 +137,10 @@ class EdgeOracle:
     def __post_init__(self):
         if not 0 <= self.seed <= MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "edge_probability", _as_probability(self.edge_probability))
+        p = Fraction(self.edge_probability)
+        if not 0 < p <= 1:
+            raise ValueError("edge probability must lie in (0, 1]")
+        object.__setattr__(self, "edge_probability", p)
 
     @cached_property
     def _threshold(self) -> int:

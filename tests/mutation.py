@@ -387,6 +387,48 @@ MUTANTS = [
         ("tests/test_cli.py::test_a_decimal_of_more_digits_than_int_reads_is_refused_by_name",),
     ),
     Mutant(
+        "parse_seed: a --seed of more than DECIMAL_DIGITS_CAP digits passed to int()",
+        "cli.py",
+        '    check_digits(text, "seed")\n',
+        "",
+        ("tests/test_cli.py::test_a_bad_seed_or_probability_text_is_refused_by_name",),
+    ),
+    Mutant(
+        "parse_seed: 2^64 accepted from RADO_SEED",
+        "cli.py",
+        "if not 0 <= value < 1 << 64:",
+        "if not 0 <= value <= 1 << 64:",
+        ("tests/test_cli.py::test_bad_rado_seed_is_a_usage_error",),
+    ),
+    Mutant(
+        "_fraction: a --probability of more than DECIMAL_DIGITS_CAP digits passed to Fraction()",
+        "cli.py",
+        "    check_digits(text, what)\n",
+        "",
+        ("tests/test_cli.py::test_a_bad_seed_or_probability_text_is_refused_by_name",),
+    ),
+    Mutant(
+        "EdgeOracle: an edge probability of 0 accepted",
+        "oracle.py",
+        "if not 0 < p <= 1:",
+        "if not 0 <= p <= 1:",
+        ("tests/test_cli.py::test_malformed_inputs_are_refused_by_name",),
+    ),
+    Mutant(
+        "dyadic_audit: a negative N refused only by the majorant, after every window",
+        "audit.py",
+        "    if n_param < 0:",
+        "    if False:",
+        ("tests/test_audit.py::test_dyadic_refuses_a_negative_n_param_before_any_row_is_built",),
+    ),
+    Mutant(
+        "main: a MemoryError without a message printed as an empty reason",
+        "cli.py",
+        '(str(exc) or "out of memory")',
+        "str(exc)",
+        ("tests/test_cli.py::test_running_out_of_memory_is_a_usage_error",),
+    ),
+    Mutant(
         "FiniteGraph.from_edges: a vertex outside [0, n) not refused",
         "graphs.py",
         "if not (0 <= i < n and 0 <= j < n):",

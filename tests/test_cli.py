@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from radolab import limits
 from radolab.audit import SearchResult
-from radolab.cli import _commands, emit, main
+from radolab.cli import _commands, _weight, emit, main
 from radolab.embed import Embedding, StepRecord
 from radolab.graphs import empty_graph, graph6_decode, graph6_encode
 from radolab.largeness import DensityReport
@@ -473,6 +473,23 @@ def test_dyadic_audit_refuses_an_empty_k_range():
     assert run_main(argv) == (1, "", "error: k range 4 to 3 is empty\n")
 
 
+def test_dyadic_audit_refuses_a_negative_n_param_before_any_window():
+    # the majorant refused it only after every window was solved, 1.3 s for k = 2..13
+    argv = ["dyadic-audit", "--pattern", "k:2", "--n-param", "-1", "--k-from", "2", "--k-to", "13"]
+    start = time.perf_counter()
+    assert run_main(argv) == (1, "", "error: N must be >= 0, not -1\n")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("exc, shown", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+])
+def test_running_out_of_memory_is_a_usage_error(exc, shown):
+    with mock.patch("radolab.cli.cmd_thick", side_effect=exc):
+        assert run_main(["thick", "--seed", "1", "--host", "1-10"]) == (1, "", "error: input too large: %s\n" % shown)
+
+
 def test_type_needs_a_positive_vertex():
     for m in ("0", "-3"):
         code, out, err = run_main(["type", "--m", m, "--base", "1-5"])
@@ -677,6 +694,12 @@ def test_negative_prefix_bounds_are_refused_by_name(argv):
     ("sum --host 1-10 --weight x", "weight must be 'reciprocal' or 'power:EPS'"),
     ("mc-fn --pattern k:3 --n-param 1 --trials 2 --n-list 8,,9", "--n-list item '' is not an integer"),
     ("density --host 1-10 --checkpoints 4,x", "--checkpoints item 'x' is not an integer"),
+    ("edge -u 1 -v 2 --probability x", "probability 'x' is not a number"),
+    ("edge -u 1 -v 2 --probability 1/0", "probability '1/0' has a zero denominator"),
+    ("edge -u 1 -v 2 --probability 0", "edge probability must lie in (0, 1]"),
+    ("adj --host 1-5 --probability 3/2", "edge probability must lie in (0, 1]"),
+    ("sum --host 1-10 --weight power:1.2.3", "weight exponent '1.2.3' is not a number"),
+    ("construct-pi02 --levels 1 --prefix-bound 100 --family power:.", "family exponent '.' is not a number"),
 ])
 def test_malformed_inputs_are_refused_by_name(argv, message):
     assert run_main([*argv.split(), "--seed", "1"]) == (1, "", "error: %s\n" % message)
@@ -718,6 +741,8 @@ def test_a_non_integer_line_of_a_set_file_is_refused_by_name(tmp_path):
     ("density --host 1-10 --checkpoints 4,{big}", "--checkpoints item"),
     ("sample-mup --prefix-bound 10 --p 1/{big4999}", "probability"),
     ("density --host mup:1/{big4999} --prefix-bound 10", "probability"),
+    ("edge -u 1 -v 2 --probability 1/{big4999}", "probability"),
+    ("sum --host 1-10 --weight power:{big}", "weight exponent"),
 ])
 def test_a_decimal_of_more_digits_than_int_reads_is_refused_by_name(tmp_path, argv, what):
     # each site printed Python's own "Exceeds the limit (4300 digits)" text, or echoed the 5000 digits
@@ -728,6 +753,25 @@ def test_a_decimal_of_more_digits_than_int_reads_is_refused_by_name(tmp_path, ar
     assert run_main([*argv.format(**files).split(), "--seed", "1"]) == (
         1, "", "error: %s of 5000 digits exceeds DECIMAL_DIGITS_CAP = 4300\n" % what.format(**files)
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--seed zz", "seed 'zz' is not a decimal or 0x-hex integer"),
+    ("--seed {big}", "seed of 5000 digits exceeds DECIMAL_DIGITS_CAP = 4300"),
+    ("--seed 0x1{zeros16}", "seed must be an unsigned 64-bit integer"),
+    ("--probability 1/{big}", "probability of 5001 digits exceeds DECIMAL_DIGITS_CAP = 4300"),
+])
+def test_a_bad_seed_or_probability_text_is_refused_by_name(argv, message):
+    # argparse read both: it printed "invalid parse_seed value: 'zz'", and echoed every digit
+    argv = ["edge", "-u", "1", "-v", "2", *argv.format(big="9" * 5000, zeros16="0" * 16).split()]
+    assert run_main(argv) == (1, "", "error: %s\n" % message)
+
+
+@given(st.from_regex(r"0?\.[0-9]{1,25}|1|1\.0{0,5}", fullmatch=True))
+def test_power_eps_reads_as_float_would(text):
+    """EPS is read as a Fraction, whose float is the correctly rounded float(text)."""
+    if 0 < float(text):
+        assert _weight("power:" + text, "weight", "reciprocal").exponent == float(text)
 
 
 def test_a_decimal_of_4300_digits_is_still_read():

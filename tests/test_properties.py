@@ -8,8 +8,10 @@ growth.  Also pins the names the benchmark tracer wraps by name, every
 radolab name the benchmark reads, that every library name has a caller,
 that every limit is defined once, in radolab.limits, and listed in the
 README with its value, that only the oracle turns a stream value into
-a coin, and that each give-up carries its own exit-3 record."""
+a coin, that each give-up carries its own exit-3 record, and that argparse
+converts with nothing but Python's int and float."""
 
+import argparse
 import ast
 import importlib.util
 import inspect
@@ -482,3 +484,15 @@ def test_every_give_up_builds_its_own_record():
     recordless = [c.__name__ for c in give_ups if "__init__" not in vars(c)
                   or not re.search(r"^\s*self\.record = ", inspect.getsource(c.__init__), re.M)]
     assert recordless == []
+
+
+def test_argparse_converts_with_int_and_float_only():
+    """Every option of every subcommand has no ``type``, or ``int`` or
+    ``float``: radolab's own readers (``parse_seed``, ``_fraction``) run
+    inside ``main``, which refuses a bad value by name, never as argparse's
+    ``invalid <type> value`` echo."""
+    parser = radolab.cli.build_parser()
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(subparsers) == 1
+    types = {(name, a.dest): a.type for name, sub in subparsers[0].choices.items() for a in sub._actions}
+    assert {key: t for key, t in types.items() if t not in (None, int, float)} == {}
